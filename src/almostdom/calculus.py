@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurvesError, GridMismatchError
+from .errors import DegenerateCurvesError, GridMismatchError, InvalidConfigError
 
 __all__ = [
     "GridSpec",
@@ -41,10 +41,10 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+            raise InvalidConfigError(f"n_points must be >= 2, got {self.n_points}")
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"domain must be a finite interval, got {self.domain}")
+            raise InvalidConfigError(f"domain must be a finite interval, got {self.domain}")
         object.__setattr__(self, "domain", (float(lo), float(hi)))
 
     @property

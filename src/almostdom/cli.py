@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,13 @@ from .errors import (
     InvalidConfigError,
     NegativeValueError,
 )
-from .inference import InferenceConfig, bootstrap_ci, select_tuning, tuning_table
+from .inference import (
+    InferenceConfig,
+    _unpack,
+    bootstrap_ci,
+    select_tuning,
+    tuning_table,
+)
 from .simulation import (
     DiscreteLaw,
     DoublePareto,
@@ -235,25 +241,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _emit(payload: dict, fmt: str, output: str | None) -> None:
+def _emit(payload: dict | list[dict], fmt: str, output: str | None) -> None:
+    """Write one record (a dict) or a table (a list of dicts) as JSON or CSV."""
     if fmt == "json":
         text = json.dumps(payload, indent=2)
     else:
-        columns = list(payload)
-        text = ",".join(columns) + "\n" + ",".join(
-            _format_value(payload[c]) for c in columns
-        )
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_rows(rows: list[dict], fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, indent=2)
-    else:
+        rows = payload if isinstance(payload, list) else [payload]
         columns = list(rows[0])
         lines = [",".join(columns)]
         lines += [",".join(_format_value(r[c]) for c in columns) for r in rows]
@@ -351,14 +344,7 @@ def _load_data(args, family: DominanceFamily):
     scheme = _scheme_from_args(args)
     nonneg = family.kind in (Family.LORENZ, Family.INVERSE_SD)
     data = load_csv(args.input, scheme, args.input2, require_nonnegative=nonneg)
-    if scheme is SamplingScheme.MATCHED:
-        d1 = EmpiricalDistribution(data.x1)
-        d2 = EmpiricalDistribution(data.x2)
-        pairs = data
-    else:
-        d1 = EmpiricalDistribution(data[0].values)
-        d2 = EmpiricalDistribution(data[1].values)
-        pairs = None
+    d1, d2, pairs = _unpack(data, scheme)
     return data, d1, d2, pairs, scheme
 
 
@@ -447,14 +433,7 @@ def _cmd_ci(args) -> int:
             _parse_floats(args.candidates, "--candidates"),
             args.cal_reps, args.cal_boot, n_jobs=n_jobs,
         )
-        cfg = InferenceConfig(
-            t_n=selected,
-            seed=args.seed,
-            xi0=args.xi0,
-            n_boot=args.boot,
-            alpha=args.alpha,
-            clamp_to_unit=not args.no_clamp,
-        )
+        cfg = replace(cfg, t_n=selected)
     result = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=n_jobs)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
@@ -578,9 +557,6 @@ def _cmd_tune(args) -> int:
         data, family, scheme, spec, cfg, candidates, args.cal_reps, args.cal_boot,
         n_jobs=_threads(args),
     )
-    target = 1.0 - cfg.alpha
-    errors = np.abs(np.asarray(table.coverage) - target)
-    selected = table.candidates[int(np.argmin(errors))]
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
         _emit_fit_curves(args.emit_curves, family, d1, d2, pairs, scheme, spec)
@@ -588,13 +564,13 @@ def _cmd_tune(args) -> int:
         {
             "t_n": t,
             "coverage": cov,
-            "selected": t == selected,
+            "selected": t == table.selected,
             "pseudo_true": table.pseudo_true,
             "runtime_ms": runtime_ms,
         }
         for t, cov in zip(table.candidates, table.coverage)
     ]
-    _emit_rows(rows, args.format, args.output)
+    _emit(rows, args.format, args.output)
     return 0
 
 

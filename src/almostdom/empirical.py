@@ -39,11 +39,11 @@ class SamplingScheme(Enum):
 def _as_clean_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
+        raise DomainError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptySampleError(f"{what} contains no observations")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise DomainError(f"{what} contains non-finite values")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -80,7 +80,7 @@ class PairedSample:
         x1 = _as_clean_array(self.x1, "first coordinate")
         x2 = _as_clean_array(self.x2, "second coordinate")
         if x1.size != x2.size:
-            raise ValueError(
+            raise DomainError(
                 f"paired coordinates must have equal length, got {x1.size} and {x2.size}"
             )
         object.__setattr__(self, "x1", x1)
@@ -90,7 +90,7 @@ class PairedSample:
     def from_pairs(cls, pairs) -> "PairedSample":
         arr = np.asarray(pairs, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected an (n, 2) array of pairs, got shape {arr.shape}")
+            raise DomainError(f"expected an (n, 2) array of pairs, got shape {arr.shape}")
         return cls(arr[:, 0], arr[:, 1])
 
     @property
@@ -122,7 +122,7 @@ class EmpiricalDistribution:
         if arr.ndim != 1 or arr.size == 0:
             raise EmptySampleError("empirical distribution needs a nonempty 1-D sample")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("sample contains non-finite values")
+            raise DomainError("sample contains non-finite values")
         sorted_values = np.sort(arr)
         sorted_values.flags.writeable = False
         self.sorted_values = sorted_values

@@ -16,12 +16,20 @@ estimate of the map's directional derivative:
 The studentization curve and the contact sets come from the original
 sample and are held fixed across replicates. Replicate b draws from the
 stream keyed (seed, b), so runs are reproducible and order-independent.
+
+Threshold calibration reuses the same path: calibration replicate r
+resamples a dataset from the stream keyed (seed, r, 0) and bootstraps it
+from a seed derived at (seed, r, 1). The bootstrap, the calibration, and
+the Monte Carlo study in :mod:`almostdom.simulation` all fan their
+replicates out through one order-preserving map (:func:`_ordered_map`),
+serial or over a process pool, with identical results either way.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -245,17 +253,61 @@ class _Prepared:
     skip_degenerate: bool
 
 
-def _one_direction(prep: _Prepared, index: int) -> np.ndarray | None:
-    """Scaled fluctuation curve of replicate ``index`` (None if degenerate)."""
-    rng = child_rng(prep.seed, index)
+def _prepare(
+    data,
+    family: DominanceFamily,
+    scheme: SamplingScheme,
+    spec: GridSpec,
+    cfg: InferenceConfig,
+) -> tuple[CoefficientEstimate, _Prepared]:
+    """Point estimate of ``data`` and the state its replicates share."""
+    d1, d2, pairs = _unpack(data, scheme)
+    est = coefficient(family, d1, d2, spec)
+    prep = _Prepared(
+        family=family,
+        scheme=scheme,
+        spec=spec,
+        d1=d1,
+        d2=d2,
+        pairs=pairs,
+        diff=est.difference,
+        root_n=float(np.sqrt(est.effective_n)),
+        seed=cfg.seed,
+        skip_degenerate=cfg.skip_degenerate,
+    )
+    return est, prep
+
+
+def _draw(prep: _Prepared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One resample of the prepared data: pairs jointly when matched, else
+    each sample on its own (first, then second)."""
     if prep.scheme is SamplingScheme.MATCHED:
         n = prep.pairs.n
         idx = rng.integers(0, n, n)
-        r1, r2 = prep.pairs.x1[idx], prep.pairs.x2[idx]
-    else:
-        n1, n2 = prep.d1.n, prep.d2.n
-        r1 = prep.d1.sorted_values[rng.integers(0, n1, n1)]
-        r2 = prep.d2.sorted_values[rng.integers(0, n2, n2)]
+        return prep.pairs.x1[idx], prep.pairs.x2[idx]
+    r1 = prep.d1.sorted_values[rng.integers(0, prep.d1.n, prep.d1.n)]
+    r2 = prep.d2.sorted_values[rng.integers(0, prep.d2.n, prep.d2.n)]
+    return r1, r2
+
+
+def _ordered_map(fn, items, n_jobs: int):
+    """Yield ``fn(item)`` for each item, in item order.
+
+    With ``n_jobs > 1`` the items run in a process pool in contiguous
+    chunks; ``fn`` should be a module-level function (or a
+    ``functools.partial`` of one) so it pickles once per chunk.
+    """
+    if n_jobs <= 1:
+        yield from map(fn, items)
+        return
+    chunksize = max(1, len(items) // (4 * n_jobs))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
+
+
+def _one_direction(prep: _Prepared, index: int) -> np.ndarray | None:
+    """Scaled fluctuation curve of replicate ``index`` (None if skipped)."""
+    r1, r2 = _draw(prep, child_rng(prep.seed, index))
     try:
         star = difference_curve(
             prep.family,
@@ -264,18 +316,17 @@ def _one_direction(prep: _Prepared, index: int) -> np.ndarray | None:
             prep.spec,
         )
     except ZeroMeanError as exc:
-        if prep.skip_degenerate:
-            return None
-        raise NonFiniteDrawError(
-            f"bootstrap replicate {index} produced a degenerate resample: {exc}",
-            replicate=index,
-        ) from exc
-    return prep.root_n * (star.values - prep.diff.values)
-
-
-def _direction_chunk(args):
-    prep, indices = args
-    return [(index, _one_direction(prep, index)) for index in indices]
+        problem, cause = f"a degenerate resample: {exc}", exc
+    else:
+        values = prep.root_n * (star.values - prep.diff.values)
+        if np.all(np.isfinite(values)):
+            return values
+        problem, cause = "non-finite values", None
+    if prep.skip_degenerate:
+        return None
+    raise NonFiniteDrawError(
+        f"bootstrap replicate {index} produced {problem}", replicate=index
+    ) from cause
 
 
 def _direction_matrix(
@@ -283,34 +334,30 @@ def _direction_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     rows = np.zeros((n_boot, prep.spec.n_points))
     ok = np.ones(n_boot, dtype=bool)
-
-    def store(index: int, values: np.ndarray | None) -> None:
+    directions = _ordered_map(partial(_one_direction, prep), range(n_boot), n_jobs)
+    for index, values in enumerate(directions):
         if values is None:
             ok[index] = False
-        elif not np.all(np.isfinite(values)):
-            if prep.skip_degenerate:
-                ok[index] = False
-            else:
-                raise NonFiniteDrawError(
-                    f"bootstrap replicate {index} produced non-finite values",
-                    replicate=index,
-                )
         else:
             rows[index] = values
-
-    if n_jobs <= 1:
-        for index in range(n_boot):
-            store(index, _one_direction(prep, index))
-    else:
-        chunks = [
-            (prep, list(range(start, n_boot, n_jobs)))
-            for start in range(min(n_jobs, n_boot))
-        ]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for part in pool.map(_direction_chunk, chunks):
-                for index, values in part:
-                    store(index, values)
     return rows, ok
+
+
+def _interval(
+    c_hat: float, draws: np.ndarray, root: float, cfg: InferenceConfig
+) -> tuple[float, float, tuple[float, float]]:
+    """Quantiles ``q_lo``, ``q_hi`` of the derivative draws and the interval
+    ``[c_hat - q_hi / root, c_hat - q_lo / root]`` they give."""
+    if draws.size == 0:
+        raise NonFiniteDrawError("every bootstrap replicate was degenerate")
+    q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
+    q_hi = _inf_quantile(draws, 1.0 - cfg.alpha / 2.0)
+    lo = c_hat - q_hi / root
+    hi = c_hat - q_lo / root
+    if cfg.clamp_to_unit:
+        lo = min(max(lo, 0.0), 1.0)
+        hi = min(max(hi, 0.0), 1.0)
+    return q_lo, q_hi, (lo, hi)
 
 
 def bootstrap_ci(
@@ -334,41 +381,18 @@ def bootstrap_ci(
     ``c_hat - q(alpha) / sqrt(effective_n)``, the lower bound is
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
-    d1, d2, pairs = _unpack(data, scheme)
-    est = coefficient(family, d1, d2, spec)
-    std = std_curve_for(family, d1, d2, pairs, scheme, spec)
+    est, prep = _prepare(data, family, scheme, spec, cfg)
+    std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     sets = contact_sets(est.difference, std, est.effective_n, cfg)
-    prep = _Prepared(
-        family=family,
-        scheme=scheme,
-        spec=spec,
-        d1=d1,
-        d2=d2,
-        pairs=pairs,
-        diff=est.difference,
-        root_n=float(np.sqrt(est.effective_n)),
-        seed=cfg.seed,
-        skip_degenerate=cfg.skip_degenerate,
-    )
     rows, ok = _direction_matrix(prep, cfg.n_boot, n_jobs)
-    all_draws = _derivative_rows(rows, sets, est.difference)
-    draws = all_draws[ok]
-    if draws.size == 0:
-        raise NonFiniteDrawError("every bootstrap replicate was degenerate")
-    q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
-    q_hi = _inf_quantile(draws, 1.0 - cfg.alpha / 2.0)
-    root = prep.root_n
-    lo = est.c_hat - q_hi / root
-    hi = est.c_hat - q_lo / root
-    if cfg.clamp_to_unit:
-        lo = min(max(lo, 0.0), 1.0)
-        hi = min(max(hi, 0.0), 1.0)
+    draws = _derivative_rows(rows, sets, est.difference)[ok]
+    q_lo, q_hi, ci = _interval(est.c_hat, draws, prep.root_n, cfg)
     return BootstrapResult(
         estimate=est,
         draws=draws,
         q_lo=q_lo,
         q_hi=q_hi,
-        ci=(lo, hi),
+        ci=ci,
         n_boot_effective=int(draws.size),
         seed=cfg.seed,
         boundary=est.c_hat in (0.0, 1.0),
@@ -377,67 +401,43 @@ def bootstrap_ci(
 
 @dataclass(frozen=True)
 class TuningTable:
-    """Coverage of the calibration truth for each candidate threshold."""
+    """Coverage of the calibration truth for each candidate threshold.
+
+    ``selected`` is the candidate whose coverage lies closest to the
+    nominal level; ties break toward the smallest candidate.
+    """
 
     candidates: tuple[float, ...]
     coverage: tuple[float, ...]
     pseudo_true: float
+    selected: float
 
 
-def _resample_dataset(prep_d1, prep_d2, pairs, scheme, rng):
-    if scheme is SamplingScheme.MATCHED:
-        idx = rng.integers(0, pairs.n, pairs.n)
-        return PairedSample(pairs.x1[idx], pairs.x2[idx])
-    r1 = prep_d1.sorted_values[rng.integers(0, prep_d1.n, prep_d1.n)]
-    r2 = prep_d2.sorted_values[rng.integers(0, prep_d2.n, prep_d2.n)]
-    return Sample(r1), Sample(r2)
-
-
-def _calibration_rep(args):
-    (
-        (d1, d2, pairs),
-        family,
-        scheme,
-        spec,
-        cfg,
-        candidates,
-        n_cal_boot,
-        pseudo_true,
-        rep,
-    ) = args
-    rng = child_rng(cfg.seed, rep, 0)
-    sim = _resample_dataset(d1, d2, pairs, scheme, rng)
-    rep_cfg = replace(
-        cfg, seed=child_seed(cfg.seed, rep, 1), n_boot=n_cal_boot
-    )
-    sd1, sd2, spairs = _unpack(sim, scheme)
-    est = coefficient(family, sd1, sd2, spec)
-    std = std_curve_for(family, sd1, sd2, spairs, scheme, spec)
-    prep = _Prepared(
-        family=family,
-        scheme=scheme,
-        spec=spec,
-        d1=sd1,
-        d2=sd2,
-        pairs=spairs,
-        diff=est.difference,
-        root_n=float(np.sqrt(est.effective_n)),
-        seed=rep_cfg.seed,
-        skip_degenerate=rep_cfg.skip_degenerate,
+def _calibration_rep(
+    base: _Prepared,
+    cfg: InferenceConfig,
+    candidates: tuple[float, ...],
+    n_cal_boot: int,
+    pseudo_true: float,
+    rep: int,
+) -> np.ndarray:
+    """Which candidates' intervals cover ``pseudo_true`` in calibration
+    replicate ``rep``."""
+    r1, r2 = _draw(base, child_rng(cfg.seed, rep, 0))
+    sim = PairedSample(r1, r2) if base.pairs is not None else (r1, r2)
+    rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1), n_boot=n_cal_boot)
+    est, prep = _prepare(sim, base.family, base.scheme, base.spec, rep_cfg)
+    std = std_curve_for(
+        base.family, prep.d1, prep.d2, prep.pairs, base.scheme, base.spec
     )
     rows, ok = _direction_matrix(prep, n_cal_boot, 1)
     covered = np.zeros(len(candidates), dtype=bool)
-    root = prep.root_n
     for j, t_n in enumerate(candidates):
         sets = contact_sets(est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n))
         draws = _derivative_rows(rows, sets, est.difference)[ok]
-        lo = est.c_hat - _inf_quantile(draws, 1.0 - cfg.alpha / 2.0) / root
-        hi = est.c_hat - _inf_quantile(draws, cfg.alpha / 2.0) / root
-        if cfg.clamp_to_unit:
-            lo = min(max(lo, 0.0), 1.0)
-            hi = min(max(hi, 0.0), 1.0)
+        _, _, (lo, hi) = _interval(est.c_hat, draws, prep.root_n, rep_cfg)
         covered[j] = lo <= pseudo_true <= hi
-    return rep, covered
+    return covered
 
 
 def tuning_table(
@@ -468,25 +468,18 @@ def tuning_table(
         raise InvalidConfigError(f"n_cal_reps must be >= 1, got {n_cal_reps}")
     if n_cal_boot < 1:
         raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
-    d1, d2, pairs = _unpack(data, scheme)
-    pseudo_true = coefficient(family, d1, d2, spec).c_hat
-    tasks = [
-        ((d1, d2, pairs), family, scheme, spec, cfg, candidates, n_cal_boot, pseudo_true, rep)
-        for rep in range(n_cal_reps)
-    ]
-    covered = np.zeros((n_cal_reps, len(candidates)), dtype=bool)
-    if n_jobs <= 1:
-        for task in tasks:
-            rep, row = _calibration_rep(task)
-            covered[rep] = row
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for rep, row in pool.map(_calibration_rep, tasks, chunksize=max(1, n_cal_reps // (4 * n_jobs))):
-                covered[rep] = row
+    estimate, base = _prepare(data, family, scheme, spec, cfg)
+    rep_fn = partial(
+        _calibration_rep, base, cfg, candidates, n_cal_boot, estimate.c_hat
+    )
+    covered = np.array(list(_ordered_map(rep_fn, range(n_cal_reps), n_jobs)))
+    coverage = covered.mean(axis=0)
+    errors = np.abs(coverage - (1.0 - cfg.alpha))
     return TuningTable(
         candidates=candidates,
-        coverage=tuple(float(c) for c in covered.mean(axis=0)),
-        pseudo_true=pseudo_true,
+        coverage=tuple(float(c) for c in coverage),
+        pseudo_true=estimate.c_hat,
+        selected=candidates[int(np.argmin(errors))],
     )
 
 
@@ -503,9 +496,6 @@ def select_tuning(
 ) -> float:
     """Pick the candidate threshold whose calibrated coverage is closest to
     the nominal level; ties break toward the smallest candidate."""
-    table = tuning_table(
+    return tuning_table(
         data, family, scheme, spec, cfg, candidates, n_cal_reps, n_cal_boot, n_jobs
-    )
-    target = 1.0 - cfg.alpha
-    errors = np.abs(np.asarray(table.coverage) - target)
-    return table.candidates[int(np.argmin(errors))]
+    ).selected

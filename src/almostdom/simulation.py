@@ -16,15 +16,15 @@ matched-pairs theory needs.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .coefficients import Direction, DominanceFamily, Family, default_grid
-from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
+from .empirical import PairedSample, Sample, SamplingScheme
 from .errors import DegenerateCurvesError, DomainError, InvalidConfigError
-from .inference import InferenceConfig, bootstrap_ci
+from .inference import InferenceConfig, _ordered_map, _unpack, bootstrap_ci
 from .rng import child_rng, child_seed
 
 __all__ = [
@@ -317,22 +317,12 @@ def _run_one(study: MonteCarloStudy, rep: int) -> tuple[float, bool]:
     data_rng = child_rng(study.cfg.seed, rep, 0)
     data = _simulate_data(study, data_rng)
     cfg = replace(study.cfg, seed=child_seed(study.cfg.seed, rep, 1))
-    if study.scheme is SamplingScheme.MATCHED:
-        d1 = EmpiricalDistribution(data.x1)
-        d2 = EmpiricalDistribution(data.x2)
-    else:
-        d1 = EmpiricalDistribution(data[0].values)
-        d2 = EmpiricalDistribution(data[1].values)
+    d1, d2, _ = _unpack(data, study.scheme)
     spec = default_grid(study.family, d1, d2, study.grid_points)
     result = bootstrap_ci(data, study.family, study.scheme, spec, cfg)
     lo, hi = result.ci
     covered = lo <= study.true_c <= hi
     return result.estimate.c_hat, covered
-
-
-def _run_chunk(args) -> list[tuple[int, float, bool]]:
-    study, reps = args
-    return [(r, *_run_one(study, r)) for r in reps]
 
 
 def run_replicates(
@@ -345,21 +335,9 @@ def run_replicates(
     identical under any ``n_jobs`` and the first R replicates agree
     between runs with different ``n_reps``.
     """
-    estimates = np.empty(study.n_reps)
-    covered = np.empty(study.n_reps, dtype=bool)
-    if n_jobs <= 1:
-        for r in range(study.n_reps):
-            estimates[r], covered[r] = _run_one(study, r)
-    else:
-        chunks = [
-            (study, list(range(start, study.n_reps, n_jobs)))
-            for start in range(min(n_jobs, study.n_reps))
-        ]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for part in pool.map(_run_chunk, chunks):
-                for r, est, cov in part:
-                    estimates[r] = est
-                    covered[r] = cov
+    results = list(_ordered_map(partial(_run_one, study), range(study.n_reps), n_jobs))
+    estimates = np.array([est for est, _ in results], dtype=float)
+    covered = np.array([cov for _, cov in results], dtype=bool)
     return estimates, covered
 
 

@@ -14,7 +14,7 @@ from almostdom.calculus import (
     negative_area,
     positive_area,
 )
-from almostdom.errors import DegenerateCurvesError, GridMismatchError
+from almostdom.errors import DegenerateCurvesError, GridMismatchError, InvalidConfigError
 
 
 def grid_fn(values, n_points=None, domain=(0.0, 1.0)):
@@ -41,6 +41,11 @@ class TestGridSpec:
     def test_rejects_empty_domain(self):
         with pytest.raises(ValueError):
             GridSpec(10, (1.0, 1.0))
+
+    @pytest.mark.parametrize("args", [(1,), (10, (5.0, 1.0)), (10, (0.0, np.inf))])
+    def test_bad_spec_is_config_error(self, args):
+        with pytest.raises(InvalidConfigError):
+            GridSpec(*args)
 
 
 class TestGridFunction:

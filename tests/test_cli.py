@@ -164,6 +164,29 @@ class TestEstimateCommand:
         assert payload["domain_lo"] == 0.0 and payload["domain_hi"] == 60.0
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--family", "lorenz", "--input", "NAN_FILE"],
+            ["--family", "lorenz", "--input", "DATA", "--grid", "1"],
+            ["--family", "sd", "--input", "DATA", "--domain", "5,1"],
+        ],
+        ids=["nan-cell", "grid-1", "reversed-domain"],
+    )
+    def test_one_error_line(self, extra, matched_file, tmp_path, capsys):
+        nan_file = write(tmp_path / "nan.csv", "x1,x2\n1,2\nnan,3\n")
+        paths = {"NAN_FILE": nan_file, "DATA": matched_file}
+        code = run_cli(
+            ["estimate", "--scheme", "matched"] + [paths.get(a, a) for a in extra]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestCiCommand:
     def args(self, matched_file, out, seed=3):
         return [

@@ -185,6 +185,22 @@ class TestPairedSample:
         with pytest.raises(ValueError):
             PairedSample(np.array([1.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Sample([1.0, np.nan]),
+            lambda: Sample(np.ones((2, 2))),
+            lambda: PairedSample([1.0, np.inf], [1.0, 2.0]),
+            lambda: PairedSample([1.0], [1.0, 2.0]),
+            lambda: PairedSample.from_pairs([1.0, 2.0, 3.0]),
+            lambda: EmpiricalDistribution([1.0, np.nan]),
+        ],
+        ids=["nan-sample", "2d-sample", "inf-pair", "length", "pair-shape", "nan-empirical"],
+    )
+    def test_bad_data_is_domain_error(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_from_pairs(self):
         pairs = PairedSample.from_pairs([(1.0, 2.0), (3.0, 4.0)])
         np.testing.assert_array_equal(pairs.x1, [1.0, 3.0])

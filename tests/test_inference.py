@@ -194,6 +194,24 @@ class TestBootstrapCi:
         np.testing.assert_array_equal(serial.draws, parallel.draws)
         assert serial.ci == parallel.ci
 
+    def test_parallel_single_replicate(self):
+        pairs = lorenz_pairs(45, n=80)
+        fam = DominanceFamily.lorenz(1)
+        cfg = cfg_with(seed=7, n_boot=1)
+        serial = bootstrap_ci(pairs, fam, MP, GridSpec(128), cfg, n_jobs=1)
+        parallel = bootstrap_ci(pairs, fam, MP, GridSpec(128), cfg, n_jobs=2)
+        np.testing.assert_array_equal(serial.draws, parallel.draws)
+        assert serial.ci == parallel.ci and parallel.n_boot_effective == 1
+
+    @pytest.mark.parametrize("scheme", [MP, IND])
+    def test_prefix_stability(self, scheme):
+        pairs = lorenz_pairs(51, n=70)
+        data = pairs if scheme is MP else (Sample(pairs.x1), Sample(pairs.x2[:50]))
+        fam = DominanceFamily.lorenz(1)
+        short = bootstrap_ci(data, fam, scheme, GridSpec(100), cfg_with(seed=4, n_boot=30))
+        long = bootstrap_ci(data, fam, scheme, GridSpec(100), cfg_with(seed=4, n_boot=60))
+        np.testing.assert_array_equal(short.draws, long.draws[:30])
+
     def test_clamped_to_unit(self):
         pairs = lorenz_pairs(46, n=40)
         fam = DominanceFamily.lorenz(1)
@@ -320,6 +338,31 @@ class TestSelectTuning:
         assert table1.candidates == (0.001, 20.0)
         assert table1 == table2  # candidate order does not matter
         assert all(0.0 <= c <= 1.0 for c in table1.coverage)
+
+    def test_parallel_matches_serial(self):
+        pairs, fam, spec = self.small_setup()
+        cfg = cfg_with(seed=23, n_boot=30)
+        candidates = [0.001, 0.5, 20.0]
+        serial = tuning_table(pairs, fam, MP, spec, cfg, candidates, 5, 20, n_jobs=1)
+        parallel = tuning_table(pairs, fam, MP, spec, cfg, candidates, 5, 20, n_jobs=2)
+        assert serial == parallel
+
+    def test_selected_matches_select_tuning(self):
+        pairs, fam, spec = self.small_setup()
+        cfg = cfg_with(seed=24, n_boot=30)
+        candidates = [0.001, 0.5, 20.0]
+        table = tuning_table(pairs, fam, MP, spec, cfg, candidates, 6, 20)
+        errors = np.abs(np.asarray(table.coverage) - (1.0 - cfg.alpha))
+        assert table.selected == table.candidates[int(np.argmin(errors))]
+        assert select_tuning(pairs, fam, MP, spec, cfg, candidates, 6, 20) == table.selected
+
+    def test_all_draws_skipped_raises(self):
+        # with one draw per calibration bootstrap, a draw whose first
+        # coordinate is all zeros is skipped and leaves no draw for the interval
+        pairs = PairedSample([0.0, 0.0, 6.0], [1.0, 2.0, 3.0])
+        cfg = InferenceConfig(t_n=1, seed=0, skip_degenerate=True)
+        with pytest.raises(NonFiniteDrawError):
+            tuning_table(pairs, DominanceFamily.lorenz(1), MP, GridSpec(50), cfg, [0.1, 1.0], 3, 1)
 
     def test_tie_breaks_to_smallest(self):
         pairs, fam, spec = self.small_setup()
