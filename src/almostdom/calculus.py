@@ -110,16 +110,14 @@ def iterated_cumsum(
     """Apply ``passes`` cumulative-integral sweeps along ``axis``.
 
     Each sweep replaces the array by its inclusive prefix (or suffix, when
-    ``downward``) sum scaled by ``step``. Shared by grid functions and by
-    covariance matrices, which are integrated along both axes.
+    ``downward``) sum scaled by ``step``, in place on one copy of ``values``.
+    Shared by grid functions, covariance matrices and transform blocks.
     """
-    out = np.asarray(values, dtype=float)
+    out = np.array(values, dtype=float)
+    view = np.flip(out, axis=axis) if downward else out
     for _ in range(passes):
-        if downward:
-            out = np.flip(np.cumsum(np.flip(out, axis=axis), axis=axis), axis=axis)
-        else:
-            out = np.cumsum(out, axis=axis)
-        out = out * step
+        np.cumsum(view, axis=axis, out=view)
+        view *= step
     return out
 
 

@@ -566,6 +566,7 @@ def _cmd_tune(args) -> int:
             "coverage": cov,
             "selected": t == table.selected,
             "pseudo_true": table.pseudo_true,
+            "cal_failed": table.n_failed,
             "runtime_ms": runtime_ms,
         }
         for t, cov in zip(table.candidates, table.coverage)

@@ -20,10 +20,10 @@ cross-sample covariances.
 The stochastic-dominance kernel is assembled directly from the empirical
 (joint) CDFs.
 
-Kernels are dense n-by-n matrices, built once per dataset outside the
-bootstrap loop. When no integration is needed (operator degree 1) the
-diagonal is all that enters downstream, and :func:`std_curve_for` computes
-it without materializing the matrix.
+Kernels are dense G-by-G matrices over the G grid nodes. Studentization
+needs only the diagonal of the integrated kernel, which for the
+transform families is the variance of the integrated transform:
+:func:`std_curve_for` computes that without any G-by-G array.
 """
 
 from __future__ import annotations
@@ -102,29 +102,52 @@ def _min_rows(
     return np.minimum(quant[:, None], values[None, :])
 
 
-def _sample_cov(make_block, n_obs: int, n_points: int) -> np.ndarray:
-    """Sample covariance of an n_points-row transform, observation-chunked.
+def _gram(centered: np.ndarray) -> np.ndarray:
+    return centered @ centered.T
 
-    ``make_block(lo, hi)`` returns transform columns for observations
-    [lo, hi). Two passes (means, then centered cross products) keep the
-    peak footprint bounded for large samples without losing the exact
-    Gram structure.
-    """
+
+def _row_squares(centered: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", centered, centered)
+
+
+def _chunked_cov(make_block, n_obs, spec, square, passes, downward) -> np.ndarray:
+    """Sample covariance of the blocks ``make_block(lo, hi)`` (nodes by
+    observations [lo, hi)), each integrated ``passes`` times along the node
+    axis and reduced by ``square``. Chan et al.'s pairwise update merges each
+    chunk's mean and scatter into the running ones."""
+    n_points = spec.n_points
     chunk = max(1, _CHUNK_BUDGET // n_points)
+    count = 0
     mean = np.zeros(n_points)
+    scatter = square(np.zeros((n_points, 0)))  # the scatter of no observations
     for lo in range(0, n_obs, chunk):
-        mean += make_block(lo, min(lo + chunk, n_obs)).sum(axis=1)
-    mean /= n_obs
-    matrix = np.zeros((n_points, n_points))
-    for lo in range(0, n_obs, chunk):
-        centered = make_block(lo, min(lo + chunk, n_obs)) - mean[:, None]
-        matrix += centered @ centered.T
-    return matrix / (n_obs - 1)
+        block = make_block(lo, min(lo + chunk, n_obs))
+        if passes:
+            block = iterated_cumsum(block, spec.step, passes, downward, axis=0)
+        size = block.shape[1]
+        block_mean = block.mean(axis=1)
+        block -= block_mean[:, None]
+        scatter += square(block)
+        delta = block_mean - mean
+        total = count + size
+        if count:
+            scatter += square(delta[:, None]) * (count * size / total)
+        mean += delta * (size / total)
+        count = total
+    return scatter / (n_obs - 1)
 
 
-def _transform_kernel(transform, d1, d2, pairs, scheme, spec) -> np.ndarray:
+def _transform_cov(
+    kind, d1, d2, pairs, scheme, spec, square, passes=0, downward=False
+) -> np.ndarray:
+    """Covariance of the family's (integrated) transform under ``scheme``."""
+    transform = _lorenz_rows if kind is Family.LORENZ else _min_rows
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
+
+    def cov(make_block, n_obs):
+        return _chunked_cov(make_block, n_obs, spec, square, passes, downward)
+
     if scheme is SamplingScheme.MATCHED:
         w2, w1 = np.sqrt(share1), np.sqrt(1.0 - share1)
 
@@ -133,19 +156,12 @@ def _transform_kernel(transform, d1, d2, pairs, scheme, spec) -> np.ndarray:
                 d1, pairs.x1[lo:hi], nodes
             )
 
-        return _sample_cov(combined, pairs.n, spec.n_points)
+        return cov(combined, pairs.n)
 
-    k1 = _sample_cov(
-        lambda lo, hi: transform(d1, d1.sorted_values[lo:hi], nodes),
-        d1.n,
-        spec.n_points,
-    )
-    k2 = _sample_cov(
-        lambda lo, hi: transform(d2, d2.sorted_values[lo:hi], nodes),
-        d2.n,
-        spec.n_points,
-    )
-    return (1.0 - share1) * k1 + share1 * k2
+    def sample_cov(dist):
+        return cov(lambda lo, hi: transform(dist, dist.sorted_values[lo:hi], nodes), dist.n)
+
+    return (1.0 - share1) * sample_cov(d1) + share1 * sample_cov(d2)
 
 
 def lorenz_kernel(
@@ -157,7 +173,7 @@ def lorenz_kernel(
 ) -> CovKernel:
     """Covariance kernel of the Lorenz-difference fluctuation process."""
     _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_kernel(_lorenz_rows, d1, d2, pairs, scheme, spec)
+    matrix = _transform_cov(Family.LORENZ, d1, d2, pairs, scheme, spec, _gram)
     return CovKernel(spec, matrix, Family.LORENZ, scheme)
 
 
@@ -170,7 +186,7 @@ def isd_kernel(
 ) -> CovKernel:
     """Covariance kernel of the integrated-quantile-difference process."""
     _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_kernel(_min_rows, d1, d2, pairs, scheme, spec)
+    matrix = _transform_cov(Family.INVERSE_SD, d1, d2, pairs, scheme, spec, _gram)
     return CovKernel(spec, matrix, Family.INVERSE_SD, scheme)
 
 
@@ -205,10 +221,6 @@ def sd_kernel(
     return CovKernel(spec, matrix, Family.SD, scheme)
 
 
-def _integration_passes(family: DominanceFamily) -> int:
-    return family.operator_degree - 1
-
-
 def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
     """Pointwise standard deviation of the degree-raised fluctuation process.
 
@@ -221,7 +233,7 @@ def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
             f"kernel estimates the {kernel.family_kind.value} process, "
             f"family is {family.kind.value}"
         )
-    passes = _integration_passes(family)
+    passes = family.operator_degree - 1
     matrix = kernel.matrix
     if passes:
         downward = family.direction is Direction.DOWN
@@ -231,45 +243,18 @@ def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
     return GridFunction(kernel.spec, np.sqrt(np.maximum(np.diagonal(matrix), 0.0)))
 
 
-def _row_variance(transform, dist, values, nodes) -> np.ndarray:
-    """Variance of the transform at each node, in grid-row chunks."""
-    out = np.empty(nodes.size)
-    chunk = max(1, _CHUNK_BUDGET // max(values.size, 1))
-    for start in range(0, nodes.size, chunk):
-        rows = transform(dist, values, nodes[start : start + chunk])
-        out[start : start + chunk] = rows.var(axis=1, ddof=1)
-    return out
-
-
-def _combined_row_variance(transform, d1, d2, pairs, nodes, share1) -> np.ndarray:
-    out = np.empty(nodes.size)
-    chunk = max(1, _CHUNK_BUDGET // max(pairs.n, 1))
-    w2, w1 = np.sqrt(share1), np.sqrt(1.0 - share1)
-    for start in range(0, nodes.size, chunk):
-        block = nodes[start : start + chunk]
-        rows = w2 * transform(d2, pairs.x2, block) - w1 * transform(d1, pairs.x1, block)
-        out[start : start + chunk] = rows.var(axis=1, ddof=1)
-    return out
-
-
-def _diag_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
+def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
+    """Diagonal of :func:`sd_kernel`, from the CDFs in O(n + G)."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
-    if family.kind is Family.SD:
-        f1 = d1.cdf(nodes)
-        f2 = d2.cdf(nodes)
-        var = (1.0 - share1) * f1 * (1.0 - f1) + share1 * f2 * (1.0 - f2)
-        if scheme is SamplingScheme.MATCHED:
-            both_below = np.sort(np.maximum(pairs.x1, pairs.x2))
-            joint_diag = np.searchsorted(both_below, nodes, side="right") / pairs.n
-            var -= 2.0 * np.sqrt(share1 * (1.0 - share1)) * (joint_diag - f1 * f2)
-        return var
-    transform = _lorenz_rows if family.kind is Family.LORENZ else _min_rows
+    f1 = d1.cdf(nodes)
+    f2 = d2.cdf(nodes)
+    var = (1.0 - share1) * f1 * (1.0 - f1) + share1 * f2 * (1.0 - f2)
     if scheme is SamplingScheme.MATCHED:
-        return _combined_row_variance(transform, d1, d2, pairs, nodes, share1)
-    v1 = _row_variance(transform, d1, d1.sorted_values, nodes)
-    v2 = _row_variance(transform, d2, d2.sorted_values, nodes)
-    return (1.0 - share1) * v1 + share1 * v2
+        both_below = np.sort(np.maximum(pairs.x1, pairs.x2))
+        joint_diag = np.searchsorted(both_below, nodes, side="right") / pairs.n
+        var -= 2.0 * np.sqrt(share1 * (1.0 - share1)) * (joint_diag - f1 * f2)
+    return var
 
 
 def std_curve_for(
@@ -280,19 +265,22 @@ def std_curve_for(
     scheme: SamplingScheme,
     spec: GridSpec,
 ) -> GridFunction:
-    """Studentization curve for a family, on the family's natural kernel.
+    """Studentization curve for a family: ``std_curve`` of its kernel.
 
-    Dispatches to the matching kernel builder; when the family applies no
-    integration (operator degree 1) only the kernel diagonal is computed,
-    which keeps large samples cheap. Both paths agree to rounding.
+    The Lorenz and inverse-SD families take the per-node variance of the
+    integrated transform, chunk by chunk, and build no kernel. The SD family
+    keeps its CDF closed form at degree 1, O(n + G) where the transform would
+    cost O(n * G), and integrates :func:`sd_kernel` above it.
     """
-    if _integration_passes(family) == 0:
-        _check_scheme(scheme, pairs, d1, d2)
-        var = _diag_variance(family, d1, d2, pairs, scheme, spec)
-        return GridFunction(spec, np.sqrt(np.maximum(var, 0.0)))
-    builder = {
-        Family.LORENZ: lorenz_kernel,
-        Family.INVERSE_SD: isd_kernel,
-        Family.SD: sd_kernel,
-    }[family.kind]
-    return std_curve(builder(d1, d2, pairs, scheme, spec), family)
+    _check_scheme(scheme, pairs, d1, d2)
+    passes = family.operator_degree - 1
+    if family.kind is not Family.SD:
+        downward = family.direction is Direction.DOWN
+        var = _transform_cov(
+            family.kind, d1, d2, pairs, scheme, spec, _row_squares, passes, downward
+        )
+    elif passes:
+        return std_curve(sd_kernel(d1, d2, pairs, scheme, spec), family)
+    else:
+        var = _sd_variance(d1, d2, pairs, scheme, spec)
+    return GridFunction(spec, np.sqrt(np.maximum(var, 0.0)))

@@ -404,13 +404,15 @@ class TuningTable:
     """Coverage of the calibration truth for each candidate threshold.
 
     ``selected`` is the candidate whose coverage lies closest to the
-    nominal level; ties break toward the smallest candidate.
+    nominal level; ties break toward the smallest candidate. The coverages
+    leave out the ``n_failed`` replicates that could not be evaluated.
     """
 
     candidates: tuple[float, ...]
     coverage: tuple[float, ...]
     pseudo_true: float
     selected: float
+    n_failed: int
 
 
 def _calibration_rep(
@@ -420,23 +422,28 @@ def _calibration_rep(
     n_cal_boot: int,
     pseudo_true: float,
     rep: int,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Which candidates' intervals cover ``pseudo_true`` in calibration
-    replicate ``rep``."""
+    replicate ``rep`` (None if the replicate cannot be evaluated)."""
     r1, r2 = _draw(base, child_rng(cfg.seed, rep, 0))
     sim = PairedSample(r1, r2) if base.pairs is not None else (r1, r2)
     rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1), n_boot=n_cal_boot)
-    est, prep = _prepare(sim, base.family, base.scheme, base.spec, rep_cfg)
-    std = std_curve_for(
-        base.family, prep.d1, prep.d2, prep.pairs, base.scheme, base.spec
-    )
-    rows, ok = _direction_matrix(prep, n_cal_boot, 1)
-    covered = np.zeros(len(candidates), dtype=bool)
-    for j, t_n in enumerate(candidates):
-        sets = contact_sets(est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n))
-        draws = _derivative_rows(rows, sets, est.difference)[ok]
-        _, _, (lo, hi) = _interval(est.c_hat, draws, prep.root_n, rep_cfg)
-        covered[j] = lo <= pseudo_true <= hi
+    try:
+        est, prep = _prepare(sim, base.family, base.scheme, base.spec, rep_cfg)
+        std = std_curve_for(
+            base.family, prep.d1, prep.d2, prep.pairs, base.scheme, base.spec
+        )
+        rows, ok = _direction_matrix(prep, n_cal_boot, 1)
+        covered = np.zeros(len(candidates), dtype=bool)
+        for j, t_n in enumerate(candidates):
+            sets = contact_sets(
+                est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n)
+            )
+            draws = _derivative_rows(rows, sets, est.difference)[ok]
+            _, _, (lo, hi) = _interval(est.c_hat, draws, prep.root_n, rep_cfg)
+            covered[j] = lo <= pseudo_true <= hi
+    except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
+        return None
     return covered
 
 
@@ -459,7 +466,8 @@ def tuning_table(
     every candidate threshold is scored by how often its interval covers
     that truth. Candidates share the simulated datasets and bootstrap
     resamples (neither depends on the threshold), so their coverages
-    differ only through the contact sets.
+    differ only through the contact sets. Degenerate replicates are counted
+    in ``n_failed``; :class:`NonFiniteDrawError` is raised if all are.
     """
     candidates = tuple(sorted(float(t) for t in candidates))
     if not candidates:
@@ -472,14 +480,18 @@ def tuning_table(
     rep_fn = partial(
         _calibration_rep, base, cfg, candidates, n_cal_boot, estimate.c_hat
     )
-    covered = np.array(list(_ordered_map(rep_fn, range(n_cal_reps), n_jobs)))
-    coverage = covered.mean(axis=0)
+    results = _ordered_map(rep_fn, range(n_cal_reps), n_jobs)
+    covered = [row for row in results if row is not None]
+    if not covered:
+        raise NonFiniteDrawError("every calibration replicate was degenerate")
+    coverage = np.mean(covered, axis=0)
     errors = np.abs(coverage - (1.0 - cfg.alpha))
     return TuningTable(
         candidates=candidates,
         coverage=tuple(float(c) for c in coverage),
         pseudo_true=estimate.c_hat,
         selected=candidates[int(np.argmin(errors))],
+        n_failed=n_cal_reps - len(covered),
     )
 
 

@@ -279,8 +279,8 @@ class MonteCarloStudy:
 
     def __post_init__(self):
         n1, n2 = self.sizes
-        if n1 < 1 or n2 < 1:
-            raise InvalidConfigError("sample sizes must be >= 1")
+        if n1 < 2 or n2 < 2:
+            raise InvalidConfigError(f"sample sizes must be >= 2, got {n1} and {n2}")
         if self.scheme is SamplingScheme.MATCHED and n1 != n2:
             raise InvalidConfigError("matched pairs need equal sample sizes")
         if self.n_reps < 1:

@@ -186,6 +186,19 @@ class TestBadInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_simulate_size_one(self, capsys):
+        code = run_cli(
+            [
+                "simulate", "--preset", "sdc-a", "--scheme", "ind",
+                "--n1", "1", "--n2", "40", "--reps", "2", "--boot", "10",
+                "--tn", "0.001", "--threads", "1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: sample sizes")
+
 
 class TestCiCommand:
     def args(self, matched_file, out, seed=3):
@@ -355,6 +368,22 @@ class TestTuneCommand:
         rows = json.loads(out.read_text())
         assert [r["t_n"] for r in rows] == [0.001, 20.0]
         assert sum(r["selected"] for r in rows) == 1
+
+    def test_degenerate_calibration_replicates(self, tmp_path):
+        # one distinct pair per resample happens often with two rows; such a
+        # calibration replicate is counted, not fatal
+        path = write(tmp_path / "two.csv", "x1,x2\n1,2\n2,3\n")
+        common = [
+            "--family", "lorenz", "--scheme", "matched", "--input", path,
+            "--boot", "10", "--grid", "20", "--cal-reps", "10",
+            "--cal-boot", "10", "--threads", "1",
+        ]
+        assert run_cli(["ci", "--tune", *common, "--output", tmp_path / "ci.json"]) == 0
+        out = tmp_path / "tune.json"
+        assert run_cli(["tune", *common, "--output", out]) == 0
+        rows = json.loads(out.read_text())
+        failed = {r["cal_failed"] for r in rows}
+        assert len(failed) == 1 and 0 < failed.pop() < 10
 
 
 class TestMeasuresCommand:

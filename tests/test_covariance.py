@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from almostdom.calculus import GridSpec
+from almostdom import covariance
+from almostdom.calculus import GridSpec, iterated_cumsum
 from almostdom.coefficients import Direction, DominanceFamily, Family
 from almostdom.covariance import (
     CovKernel,
@@ -257,7 +260,65 @@ class TestStdCurve:
         )
 
 
+VALUES = st.one_of(st.integers(1, 4).map(float), st.floats(0.1, 10.0))
+
+
+@st.composite
+def studentization_cases(draw):
+    kind, degree, direction = draw(
+        st.sampled_from(
+            [(Family.LORENZ, m, d) for m in (1, 2, 3) for d in Direction]
+            + [
+                (Family.INVERSE_SD, m, d)
+                for m in (2, 3, 4)
+                for d in Direction
+                if (m, d) != (2, Direction.DOWN)
+            ]
+            + [(Family.SD, m, Direction.UP) for m in (1, 2, 3)]
+        )
+    )
+    family = DominanceFamily(kind, degree, direction)
+    scheme = draw(st.sampled_from([IND, MP]))
+    n1 = draw(st.integers(2, 40))
+    n2 = n1 if scheme is MP else draw(st.integers(2, 40))
+    x1 = np.array(draw(st.lists(VALUES, min_size=n1, max_size=n1)))
+    x2 = np.array(draw(st.lists(VALUES, min_size=n2, max_size=n2)))
+    n_points = draw(st.integers(2, 30))
+    domain = (0.0, 10.5) if kind is Family.SD else (0.0, 1.0)
+    pairs = PairedSample(x1, x2) if scheme is MP else None
+    data = (EmpiricalDistribution(x1), EmpiricalDistribution(x2), pairs, scheme)
+    return family, data, GridSpec(n_points, domain)
+
+
+BUILDERS = {
+    Family.LORENZ: lorenz_kernel,
+    Family.INVERSE_SD: isd_kernel,
+    Family.SD: sd_kernel,
+}
+
+
+class TestStdCurveFor:
+    @settings(max_examples=300, deadline=None)
+    @given(studentization_cases())
+    def test_matches_kernel_path(self, case):
+        family, data, spec = case
+        fast = std_curve_for(family, *data, spec).values
+        slow = std_curve(BUILDERS[family.kind](*data, spec), family).values
+        floor = 0.0
+        if family.kind is Family.SD and family.operator_degree == 1:
+            # Two closed forms of one CDF variance, whose terms are at most 1.
+            # Where it cancels to zero each keeps its own rounding (~1e-17),
+            # and the square roots of those differ by ~1e-9: compare variances.
+            fast, slow = fast**2, slow**2
+            floor = 4 * np.finfo(float).eps
+        np.testing.assert_allclose(
+            fast, slow, rtol=0, atol=1e-12 * np.max(np.abs(slow)) + floor
+        )
+
+
 class TestFastPath:
+    """Fixed cases of std_curve_for against the kernel path."""
+
     @pytest.mark.parametrize(
         "family",
         [
@@ -276,20 +337,91 @@ class TestFastPath:
             spec = GridSpec(33, (lo, hi))
         else:
             spec = GridSpec(33)
-        builder = {
-            Family.LORENZ: lorenz_kernel,
-            Family.INVERSE_SD: isd_kernel,
-            Family.SD: sd_kernel,
-        }[family.kind]
         for scheme, pair_arg in ((IND, None), (MP, pairs)):
             fast = std_curve_for(family, d1, d2, pair_arg, scheme, spec)
-            slow = std_curve(builder(d1, d2, pair_arg, scheme, spec), family)
+            kernel = BUILDERS[family.kind](d1, d2, pair_arg, scheme, spec)
+            slow = std_curve(kernel, family)
             np.testing.assert_allclose(fast.values, slow.values, atol=1e-10)
 
     def test_integrated_family_uses_kernel(self):
+        # std_curve_for integrates the transforms, not the kernel; the two
+        # routes to the Lorenz 2 curve must still agree.
         d1, d2 = make_data(35)
         spec = GridSpec(25)
         fam = DominanceFamily.lorenz(2)
         fast = std_curve_for(fam, d1, d2, None, IND, spec)
         slow = std_curve(lorenz_kernel(d1, d2, None, IND, spec), fam)
         np.testing.assert_allclose(fast.values, slow.values, atol=1e-12)
+
+
+class TestMultiChunk:
+    """Force several observation chunks, the last one shorter than the rest."""
+
+    N_POINTS = 16
+    CHUNK = 13  # 50 pairs -> 13+13+13+11, 60 and 45 observations -> 8 and 6 left over
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(covariance, "_CHUNK_BUDGET", self.CHUNK * self.N_POINTS)
+
+    def assert_close(self, actual, expected):
+        np.testing.assert_allclose(
+            actual, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected))
+        )
+
+    @pytest.mark.parametrize(
+        "builder, transform",
+        [(lorenz_kernel, lorenz_transform), (isd_kernel, min_transform)],
+        ids=["lorenz", "isd"],
+    )
+    def test_kernels_match_brute_force(self, builder, transform):
+        spec = GridSpec(self.N_POINTS)
+        nodes = spec.nodes()
+        d1, d2 = make_data(36)
+        share1 = d1.n / (d1.n + d2.n)
+        expected = (1 - share1) * np.cov(
+            transform(d1, d1.sorted_values, nodes)
+        ) + share1 * np.cov(transform(d2, d2.sorted_values, nodes))
+        self.assert_close(builder(d1, d2, None, IND, spec).matrix, expected)
+        pairs = make_pairs(36)
+        p1 = EmpiricalDistribution(pairs.x1)
+        p2 = EmpiricalDistribution(pairs.x2)
+        combined = np.sqrt(0.5) * transform(p2, pairs.x2, nodes) - np.sqrt(
+            0.5
+        ) * transform(p1, pairs.x1, nodes)
+        self.assert_close(builder(p1, p2, pairs, MP, spec).matrix, np.cov(combined))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            DominanceFamily.lorenz(1),
+            DominanceFamily.lorenz(2, Direction.DOWN),
+            DominanceFamily.inverse_sd(3, Direction.DOWN),
+        ],
+        ids=["lorenz1", "lorenz2-down", "isd3-down"],
+    )
+    def test_std_curve_matches_single_chunk(self, family, monkeypatch):
+        spec = GridSpec(self.N_POINTS)
+        pairs = make_pairs(37)
+        matched = (
+            EmpiricalDistribution(pairs.x1),
+            EmpiricalDistribution(pairs.x2),
+            pairs,
+            MP,
+        )
+        independent = (*make_data(37), None, IND)
+        cases = (matched, independent)
+        chunked = [std_curve_for(family, *data, spec).values for data in cases]
+        monkeypatch.undo()  # back to the default budget: one chunk
+        for data, values in zip(cases, chunked):
+            self.assert_close(values, std_curve_for(family, *data, spec).values)
+
+
+@pytest.mark.parametrize("downward", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_iterated_cumsum_leaves_input_unchanged(downward, axis):
+    values = child_rng(38, 0).normal(size=(5, 7))
+    original = values.copy()
+    out = iterated_cumsum(values, 0.1, 3, downward, axis=axis)
+    np.testing.assert_array_equal(values, original)
+    assert not np.shares_memory(out, values)

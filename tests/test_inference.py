@@ -357,12 +357,26 @@ class TestSelectTuning:
         assert select_tuning(pairs, fam, MP, spec, cfg, candidates, 6, 20) == table.selected
 
     def test_all_draws_skipped_raises(self):
-        # with one draw per calibration bootstrap, a draw whose first
-        # coordinate is all zeros is skipped and leaves no draw for the interval
+        # with one draw per calibration bootstrap, replicate 0's draw has a
+        # first coordinate of all zeros: it is skipped and leaves no draw for
+        # the interval, and no other replicate is left to average
         pairs = PairedSample([0.0, 0.0, 6.0], [1.0, 2.0, 3.0])
         cfg = InferenceConfig(t_n=1, seed=0, skip_degenerate=True)
         with pytest.raises(NonFiniteDrawError):
-            tuning_table(pairs, DominanceFamily.lorenz(1), MP, GridSpec(50), cfg, [0.1, 1.0], 3, 1)
+            tuning_table(pairs, DominanceFamily.lorenz(1), MP, GridSpec(50), cfg, [0.1, 1.0], 1, 1)
+
+    def test_degenerate_replicates_are_counted(self):
+        # two distinct pairs: a calibration resample that repeats one pair
+        # has identical Lorenz curves and no coefficient
+        pairs = PairedSample([1.0, 2.0], [2.0, 3.0])
+        args = (pairs, DominanceFamily.lorenz(1), MP, GridSpec(20), cfg_with(n_boot=10))
+        serial = tuning_table(*args, [0.001, 1.0], 10, 10, n_jobs=1)
+        parallel = tuning_table(*args, [0.001, 1.0], 10, 10, n_jobs=2)
+        assert serial == parallel
+        assert 0 < serial.n_failed < 10
+        # each coverage averages the 10 - n_failed replicates that remain
+        n_used = 10 - serial.n_failed
+        assert all(c * n_used == pytest.approx(round(c * n_used)) for c in serial.coverage)
 
     def test_tie_breaks_to_smallest(self):
         pairs, fam, spec = self.small_setup()
