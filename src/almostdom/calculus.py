@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurvesError, GridMismatchError, InvalidConfigError
+from .errors import (
+    DegenerateCurvesError,
+    DomainError,
+    GridMismatchError,
+    InvalidConfigError,
+)
 
 __all__ = [
     "GridSpec",
@@ -72,11 +77,11 @@ class GridFunction:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.spec.n_points,):
-            raise ValueError(
+            raise DomainError(
                 f"values must have shape ({self.spec.n_points},), got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise DomainError("grid function values must be finite")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -130,7 +135,7 @@ def integrate_up(f: GridFunction, m: int) -> GridFunction:
     ``p**3 / 6``.
     """
     if m < 1:
-        raise ValueError(f"operator degree must be >= 1, got {m}")
+        raise InvalidConfigError(f"operator degree must be >= 1, got {m}")
     if m == 1:
         return f
     return GridFunction(f.spec, iterated_cumsum(f.values, f.spec.step, m - 1))
@@ -139,7 +144,7 @@ def integrate_up(f: GridFunction, m: int) -> GridFunction:
 def integrate_down(f: GridFunction, m: int) -> GridFunction:
     """Iterated integral toward the upper endpoint; mirror of :func:`integrate_up`."""
     if m < 1:
-        raise ValueError(f"operator degree must be >= 1, got {m}")
+        raise InvalidConfigError(f"operator degree must be >= 1, got {m}")
     if m == 1:
         return f
     return GridFunction(

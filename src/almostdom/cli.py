@@ -214,6 +214,7 @@ class ReportRecord:
     t_n: float
     xi0: float
     n_boot: int
+    n_boot_effective: int
     seed: int
     boundary_flag: bool
     runtime_ms: float
@@ -450,6 +451,7 @@ def _cmd_ci(args) -> int:
         t_n=cfg.t_n,
         xi0=cfg.xi0,
         n_boot=cfg.n_boot,
+        n_boot_effective=result.n_boot_effective,
         seed=cfg.seed,
         boundary_flag=result.boundary,
         runtime_ms=runtime_ms,
@@ -501,6 +503,8 @@ def _cmd_simulate(args) -> int:
             "RMSE": report.rmse,
             "t_n": cfg.t_n,
             "CR": report.cr,
+            "CR_se": report.cr_se,
+            "failed": report.n_failed,
             "runtime_ms": runtime_ms,
         },
         args.format,

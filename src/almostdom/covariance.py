@@ -35,7 +35,12 @@ import numpy as np
 from .calculus import GridFunction, GridSpec, iterated_cumsum
 from .coefficients import Direction, DominanceFamily, Family
 from .empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from .errors import FamilyMismatchError, InvalidConfigError, SchemeMismatchError
+from .errors import (
+    DomainError,
+    FamilyMismatchError,
+    InvalidConfigError,
+    SchemeMismatchError,
+)
 
 __all__ = [
     "CovKernel",
@@ -63,7 +68,7 @@ class CovKernel:
         n = self.spec.n_points
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (n, n):
-            raise ValueError(f"kernel must be {n}x{n}, got {matrix.shape}")
+            raise DomainError(f"kernel must be {n}x{n}, got {matrix.shape}")
         # enforce exact symmetry and a nonnegative diagonal; the inputs are
         # symmetric up to BLAS rounding and the diagonal feeds a square root
         matrix = 0.5 * (matrix + matrix.T)

@@ -173,11 +173,8 @@ class EmpiricalDistribution:
         """
         p = np.asarray(p, dtype=float)
         self._check_probability(p)
-        t = self.n * p
-        k = np.minimum(np.floor(t).astype(np.int64), self.n)
-        frac = np.maximum(t - k, 0.0)
-        partial = np.where(k < self.n, self.sorted_values[np.minimum(k, self.n - 1)], 0.0)
-        out = (self._prefix[k] + frac * partial) / self.n
+        k, frac = quantile_positions(self.n, p)
+        out = cum_quantile_at(self.sorted_values, self._prefix, k, frac)
         return out if out.ndim else float(out)
 
     def lorenz(self, p):
@@ -187,11 +184,41 @@ class EmpiricalDistribution:
         Requires a strictly positive mean.
         """
         if self.mean <= 0.0:
-            raise ZeroMeanError(
-                f"Lorenz curve needs a positive mean, got {self.mean:.6g}"
-            )
+            raise zero_mean_error(self.mean)
         out = self.cum_quantile(p)
         return out / self.mean
+
+
+def quantile_positions(n: int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Where the integrated quantile of an ``n``-point sample is read at
+    ``p``: ``k = floor(n*p)`` (at most ``n``) and the fractional part
+    ``n*p - k``."""
+    t = n * p
+    k = np.minimum(np.floor(t).astype(np.int64), n)
+    return k, np.maximum(t - k, 0.0)
+
+
+def cum_quantile_at(
+    ordered: np.ndarray, prefix: np.ndarray, k: np.ndarray, frac: np.ndarray
+) -> np.ndarray:
+    """Integrated quantile at positions ``k``, ``frac`` (see
+    :func:`quantile_positions`) of the order statistics ``ordered``, whose
+    prefix sums (led by a zero) are ``prefix``.
+
+    The last axis indexes the order statistics, so ``ordered`` may be one
+    sample or a stack of them, one per row.
+    """
+    n = ordered.shape[-1]
+    out = np.take(ordered, np.minimum(k, n - 1), axis=-1)
+    out *= np.where(k < n, frac, 0.0)
+    out += prefix[..., k]
+    out /= n
+    return out
+
+
+def zero_mean_error(mean: float) -> ZeroMeanError:
+    """The error for a Lorenz curve of a sample whose mean is not positive."""
+    return ZeroMeanError(f"Lorenz curve needs a positive mean, got {mean:.6g}")
 
 
 def build_empirical(sample) -> EmpiricalDistribution:

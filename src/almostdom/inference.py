@@ -17,12 +17,22 @@ The studentization curve and the contact sets come from the original
 sample and are held fixed across replicates. Replicate b draws from the
 stream keyed (seed, b), so runs are reproducible and order-independent.
 
+Replicates are drawn and folded in chunks. A resample is a row of
+positions among the order statistics of each sample. For a chunk of
+replicates the rows are sorted and their values summed cumulatively;
+read at node positions that do not change between replicates, the sums
+give the Lorenz and integrated-quantile curves, and cumulative counts of
+the positions give the empirical CDFs. Each chunk is turned into
+derivative draws at once, so memory is bounded by the chunk (a few MB)
+and no longer grows with the number of replicates.
+
 Threshold calibration reuses the same path: calibration replicate r
 resamples a dataset from the stream keyed (seed, r, 0) and bootstraps it
-from a seed derived at (seed, r, 1). The bootstrap, the calibration, and
-the Monte Carlo study in :mod:`almostdom.simulation` all fan their
-replicates out through one order-preserving map (:func:`_ordered_map`),
-serial or over a process pool, with identical results either way.
+from a seed derived at (seed, r, 1), scoring every candidate threshold on
+the same chunks. The bootstrap chunks, the calibration replicates, and
+the Monte Carlo study in :mod:`almostdom.simulation` all fan out through
+one order-preserving map (:func:`_ordered_map`), serial or over a process
+pool, with identical results either way.
 """
 
 from __future__ import annotations
@@ -33,12 +43,19 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, negative_area, positive_area
+from .calculus import (
+    GridFunction,
+    GridSpec,
+    iterated_cumsum,
+    negative_area,
+    positive_area,
+)
 from .coefficients import (
     CoefficientEstimate,
+    Direction,
     DominanceFamily,
+    Family,
     coefficient,
-    difference_curve,
 )
 from .covariance import std_curve_for
 from .empirical import (
@@ -46,9 +63,13 @@ from .empirical import (
     PairedSample,
     Sample,
     SamplingScheme,
+    cum_quantile_at,
+    quantile_positions,
+    zero_mean_error,
 )
 from .errors import (
     DegenerateCurvesError,
+    DomainError,
     GridMismatchError,
     InvalidConfigError,
     NonFiniteDrawError,
@@ -68,6 +89,10 @@ __all__ = [
     "tuning_table",
     "select_tuning",
 ]
+
+# replicates per chunk are sized so that each per-chunk array holds about
+# this many values (4 MB of float64)
+_CHUNK_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -121,12 +146,12 @@ class ContactSets:
 
     def __post_init__(self):
         if not (self.plus.shape == self.minus.shape == self.zero.shape):
-            raise ValueError("contact-set masks must share one shape")
+            raise DomainError("contact-set masks must share one shape")
         overlap = (
             self.plus.astype(int) + self.minus.astype(int) + self.zero.astype(int)
         )
         if not np.all(overlap == 1):
-            raise ValueError("contact-set masks must partition the grid")
+            raise DomainError("contact-set masks must partition the grid")
 
     @property
     def n_points(self) -> int:
@@ -238,6 +263,44 @@ def _unpack(data, scheme: SamplingScheme):
 
 
 @dataclass(frozen=True, eq=False)
+class _Side:
+    """One sample as the replicate engine reads its resamples.
+
+    A resample is a row of positions among ``sorted_values``. Under the
+    independent scheme the drawn indices already are positions; matched
+    pairs draw pair indices, which ``rank`` maps to positions. ``k`` and
+    ``frac`` fix where the base curve is read at the grid nodes: the
+    integrated quantile's order position and fractional part (see
+    :func:`~almostdom.empirical.quantile_positions`), or for the SD family
+    the number of order statistics at or below each node (``frac`` None).
+    """
+
+    sorted_values: np.ndarray
+    rank: np.ndarray | None
+    k: np.ndarray
+    frac: np.ndarray | None
+
+
+def _side(
+    family: DominanceFamily,
+    dist: EmpiricalDistribution,
+    spec: GridSpec,
+    draw_order: np.ndarray | None,
+) -> _Side:
+    """Engine view of ``dist``; ``draw_order`` holds its values in pair order
+    when matched pairs are drawn by index, else None."""
+    rank = None
+    if draw_order is not None:
+        rank = np.empty(dist.n, dtype=np.int64)
+        rank[np.argsort(draw_order, kind="stable")] = np.arange(dist.n)
+    nodes = spec.nodes()
+    if family.kind is Family.SD:
+        cut = np.searchsorted(dist.sorted_values, nodes, side="right")
+        return _Side(dist.sorted_values, rank, cut, None)
+    return _Side(dist.sorted_values, rank, *quantile_positions(dist.n, nodes))
+
+
+@dataclass(frozen=True, eq=False)
 class _Prepared:
     """Read-only state shared by all bootstrap replicates."""
 
@@ -247,6 +310,8 @@ class _Prepared:
     d1: EmpiricalDistribution
     d2: EmpiricalDistribution
     pairs: PairedSample | None
+    side1: _Side
+    side2: _Side
     diff: GridFunction
     root_n: float
     seed: int
@@ -270,6 +335,8 @@ def _prepare(
         d1=d1,
         d2=d2,
         pairs=pairs,
+        side1=_side(family, d1, spec, None if pairs is None else pairs.x1),
+        side2=_side(family, d2, spec, None if pairs is None else pairs.x2),
         diff=est.difference,
         root_n=float(np.sqrt(est.effective_n)),
         seed=cfg.seed,
@@ -278,16 +345,25 @@ def _prepare(
     return est, prep
 
 
-def _draw(prep: _Prepared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One resample of the prepared data: pairs jointly when matched, else
-    each sample on its own (first, then second)."""
+def _draw_indices(
+    prep: _Prepared, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of one resample: one draw of pair indices when matched, else
+    one draw into each sample's order statistics (first, then second)."""
     if prep.scheme is SamplingScheme.MATCHED:
         n = prep.pairs.n
         idx = rng.integers(0, n, n)
-        return prep.pairs.x1[idx], prep.pairs.x2[idx]
-    r1 = prep.d1.sorted_values[rng.integers(0, prep.d1.n, prep.d1.n)]
-    r2 = prep.d2.sorted_values[rng.integers(0, prep.d2.n, prep.d2.n)]
-    return r1, r2
+        return idx, idx
+    return rng.integers(0, prep.d1.n, prep.d1.n), rng.integers(0, prep.d2.n, prep.d2.n)
+
+
+def _draw(prep: _Prepared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One resample of the prepared data: pairs jointly when matched, else
+    each sample on its own."""
+    idx1, idx2 = _draw_indices(prep, rng)
+    if prep.scheme is SamplingScheme.MATCHED:
+        return prep.pairs.x1[idx1], prep.pairs.x2[idx2]
+    return prep.d1.sorted_values[idx1], prep.d2.sorted_values[idx2]
 
 
 def _ordered_map(fn, items, n_jobs: int):
@@ -305,42 +381,113 @@ def _ordered_map(fn, items, n_jobs: int):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
-def _one_direction(prep: _Prepared, index: int) -> np.ndarray | None:
-    """Scaled fluctuation curve of replicate ``index`` (None if skipped)."""
-    r1, r2 = _draw(prep, child_rng(prep.seed, index))
-    try:
-        star = difference_curve(
-            prep.family,
-            EmpiricalDistribution(r1),
-            EmpiricalDistribution(r2),
-            prep.spec,
-        )
-    except ZeroMeanError as exc:
-        problem, cause = f"a degenerate resample: {exc}", exc
+def _positions(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order positions of replicates ``lo`` to ``hi - 1``, one row each per
+    sample, drawn from the streams keyed (seed, replicate)."""
+    pos1 = np.empty((hi - lo, prep.d1.n), dtype=np.int64)
+    pos2 = np.empty((hi - lo, prep.d2.n), dtype=np.int64)
+    for row, index in enumerate(range(lo, hi)):
+        idx1, idx2 = _draw_indices(prep, child_rng(prep.seed, index))
+        pos1[row] = idx1 if prep.side1.rank is None else prep.side1.rank[idx1]
+        pos2[row] = idx2 if prep.side2.rank is None else prep.side2.rank[idx2]
+    return pos1, pos2
+
+
+def _cdf_rows(side: _Side, pos: np.ndarray) -> np.ndarray:
+    """Empirical CDF at the nodes of each resample in ``pos``."""
+    rows, n = pos.shape
+    flat = (pos + n * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
+    cdf = np.zeros((rows, n + 1))
+    np.cumsum(counts, axis=1, out=cdf[:, 1:])
+    cdf /= n
+    return cdf[:, side.k]
+
+
+def _cum_quantile_rows(side: _Side, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrated quantile at the nodes of each resample in ``pos`` (sorted
+    in place), and each resample's mean."""
+    pos.sort(axis=1)
+    ordered = side.sorted_values[pos]
+    rows, n = pos.shape
+    prefix = np.zeros((rows, n + 1))
+    np.cumsum(ordered, axis=1, out=prefix[:, 1:])
+    return cum_quantile_at(ordered, prefix, side.k, side.frac), prefix[:, -1] / n
+
+
+def _replicate_rows(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled fluctuation curves ``root_n * (resampled - diff)`` of replicates
+    ``lo`` to ``hi - 1``, one row each, and a mask of the usable rows.
+
+    A row is unusable when a Lorenz resample has a mean that is not
+    positive or the curve is not finite. Unless ``skip_degenerate``, the
+    lowest such replicate raises :class:`NonFiniteDrawError`.
+    """
+    pos1, pos2 = _positions(prep, lo, hi)
+    kind = prep.family.kind
+    zero_mean = np.zeros(hi - lo, dtype=bool)
+    if kind is Family.SD:
+        rows = _cdf_rows(prep.side1, pos1) - _cdf_rows(prep.side2, pos2)
     else:
-        values = prep.root_n * (star.values - prep.diff.values)
-        if np.all(np.isfinite(values)):
-            return values
-        problem, cause = "non-finite values", None
-    if prep.skip_degenerate:
-        return None
-    raise NonFiniteDrawError(
-        f"bootstrap replicate {index} produced {problem}", replicate=index
-    ) from cause
-
-
-def _direction_matrix(
-    prep: _Prepared, n_boot: int, n_jobs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.zeros((n_boot, prep.spec.n_points))
-    ok = np.ones(n_boot, dtype=bool)
-    directions = _ordered_map(partial(_one_direction, prep), range(n_boot), n_jobs)
-    for index, values in enumerate(directions):
-        if values is None:
-            ok[index] = False
+        cq1, mean1 = _cum_quantile_rows(prep.side1, pos1)
+        cq2, mean2 = _cum_quantile_rows(prep.side2, pos2)
+        if kind is Family.LORENZ:
+            # difference_curve reads the second sample's curve first
+            bad_mean = np.where(mean2 <= 0.0, mean2, mean1)
+            zero_mean = bad_mean <= 0.0
+            # such rows are masked out; dividing them by 1 keeps numpy quiet
+            cq1 /= np.where(mean1 > 0.0, mean1, 1.0)[:, None]
+            cq2 /= np.where(mean2 > 0.0, mean2, 1.0)[:, None]
+        rows = np.subtract(cq2, cq1, out=cq2)
+    passes = prep.family.operator_degree - 1
+    if passes:
+        down = prep.family.direction is Direction.DOWN
+        rows = iterated_cumsum(rows, prep.spec.step, passes, down, axis=1)
+    rows -= prep.diff.values
+    rows *= prep.root_n
+    ok = ~zero_mean & np.isfinite(rows).all(axis=1)
+    if not (prep.skip_degenerate or ok.all()):
+        row = int(np.argmin(ok))
+        index = lo + row
+        if zero_mean[row]:
+            cause = zero_mean_error(float(bad_mean[row]))
+            problem = f"a degenerate resample: {cause}"
         else:
-            rows[index] = values
+            cause, problem = None, "non-finite values"
+        raise NonFiniteDrawError(
+            f"bootstrap replicate {index} produced {problem}", replicate=index
+        ) from cause
     return rows, ok
+
+
+def _chunk_draws(
+    prep: _Prepared, sets: tuple[ContactSets, ...], bounds: tuple[int, int]
+) -> list[np.ndarray]:
+    """Derivative draws of the usable replicates in ``bounds`` under each
+    contact-set estimate in ``sets``."""
+    rows, ok = _replicate_rows(prep, *bounds)
+    return [_derivative_rows(rows, s, prep.diff)[ok] for s in sets]
+
+
+def _bootstrap_draws(
+    prep: _Prepared, sets: tuple[ContactSets, ...], n_boot: int, n_jobs: int
+) -> list[np.ndarray]:
+    """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
+    contact-set estimate in ``sets``, in replicate order.
+
+    Replicates run in chunks of about ``_CHUNK_BUDGET / max(n1, n2, G)``
+    rows, each folded into draws as soon as it is built.
+    """
+    size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
+    starts = list(range(0, n_boot, size))
+    # numpy sums the masked columns of a single row pairwise but those of
+    # several rows one column at a time, so a lone last row joins the chunk
+    # before it: every draw then sums the same way as in one n_boot-row block
+    if len(starts) > 1 and n_boot - starts[-1] == 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n_boot]))
+    chunks = list(_ordered_map(partial(_chunk_draws, prep, sets), bounds, n_jobs))
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
 def _interval(
@@ -384,8 +531,7 @@ def bootstrap_ci(
     est, prep = _prepare(data, family, scheme, spec, cfg)
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     sets = contact_sets(est.difference, std, est.effective_n, cfg)
-    rows, ok = _direction_matrix(prep, cfg.n_boot, n_jobs)
-    draws = _derivative_rows(rows, sets, est.difference)[ok]
+    (draws,) = _bootstrap_draws(prep, (sets,), cfg.n_boot, n_jobs)
     q_lo, q_hi, ci = _interval(est.c_hat, draws, prep.root_n, cfg)
     return BootstrapResult(
         estimate=est,
@@ -433,13 +579,12 @@ def _calibration_rep(
         std = std_curve_for(
             base.family, prep.d1, prep.d2, prep.pairs, base.scheme, base.spec
         )
-        rows, ok = _direction_matrix(prep, n_cal_boot, 1)
+        sets = tuple(
+            contact_sets(est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n))
+            for t_n in candidates
+        )
         covered = np.zeros(len(candidates), dtype=bool)
-        for j, t_n in enumerate(candidates):
-            sets = contact_sets(
-                est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n)
-            )
-            draws = _derivative_rows(rows, sets, est.difference)[ok]
+        for j, draws in enumerate(_bootstrap_draws(prep, sets, n_cal_boot, 1)):
             _, _, (lo, hi) = _interval(est.c_hat, draws, prep.root_n, rep_cfg)
             covered[j] = lo <= pseudo_true <= hi
     except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):

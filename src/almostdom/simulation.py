@@ -23,7 +23,13 @@ import numpy as np
 
 from .coefficients import Direction, DominanceFamily, Family, default_grid
 from .empirical import PairedSample, Sample, SamplingScheme
-from .errors import DegenerateCurvesError, DomainError, InvalidConfigError
+from .errors import (
+    DegenerateCurvesError,
+    DomainError,
+    InvalidConfigError,
+    NonFiniteDrawError,
+    ZeroMeanError,
+)
 from .inference import InferenceConfig, _ordered_map, _unpack, bootstrap_ci
 from .rng import child_rng, child_seed
 
@@ -57,7 +63,7 @@ class DoublePareto:
 
     def __init__(self, alpha: float, beta: float, m_scale: float = 1.0):
         if alpha <= 0 or beta <= 0 or m_scale <= 0:
-            raise ValueError("alpha, beta, and the scale must be positive")
+            raise InvalidConfigError("alpha, beta, and the scale must be positive")
         if alpha <= 2:
             warnings.warn(
                 f"alpha={alpha} <= 2: infinite variance, estimator asymptotics "
@@ -143,9 +149,9 @@ class DiscreteLaw:
         values = np.array([v for v, _ in pairs])
         probs = np.array([w for _, w in pairs])
         if np.any(probs <= 0.0):
-            raise ValueError("atom probabilities must be positive")
+            raise InvalidConfigError("atom probabilities must be positive")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
+            raise InvalidConfigError(f"atom probabilities sum to {probs.sum()!r}, not 1")
         values.flags.writeable = False
         probs.flags.writeable = False
         self.values = values
@@ -183,7 +189,7 @@ class DiscreteLaw:
 def sample_dgp(dgp, n: int, rng: np.random.Generator) -> Sample:
     """Draw n iid values from a DGP (inverse-CDF for continuous laws)."""
     if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+        raise InvalidConfigError(f"sample size must be >= 1, got {n}")
     return Sample(dgp.sample(n, rng), label=repr(dgp))
 
 
@@ -294,7 +300,9 @@ class MonteCarloReport:
     ``rmse`` is the root mean squared error of the estimates, so
     ``rmse**2 == bias**2 + se**2`` holds exactly with the population
     (1/n) standard error convention used here. ``cr`` is the fraction of
-    confidence intervals that covered the truth.
+    confidence intervals that covered the truth and ``cr_se`` its Monte
+    Carlo standard error ``sqrt(cr * (1 - cr) / reps_used)``. All of them
+    leave out the ``n_failed`` replicates that could not be evaluated.
     """
 
     mean: float
@@ -302,6 +310,8 @@ class MonteCarloReport:
     se: float
     rmse: float
     cr: float
+    cr_se: float
+    n_failed: int
 
 
 def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
@@ -314,12 +324,17 @@ def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
 
 
 def _run_one(study: MonteCarloStudy, rep: int) -> tuple[float, bool]:
+    """Estimate and coverage of replicate ``rep``; ``(nan, False)`` when its
+    data admit no estimate or no bootstrap interval."""
     data_rng = child_rng(study.cfg.seed, rep, 0)
     data = _simulate_data(study, data_rng)
     cfg = replace(study.cfg, seed=child_seed(study.cfg.seed, rep, 1))
     d1, d2, _ = _unpack(data, study.scheme)
     spec = default_grid(study.family, d1, d2, study.grid_points)
-    result = bootstrap_ci(data, study.family, study.scheme, spec, cfg)
+    try:
+        result = bootstrap_ci(data, study.family, study.scheme, spec, cfg)
+    except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
+        return float("nan"), False
     lo, hi = result.ci
     covered = lo <= study.true_c <= hi
     return result.estimate.c_hat, covered
@@ -333,7 +348,8 @@ def run_replicates(
     Replicate r draws its data from the stream keyed (seed, r, 0) and its
     bootstrap from a seed derived at (seed, r, 1), so results are
     identical under any ``n_jobs`` and the first R replicates agree
-    between runs with different ``n_reps``.
+    between runs with different ``n_reps``. A replicate that cannot be
+    evaluated has estimate ``nan`` and is not covered.
     """
     results = list(_ordered_map(partial(_run_one, study), range(study.n_reps), n_jobs))
     estimates = np.array([est for est, _ in results], dtype=float)
@@ -342,12 +358,28 @@ def run_replicates(
 
 
 def monte_carlo(study: MonteCarloStudy, n_jobs: int = 1) -> MonteCarloReport:
-    """Run the study and summarize estimates and interval coverage."""
+    """Run the study and summarize estimates and interval coverage.
+
+    Replicates that cannot be evaluated are counted in ``n_failed`` and
+    left out of the summary; :class:`NonFiniteDrawError` is raised if all
+    are.
+    """
     estimates, covered = run_replicates(study, n_jobs)
+    used = ~np.isnan(estimates)
+    if not used.any():
+        raise NonFiniteDrawError("every Monte Carlo replicate failed")
+    estimates, covered = estimates[used], covered[used]
     mean = float(np.mean(estimates))
     bias = mean - study.true_c
     se = float(np.std(estimates))
     rmse = float(np.sqrt(np.mean((estimates - study.true_c) ** 2)))
+    cr = float(np.mean(covered))
     return MonteCarloReport(
-        mean=mean, bias=bias, se=se, rmse=rmse, cr=float(np.mean(covered))
+        mean=mean,
+        bias=bias,
+        se=se,
+        rmse=rmse,
+        cr=cr,
+        cr_se=float(np.sqrt(cr * (1.0 - cr) / estimates.size)),
+        n_failed=study.n_reps - int(estimates.size),
     )

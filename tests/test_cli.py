@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from almostdom.cli import PRESETS, ReportRecord, load_csv, main
+from almostdom.coefficients import DominanceFamily
 from almostdom.empirical import PairedSample, SamplingScheme
 from almostdom.errors import CsvParseError, NegativeValueError
+from almostdom.simulation import DiscreteLaw
 
 IND = SamplingScheme.INDEPENDENT
 MP = SamplingScheme.MATCHED
@@ -87,6 +89,7 @@ class TestReportRecord:
             t_n=0.001,
             xi0=0.001,
             n_boot=1000,
+            n_boot_effective=990,
             seed=42,
             boundary_flag=False,
             runtime_ms=12.5,
@@ -218,6 +221,7 @@ class TestCiCommand:
         assert r1.c_hat == r2.c_hat
         assert (r1.ci_lo, r1.ci_hi) == (r2.ci_lo, r2.ci_hi)
         assert r1.seed == r2.seed == 3
+        assert r1.n_boot_effective == r2.n_boot_effective == 60
         assert 0.0 <= r1.ci_lo <= r1.ci_hi <= 1.0
 
     def test_needs_tn_or_tune(self, matched_file):
@@ -288,8 +292,11 @@ class TestSimulateCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["true_c"] == pytest.approx(3 / 37, abs=1e-12)
-        for key in ("Mean", "Bias", "SE", "RMSE", "t_n", "CR"):
+        for key in ("Mean", "Bias", "SE", "RMSE", "t_n", "CR", "CR_se", "failed"):
             assert key in payload
+        cr, used = payload["CR"], payload["reps"] - payload["failed"]
+        assert payload["failed"] == 0
+        assert payload["CR_se"] == np.sqrt(cr * (1.0 - cr) / used)
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -305,6 +312,34 @@ class TestSimulateCommand:
         header = out.read_text().splitlines()[0].split(",")
         for column in ("Mean", "Bias", "SE", "RMSE", "t_n", "CR"):
             assert column in header
+
+    def test_failed_replicates_reported(self, monkeypatch, tmp_path):
+        # the first law is often all zeros at n = 6: a Lorenz curve of mean 0
+        monkeypatch.setitem(
+            PRESETS,
+            "zero-heavy",
+            {
+                "dgp1": DiscreteLaw([(0.0, 0.8), (1.0, 0.2)]),
+                "dgp2": DiscreteLaw([(1.0, 0.5), (2.0, 0.5)]),
+                "family": DominanceFamily.lorenz(1),
+            },
+        )
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"sim{threads}.json"
+            code = run_cli(
+                [
+                    "simulate", "--preset", "zero-heavy", "--scheme", "matched",
+                    "--n1", "6", "--n2", "6", "--reps", "20", "--boot", "20",
+                    "--tn", "1", "--grid", "50", "--threads", threads, "--output", out,
+                ]
+            )
+            assert code == 0
+            payload = json.loads(out.read_text())
+            del payload["runtime_ms"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
+        assert 0 < reports[0]["failed"] < 20
 
     def test_all_presets_defined(self):
         names = {f"{fam}-{v}" for fam in ("ldc", "uisdc", "sdc") for v in "abcd"}

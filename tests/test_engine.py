@@ -1,0 +1,278 @@
+"""The chunked replicate engine against a per-replicate reference.
+
+The reference rebuilds each replicate the direct way: draw the resample,
+build both empirical distributions, and recompute the difference curve.
+The engine must give the same rows, the same draws for any chunk size and
+``n_jobs``, and the same errors for replicates it cannot evaluate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from almostdom import calculus, empirical, inference
+from almostdom.calculus import GridSpec
+from almostdom.coefficients import (
+    Direction,
+    DominanceFamily,
+    default_grid,
+    difference_curve,
+)
+from almostdom.covariance import std_curve_for
+from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
+from almostdom.errors import (
+    DegenerateCurvesError,
+    DomainError,
+    NonFiniteDrawError,
+    ZeroMeanError,
+)
+from almostdom.inference import InferenceConfig, bootstrap_ci, tuning_table
+from almostdom.rng import child_rng
+from almostdom.simulation import DoublePareto
+
+MP = SamplingScheme.MATCHED
+IND = SamplingScheme.INDEPENDENT
+
+FAMILIES = [
+    DominanceFamily.lorenz(1),
+    DominanceFamily.lorenz(2),
+    DominanceFamily.lorenz(2, Direction.DOWN),
+    DominanceFamily.lorenz(3),
+    DominanceFamily.lorenz(3, Direction.DOWN),
+    DominanceFamily.inverse_sd(2),
+    DominanceFamily.inverse_sd(3),
+    DominanceFamily.inverse_sd(3, Direction.DOWN),
+    DominanceFamily.sd(1),
+    DominanceFamily.sd(2),
+    DominanceFamily.sd(3),
+]
+
+
+def reference_rows(prep, n_boot):
+    """Per-replicate rows the direct way, NaN where a replicate fails."""
+    rows = np.full((n_boot, prep.spec.n_points), np.nan)
+    for b in range(n_boot):
+        r1, r2 = inference._draw(prep, child_rng(prep.seed, b))
+        try:
+            star = difference_curve(
+                prep.family, EmpiricalDistribution(r1), EmpiricalDistribution(r2), prep.spec
+            )
+        except (ZeroMeanError, DomainError):
+            continue
+        rows[b] = prep.root_n * (star.values - prep.diff.values)
+    return rows
+
+
+def make_data(scheme, x1, x2):
+    if scheme is MP:
+        n = min(len(x1), len(x2))
+        return PairedSample(x1[:n], x2[:n])
+    return Sample(x1), Sample(x2)
+
+
+def grid_for(family, data, scheme, points):
+    d1, d2, _ = inference._unpack(data, scheme)
+    return default_grid(family, d1, d2, points)
+
+
+def lorenz_data(scheme, n=60, seed=3):
+    rng = child_rng(seed, 0)
+    x1 = DoublePareto(3.0, 1.5).sample(n, rng)
+    x2 = DoublePareto(2.1, 3.0).sample(n + 7, rng)
+    return make_data(scheme, x1, x2)
+
+
+def chunk_rows(monkeypatch, data, scheme, spec, rows):
+    """Make the engine run ``rows`` replicates per chunk."""
+    d1, d2, _ = inference._unpack(data, scheme)
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", rows * max(d1.n, d2.n, spec.n_points))
+
+
+# values on a coarse lattice (many ties) or spread out
+values = st.one_of(
+    st.integers(0, 12).map(lambda v: v / 4.0),
+    st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    family=st.sampled_from(FAMILIES),
+    scheme=st.sampled_from([MP, IND]),
+    x1=st.lists(values, min_size=2, max_size=40),
+    x2=st.lists(values, min_size=2, max_size=40),
+    points=st.integers(2, 30),
+    seed=st.integers(0, 2**32),
+)
+def test_rows_match_reference(family, scheme, x1, x2, points, seed):
+    data = make_data(scheme, x1, x2)
+    cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=6, skip_degenerate=True)
+    try:
+        spec = grid_for(family, data, scheme, points)
+        est, prep = inference._prepare(data, family, scheme, spec, cfg)
+        std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
+    except (DegenerateCurvesError, ZeroMeanError, ValueError):
+        assume(False)
+    want = reference_rows(prep, cfg.n_boot)
+    rows, ok = inference._replicate_rows(prep, 0, cfg.n_boot)
+    np.testing.assert_array_equal(ok, ~np.isnan(want).any(axis=1))
+    scale = max(float(np.abs(want[ok]).max(initial=0.0)), 1e-300)
+    np.testing.assert_allclose(rows[ok], want[ok], rtol=0.0, atol=1e-12 * scale)
+
+    sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
+    (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
+    want_draws = inference._derivative_rows(want[ok], sets, est.difference)
+    scale = max(float(np.abs(want_draws).max(initial=0.0)), 1e-300)
+    np.testing.assert_allclose(draws, want_draws, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("family", [DominanceFamily.lorenz(2), DominanceFamily.sd(1)])
+@pytest.mark.parametrize("scheme", [MP, IND])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chunk_boundaries(monkeypatch, family, scheme, offset):
+    # n_boot = k * chunk + offset for several chunk sizes; offset 1 leaves
+    # one replicate past the last full chunk
+    data = lorenz_data(scheme)
+    spec = grid_for(family, data, scheme, 50)
+    budget = inference._CHUNK_BUDGET
+    for size in range(2, 8):
+        cfg = InferenceConfig(t_n=0.5, seed=size, n_boot=3 * size + offset)
+        monkeypatch.setattr(inference, "_CHUNK_BUDGET", budget)
+        whole = bootstrap_ci(data, family, scheme, spec, cfg)
+        chunk_rows(monkeypatch, data, scheme, spec, size)
+        chunked = bootstrap_ci(data, family, scheme, spec, cfg)
+        np.testing.assert_array_equal(chunked.draws, whole.draws)
+        assert chunked.ci == whole.ci and chunked.n_boot_effective == cfg.n_boot
+
+
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_parallel_matches_serial_across_chunks(monkeypatch, scheme):
+    data = lorenz_data(scheme)
+    family = DominanceFamily.inverse_sd(3)
+    spec = GridSpec(40)
+    chunk_rows(monkeypatch, data, scheme, spec, 4)
+    cfg = InferenceConfig(t_n=0.5, seed=2, n_boot=23)
+    serial = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=1)
+    parallel = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=2)
+    np.testing.assert_array_equal(serial.draws, parallel.draws)
+    assert serial.ci == parallel.ci
+    args = (data, family, scheme, spec, cfg, [0.1, 1.0, 10.0], 3, 11)
+    assert tuning_table(*args, n_jobs=1) == tuning_table(*args, n_jobs=2)
+
+
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_prefix_stability_across_chunks(monkeypatch, scheme):
+    data = lorenz_data(scheme)
+    family = DominanceFamily.sd(2)
+    spec = grid_for(family, data, scheme, 40)
+    chunk_rows(monkeypatch, data, scheme, spec, 7)
+    short = bootstrap_ci(data, family, scheme, spec, InferenceConfig(t_n=1, seed=4, n_boot=30))
+    long = bootstrap_ci(data, family, scheme, spec, InferenceConfig(t_n=1, seed=4, n_boot=60))
+    np.testing.assert_array_equal(short.draws, long.draws[:30])
+
+
+def zero_heavy_pairs():
+    # resampling {0, 0, 0, 1} often draws only zeros: a Lorenz curve of mean 0
+    return PairedSample(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+def first_failure(prep, n_boot):
+    """Index and Lorenz error of the first replicate the reference cannot build."""
+    for b in range(n_boot):
+        r1, r2 = inference._draw(prep, child_rng(prep.seed, b))
+        try:
+            difference_curve(
+                prep.family, EmpiricalDistribution(r1), EmpiricalDistribution(r2), prep.spec
+            )
+        except ZeroMeanError as exc:
+            return b, str(exc)
+    raise AssertionError("no replicate fails")
+
+
+@pytest.mark.parametrize(
+    "data,scheme,seed",
+    [
+        (zero_heavy_pairs(), MP, 5),
+        # replicate 4 draws negative means in both samples; the second is reported
+        ((Sample([-2.0, -1.0, 4.0]), Sample([-5.0, -1.0, 7.0])), IND, 5),
+    ],
+)
+def test_lowest_failing_replicate_raises_from_a_later_chunk(monkeypatch, data, scheme, seed):
+    family, spec = DominanceFamily.lorenz(1), GridSpec(20)
+    cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=40)
+    _, prep = inference._prepare(data, family, scheme, spec, cfg)
+    index, problem = first_failure(prep, cfg.n_boot)
+    assert index >= 4  # past the first chunk of two rows
+    chunk_rows(monkeypatch, data, scheme, spec, 2)
+    for n_jobs in (1, 2):
+        with pytest.raises(NonFiniteDrawError) as info:
+            bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=n_jobs)
+        assert info.value.replicate == index
+        assert str(info.value) == (
+            f"bootstrap replicate {index} produced a degenerate resample: {problem}"
+        )
+        if n_jobs == 1:  # a worker process sends its traceback as the cause
+            assert isinstance(info.value.__cause__, ZeroMeanError)
+
+
+def test_failed_replicates_dropped_and_counted(monkeypatch):
+    pairs = zero_heavy_pairs()
+    family, spec = DominanceFamily.lorenz(1), GridSpec(20)
+    cfg = InferenceConfig(t_n=0.5, seed=5, n_boot=40, skip_degenerate=True)
+    _, prep = inference._prepare(pairs, family, MP, spec, cfg)
+    failed = int(np.isnan(reference_rows(prep, cfg.n_boot)).any(axis=1).sum())
+    assert 0 < failed < cfg.n_boot
+    whole = bootstrap_ci(pairs, family, MP, spec, cfg)
+    chunk_rows(monkeypatch, pairs, MP, spec, 3)
+    chunked = bootstrap_ci(pairs, family, MP, spec, cfg)
+    assert whole.n_boot_effective == chunked.n_boot_effective == cfg.n_boot - failed
+    np.testing.assert_array_equal(whole.draws, chunked.draws)
+
+
+def test_non_finite_replicate():
+    # one huge value: resamples that draw it twice overflow the partial sums
+    pairs = PairedSample(np.array([1e308, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+    family, spec = DominanceFamily.inverse_sd(2), GridSpec(10)
+    raising = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
+    skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30, skip_degenerate=True)
+    _, prep = inference._prepare(pairs, family, MP, spec, skipping)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, ok = inference._replicate_rows(prep, 0, 30)
+        _, prep = inference._prepare(pairs, family, MP, spec, raising)
+        with pytest.raises(NonFiniteDrawError) as info:
+            inference._replicate_rows(prep, 0, 30)
+    index = int(np.argmin(ok))
+    assert 0 < ok.sum() < 30 and np.all(np.isfinite(rows[ok]))
+    assert info.value.replicate == index
+    assert str(info.value) == f"bootstrap replicate {index} produced non-finite values"
+
+
+@pytest.mark.parametrize("family", [DominanceFamily.lorenz(2), DominanceFamily.sd(1)])
+def test_replicates_build_no_curve_objects(monkeypatch, family):
+    data = lorenz_data(MP)
+    spec = grid_for(family, data, MP, 30)
+    built = {"dist": 0, "grid": 0}
+    dist_init = empirical.EmpiricalDistribution.__init__
+    grid_post = calculus.GridFunction.__post_init__
+
+    def count_dist(self, *args):
+        built["dist"] += 1
+        dist_init(self, *args)
+
+    def count_grid(self):
+        built["grid"] += 1
+        grid_post(self)
+
+    monkeypatch.setattr(empirical.EmpiricalDistribution, "__init__", count_dist)
+    monkeypatch.setattr(calculus.GridFunction, "__post_init__", count_grid)
+    counts = []
+    for n_boot in (5, 50):
+        built.update(dist=0, grid=0)
+        bootstrap_ci(data, family, MP, spec, InferenceConfig(t_n=1, seed=0, n_boot=n_boot))
+        counts.append(dict(built))
+    assert counts[0] == counts[1]

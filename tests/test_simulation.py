@@ -6,7 +6,12 @@ from scipy.integrate import quad
 
 from almostdom.coefficients import Direction, DominanceFamily
 from almostdom.empirical import SamplingScheme
-from almostdom.errors import DegenerateCurvesError, DomainError, InvalidConfigError
+from almostdom.errors import (
+    DegenerateCurvesError,
+    DomainError,
+    InvalidConfigError,
+    NonFiniteDrawError,
+)
 from almostdom.inference import InferenceConfig
 from almostdom.rng import child_rng
 from almostdom.simulation import (
@@ -246,6 +251,50 @@ class TestMonteCarlo:
         assert report.rmse**2 == pytest.approx(
             report.bias**2 + report.se**2, abs=1e-9
         )
+
+    def test_coverage_standard_error(self):
+        report = monte_carlo(self.study(12, n=30, boot=20))
+        assert 0.0 < report.cr < 1.0
+        assert report.cr_se == np.sqrt(report.cr * (1.0 - report.cr) / 12)
+        assert report.n_failed == 0
+
+    def test_failed_replicates_are_counted(self):
+        # the first sample is often all zeros: a Lorenz curve of mean 0
+        study = MonteCarloStudy(
+            DiscreteLaw([(0.0, 0.8), (1.0, 0.2)]),
+            DiscreteLaw([(1.0, 0.5), (2.0, 0.5)]),
+            DominanceFamily.lorenz(1),
+            MP,
+            (6, 6),
+            InferenceConfig(t_n=1, seed=0, n_boot=20),
+            20,
+            0.3,
+            50,
+        )
+        estimates, covered = run_replicates(study)
+        failed = np.isnan(estimates)
+        assert 0 < failed.sum() < study.n_reps
+        assert not covered[failed].any()
+        report = monte_carlo(study)
+        assert report.n_failed == failed.sum()
+        assert report.mean == np.mean(estimates[~failed])
+        assert report.cr == np.mean(covered[~failed])
+        assert monte_carlo(study, n_jobs=2) == report
+
+    def test_every_replicate_failing_raises(self):
+        study = MonteCarloStudy(
+            DiscreteLaw([(0.0, 0.999), (1.0, 0.001)]),
+            DiscreteLaw([(1.0, 0.5), (2.0, 0.5)]),
+            DominanceFamily.lorenz(1),
+            MP,
+            (3, 3),
+            InferenceConfig(t_n=1, seed=0, n_boot=5),
+            3,
+            0.3,
+            20,
+        )
+        with pytest.raises(NonFiniteDrawError):
+            monte_carlo(study)
 
     def test_matched_needs_equal_sizes(self):
         first, second = sdc_laws(2)
