@@ -174,10 +174,13 @@ def area_ratio(f: GridFunction) -> float:
     """
     pos = positive_area(f)
     neg = negative_area(f)
-    total = pos + neg
-    if total == 0.0:
-        raise DegenerateCurvesError(
-            "difference curve is identically zero on the grid; "
-            "coefficient undefined, distributions indistinguishable"
-        )
-    return pos / total
+    if pos + neg == 0.0:
+        if not np.any(f.values):
+            raise DegenerateCurvesError(
+                "difference curve is identically zero on the grid; "
+                "coefficient undefined, distributions indistinguishable"
+            )
+        # the scaled areas underflowed; the step cancels from the ratio
+        pos = float(np.maximum(f.values, 0.0).sum())
+        neg = float(np.maximum(-f.values, 0.0).sum())
+    return pos / (pos + neg)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, integrate_down, integrate_up
+from .calculus import GridSpec
 from .coefficients import (
     Direction,
     DominanceFamily,
@@ -70,6 +70,7 @@ from .simulation import (
     MonteCarloStudy,
     monte_carlo,
     population_coefficient,
+    population_curves,
 )
 
 __all__ = ["main", "load_csv", "ReportRecord", "PRESETS"]
@@ -79,54 +80,90 @@ __all__ = ["main", "load_csv", "ReportRecord", "PRESETS"]
 # CSV ingestion
 
 
-def _parse_cell(text: str, row: int, col: int) -> float:
+def _is_number(text: str) -> bool:
     try:
-        return float(text)
+        float(text)
     except ValueError:
-        raise CsvParseError(
-            f"row {row}, column {col}: {text!r} is not a number", row=row, col=col
-        ) from None
+        return False
+    return True
 
 
-def _check_sign(value: float, row: int, require_nonnegative: bool) -> float:
-    if require_nonnegative and value < 0:
-        raise NegativeValueError(
-            f"row {row}: negative value {value!r} not allowed for this family",
-            row=row,
-        )
-    return value
+def _read_table(
+    path: str, header: str | None, require_nonnegative: bool
+) -> np.ndarray:
+    """The data of a CSV file as a (columns, rows) float array, in file order.
 
-
-def _read_rows(path: str) -> list[list[str]]:
+    ``header`` (``"x1,x2"`` or ``"group,value"``) is the required first
+    row, matched case-blind with its cells stripped; ``None`` reads one
+    column whose first row is a header when it is not a number. Rows whose
+    cells are all blank are skipped (in a single-column file, rows of at
+    most one cell), and every other row needs one cell per column. The
+    ``group`` column must hold 1 or 2; every other column must be
+    nonnegative under ``require_nonnegative``. The first faulty cell in
+    file order is reported, with 1-based row numbers that count the header.
+    """
     try:
         with open(path, newline="") as handle:
-            return [row for row in csv.reader(handle)]
+            rows = list(csv.reader(handle))
     except FileNotFoundError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise AlmostDomError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_single_column(path: str, require_nonnegative: bool) -> np.ndarray:
-    rows = _read_rows(path)
-    values = []
-    for i, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 1:
+    names = header.split(",") if header else ["value"]
+    width = len(names)
+    grouped = header == "group,value"
+    if header:
+        if not rows:
+            raise CsvParseError(f"{path} is empty", row=1)
+        if [cell.strip().lower() for cell in rows[0]] != names:
+            hint = " (or pass two files)" if grouped else ""
             raise CsvParseError(
-                f"row {i}: expected a single column, got {len(row)}", row=i
+                f"expected header {header!r}{hint}, got {','.join(rows[0])!r}", row=1
             )
-        text = row[0].strip()
-        if i == 1:
-            try:
-                float(text)
-            except ValueError:
-                continue  # header line
-        values.append(_check_sign(_parse_cell(text, i, 1), i, require_nonnegative))
-    if not values:
+    numbers, cells = [], []
+    first = 2 if header else 1
+    for number, row in enumerate(rows[first - 1 :], start=first):
+        if not any(map(str.strip, row)) and (width > 1 or len(row) <= 1):
+            continue
+        if len(row) != width:
+            expected = "2 columns" if width > 1 else f"a single column, got {len(row)}"
+            raise CsvParseError(f"row {number}: expected {expected}", row=number)
+        numbers.append(number)
+        cells += row
+    if not header and numbers[:1] == [1] and not _is_number(cells[0]):
+        del numbers[0], cells[0]
+
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+        stop = len(cells)
+    except ValueError:
+        stop = next(k for k, text in enumerate(cells) if not _is_number(text))
+        values = np.fromiter(map(float, cells[:stop]), float, stop)
+    # a fault among the cells before the first unconvertible one comes first
+    group = grouped & (np.arange(stop) % width == 0)
+    negative = require_nonnegative & (values < 0.0)
+    faults = np.flatnonzero(np.where(group, (values != 1.0) & (values != 2.0), negative))
+    if faults.size or stop < len(cells):
+        k = int(faults[0]) if faults.size else stop
+        row, col = numbers[k // width], k % width + 1
+        if k == stop:
+            text = cells[k] if header else cells[k].strip()
+            raise CsvParseError(
+                f"row {row}, column {col}: {text!r} is not a number", row=row, col=col
+            )
+        if group[k]:
+            raise CsvParseError(f"row {row}: group must be 1 or 2", row=row, col=col)
+        raise NegativeValueError(
+            f"row {row}: negative value {float(values[k])!r} not allowed for this family",
+            row=row,
+        )
+    table = values.reshape(-1, width).T
+    if grouped:
+        if not ((table[0] == 1.0).any() and (table[0] == 2.0).any()):
+            raise CsvParseError("both groups need at least one row", row=1)
+    elif not numbers:
         raise CsvParseError(f"{path} contains no data rows", row=1)
-    return np.asarray(values)
+    return table
 
 
 def load_csv(
@@ -145,54 +182,15 @@ def load_csv(
     if scheme is SamplingScheme.MATCHED:
         if path2 is not None:
             raise InvalidConfigError("matched scheme takes a single two-column file")
-        rows = _read_rows(path)
-        if not rows:
-            raise CsvParseError(f"{path} is empty", row=1)
-        header = [cell.strip().lower() for cell in rows[0]]
-        if header != ["x1", "x2"]:
-            raise CsvParseError(
-                f"expected header 'x1,x2', got {','.join(rows[0])!r}", row=1
-            )
-        x1, x2 = [], []
-        for i, row in enumerate(rows[1:], start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"row {i}: expected 2 columns", row=i)
-            x1.append(_check_sign(_parse_cell(row[0], i, 1), i, require_nonnegative))
-            x2.append(_check_sign(_parse_cell(row[1], i, 2), i, require_nonnegative))
-        if not x1:
-            raise CsvParseError(f"{path} contains no data rows", row=1)
-        return PairedSample(np.asarray(x1), np.asarray(x2))
-
+        x1, x2 = _read_table(path, "x1,x2", require_nonnegative)
+        return PairedSample(x1, x2)
     if path2 is not None:
-        v1 = _load_single_column(path, require_nonnegative)
-        v2 = _load_single_column(path2, require_nonnegative)
+        (v1,) = _read_table(path, None, require_nonnegative)
+        (v2,) = _read_table(path2, None, require_nonnegative)
         return Sample(v1, label="1"), Sample(v2, label="2")
-
-    rows = _read_rows(path)
-    if not rows:
-        raise CsvParseError(f"{path} is empty", row=1)
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["group", "value"]:
-        raise CsvParseError(
-            f"expected header 'group,value' (or pass two files), got {','.join(rows[0])!r}",
-            row=1,
-        )
-    groups: dict[int, list[float]] = {1: [], 2: []}
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise CsvParseError(f"row {i}: expected 2 columns", row=i)
-        group = _parse_cell(row[0], i, 1)
-        if group not in (1.0, 2.0):
-            raise CsvParseError(f"row {i}: group must be 1 or 2", row=i, col=1)
-        value = _check_sign(_parse_cell(row[1], i, 2), i, require_nonnegative)
-        groups[int(group)].append(value)
-    if not groups[1] or not groups[2]:
-        raise CsvParseError("both groups need at least one row", row=1)
-    return Sample(np.asarray(groups[1]), "1"), Sample(np.asarray(groups[2]), "2")
+    group, value = _read_table(path, "group,value", require_nonnegative)
+    first = group == 1.0
+    return Sample(value[first], "1"), Sample(value[~first], "2")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +481,13 @@ def _cmd_simulate(args) -> int:
     report = monte_carlo(study, n_jobs=_threads(args))
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
-        _emit_population_curves(args.emit_curves, preset, args.grid)
+        spec, curve1, curve2, diff = population_curves(
+            preset["dgp1"], preset["dgp2"], family, args.grid
+        )
+        _write_curves(
+            args.emit_curves,
+            {"p": spec.nodes(), "curve1": curve1, "curve2": curve2, "diff": diff},
+        )
     _emit(
         {
             "preset": args.preset,
@@ -511,41 +515,6 @@ def _cmd_simulate(args) -> int:
         args.output,
     )
     return 0
-
-
-def _emit_population_curves(path: str, preset: dict, n_points: int) -> None:
-    """Population analogue of the fitted curves, for plotting a preset."""
-    family = preset["family"]
-    dgp1, dgp2 = preset["dgp1"], preset["dgp2"]
-    if family.kind is Family.SD:
-        lo = min(dgp1.values[0], dgp2.values[0])
-        hi = max(dgp1.values[-1], dgp2.values[-1])
-        spec = GridSpec(n_points, (float(lo), float(hi)))
-        base1, base2 = dgp1.cdf(spec.nodes()), dgp2.cdf(spec.nodes())
-        diff = base1 - base2
-    else:
-        spec = GridSpec(n_points, (0.0, 1.0))
-        nodes = spec.nodes()
-        q1 = np.asarray(dgp1.quantile(nodes))
-        q2 = np.asarray(dgp2.quantile(nodes))
-        if family.kind is Family.LORENZ:
-            base1 = np.cumsum(q1) * spec.step / dgp1.mean()
-            base2 = np.cumsum(q2) * spec.step / dgp2.mean()
-        else:
-            base1 = np.cumsum(q1) * spec.step
-            base2 = np.cumsum(q2) * spec.step
-        diff = base2 - base1
-    raiser = (
-        integrate_down if family.direction is Direction.DOWN else integrate_up
-    )
-    degree = family.operator_degree
-    curve1 = raiser(GridFunction(spec, base1), degree).values
-    curve2 = raiser(GridFunction(spec, base2), degree).values
-    diff_curve = raiser(GridFunction(spec, diff), degree).values
-    _write_curves(
-        path,
-        {"p": spec.nodes(), "curve1": curve1, "curve2": curve2, "diff": diff_curve},
-    )
 
 
 def _cmd_tune(args) -> int:
@@ -581,7 +550,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_measures(args) -> int:
     start = time.perf_counter()
-    values = _load_single_column(args.input, require_nonnegative=True)
+    (values,) = _read_table(args.input, None, require_nonnegative=True)
     dist = EmpiricalDistribution(values)
     spec = GridSpec(args.grid, (0.0, 1.0))
     if args.preference != "cubic":

@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from .calculus import GridSpec
 from .coefficients import Direction, DominanceFamily, Family, default_grid
 from .empirical import PairedSample, Sample, SamplingScheme
 from .errors import (
@@ -38,6 +39,7 @@ __all__ = [
     "DiscreteLaw",
     "sample_dgp",
     "population_coefficient",
+    "population_curves",
     "MonteCarloStudy",
     "MonteCarloReport",
     "run_replicates",
@@ -210,10 +212,17 @@ def _ratio(diff: np.ndarray, step: float) -> float:
     return float(pos / (pos + neg))
 
 
+def _pooled_support(dgp1, dgp2) -> tuple[float, float]:
+    if not (isinstance(dgp1, DiscreteLaw) and isinstance(dgp2, DiscreteLaw)):
+        raise InvalidConfigError(
+            "population SD coefficients need bounded support; supply discrete laws"
+        )
+    return min(dgp1.values[0], dgp2.values[0]), max(dgp1.values[-1], dgp2.values[-1])
+
+
 def _exact_step_sdc(dgp1: DiscreteLaw, dgp2: DiscreteLaw) -> float:
     """First-degree coefficient of two step CDFs, computed segment by segment."""
-    lo = min(dgp1.values[0], dgp2.values[0])
-    hi = max(dgp1.values[-1], dgp2.values[-1])
+    lo, hi = _pooled_support(dgp1, dgp2)
     cuts = np.unique(np.concatenate((dgp1.values, dgp2.values, [lo, hi])))
     pos = neg = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
@@ -225,6 +234,41 @@ def _exact_step_sdc(dgp1: DiscreteLaw, dgp2: DiscreteLaw) -> float:
     if pos + neg == 0.0:
         raise DegenerateCurvesError("step CDFs coincide")
     return pos / (pos + neg)
+
+
+def population_curves(
+    dgp1, dgp2, family: DominanceFamily, n_points: int
+) -> tuple[GridSpec, np.ndarray, np.ndarray, np.ndarray]:
+    """``(spec, curve1, curve2, diff)``: the oracle's curves on ``n_points`` nodes.
+
+    Rank-based families integrate the quantiles on [0, 1] (Lorenz curves
+    over the analytic mean) and build ``diff`` from curve2 - curve1; the SD
+    family takes the CDFs of two discrete laws on their pooled support and
+    builds ``diff`` from curve1 - curve2. ``diff`` is integrated from the
+    difference of the base curves, not subtracted after integration.
+    """
+    passes = family.operator_degree - 1
+    down = family.direction is Direction.DOWN
+    if family.kind is Family.SD:
+        spec = GridSpec(n_points, _pooled_support(dgp1, dgp2))
+        base1, base2 = dgp1.cdf(spec.nodes()), dgp2.cdf(spec.nodes())
+        base = base1 - base2
+    else:
+        spec = GridSpec(n_points, (0.0, 1.0))
+        q1 = np.asarray(dgp1.quantile(spec.nodes()), dtype=float)
+        q2 = np.asarray(dgp2.quantile(spec.nodes()), dtype=float)
+        base1 = np.cumsum(q1) * spec.step
+        base2 = np.cumsum(q2) * spec.step
+        if family.kind is Family.LORENZ:
+            base1 = base1 / dgp1.mean()
+            base2 = base2 / dgp2.mean()
+            base = base2 - base1
+        else:
+            base = np.cumsum(q2 - q1) * spec.step
+    curve1, curve2, diff = (
+        _iterate(values, spec.step, passes, down) for values in (base1, base2, base)
+    )
+    return spec, curve1, curve2, diff
 
 
 def population_coefficient(
@@ -239,34 +283,10 @@ def population_coefficient(
     laws is computed exactly from the step CDFs; higher SD degrees fall
     back to the grid on the pooled support.
     """
-    step = 1.0 / resolution
-    down = family.direction is Direction.DOWN
-    passes = family.operator_degree - 1
-
-    if family.kind is Family.SD:
-        if not (isinstance(dgp1, DiscreteLaw) and isinstance(dgp2, DiscreteLaw)):
-            raise InvalidConfigError(
-                "population SD coefficients need bounded support; "
-                "supply discrete laws"
-            )
-        if family.degree == 1:
-            return _exact_step_sdc(dgp1, dgp2)
-        lo = min(dgp1.values[0], dgp2.values[0])
-        hi = max(dgp1.values[-1], dgp2.values[-1])
-        h = (hi - lo) / resolution
-        x = lo + (np.arange(resolution) + 0.5) * h
-        diff = _iterate(dgp1.cdf(x) - dgp2.cdf(x), h, passes, downward=False)
-        return _ratio(diff, h)
-
-    p = (np.arange(resolution) + 0.5) * step
-    q1 = np.asarray(dgp1.quantile(p), dtype=float)
-    q2 = np.asarray(dgp2.quantile(p), dtype=float)
-    if family.kind is Family.LORENZ:
-        base = np.cumsum(q2) * step / dgp2.mean() - np.cumsum(q1) * step / dgp1.mean()
-    else:
-        base = np.cumsum(q2 - q1) * step
-    diff = _iterate(base, step, passes, down)
-    return _ratio(diff, step)
+    if family.kind is Family.SD and family.degree == 1:
+        return _exact_step_sdc(dgp1, dgp2)
+    spec, _, _, diff = population_curves(dgp1, dgp2, family, resolution)
+    return _ratio(diff, spec.step)
 
 
 @dataclass(frozen=True)
@@ -330,7 +350,10 @@ def _run_one(study: MonteCarloStudy, rep: int) -> tuple[float, bool]:
     data = _simulate_data(study, data_rng)
     cfg = replace(study.cfg, seed=child_seed(study.cfg.seed, rep, 1))
     d1, d2, _ = _unpack(data, study.scheme)
-    spec = default_grid(study.family, d1, d2, study.grid_points)
+    try:
+        spec = default_grid(study.family, d1, d2, study.grid_points)
+    except InvalidConfigError:  # an SD sample pooled into a single point
+        return float("nan"), False
     try:
         result = bootstrap_ci(data, study.family, study.scheme, spec, cfg)
     except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):

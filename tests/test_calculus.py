@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almostdom.calculus import (
@@ -190,6 +190,7 @@ class TestAreaRatio:
         ).filter(lambda v: any(x != 0 for x in v))
     )
     @settings(max_examples=60, deadline=None)
+    @example([0.0, 5e-324])
     def test_complement_identity(self, values):
         f = grid_fn(values)
         assert abs(area_ratio(f) + area_ratio(-f) - 1.0) < 1e-12

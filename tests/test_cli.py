@@ -9,11 +9,104 @@ import pytest
 from almostdom.cli import PRESETS, ReportRecord, load_csv, main
 from almostdom.coefficients import DominanceFamily
 from almostdom.empirical import PairedSample, SamplingScheme
-from almostdom.errors import CsvParseError, NegativeValueError
+from almostdom.errors import CsvParseError, DomainError, NegativeValueError
 from almostdom.simulation import DiscreteLaw
 
 IND = SamplingScheme.INDEPENDENT
 MP = SamplingScheme.MATCHED
+
+
+NOT_A_NUMBER = "row {row}, column {col}: {text!r} is not a number"
+NEGATIVE = "row {row}: negative value {value} not allowed for this family"
+
+# (id, layout, file texts, require_nonnegative, expected). The layout is
+# "pairs" (matched, x1,x2), "groups" (independent, group,value) or "two"
+# (independent, two single-column files). ``expected`` is the loaded columns,
+# or (error class, row, col, message) with {path} standing for the first
+# file. Recorded with the row-by-row reader the table reader replaced.
+LOAD_CASES = [
+    ("whitespace", "pairs", [" X1 , x2 \n 1 , 2.5 \n\t3,4 \n"], True,
+     [[1.0, 3.0], [2.5, 4.0]]),
+    ("whitespace-groups", "groups", [" Group ,VALUE\n 2 , 7 \n 1 ,5\n"], False,
+     [[5.0], [7.0]]),
+    ("whitespace-single", "two", ["value\n 1 \n2\n", " 3\n"], False,
+     [[1.0, 2.0], [3.0]]),
+    ("whitespace-bad-pairs", "pairs", ["x1,x2\n1, abc \n"], False,
+     (CsvParseError, 2, 2, NOT_A_NUMBER.format(row=2, col=2, text=" abc "))),
+    ("whitespace-bad-single", "two", ["1\n abc \n", "2\n"], False,
+     (CsvParseError, 2, 1, NOT_A_NUMBER.format(row=2, col=1, text="abc"))),
+    ("blank-rows", "pairs", ["x1,x2\n\n1,2\n , \n,,,\n  \n3,4\n\n"], False,
+     [[1.0, 3.0], [2.0, 4.0]]),
+    ("blank-rows-groups", "groups", ["group,value\n\n1,5\n  ,\n2,7\n"], False,
+     [[5.0], [7.0]]),
+    ("blank-rows-single", "two", ["\n1\n\n   \n2\n", "3\n\n"], False,
+     [[1.0, 2.0], [3.0]]),
+    ("blank-cells-single", "two", ["1\n,\n2\n", "3\n"], False,
+     (CsvParseError, 2, None, "row 2: expected a single column, got 2")),
+    ("blank-cell", "pairs", ["x1,x2\n1,\n"], False,
+     (CsvParseError, 2, 2, NOT_A_NUMBER.format(row=2, col=2, text=""))),
+    ("empty-file", "pairs", [""], False, (CsvParseError, 1, None, "{path} is empty")),
+    ("header-only", "pairs", ["x1,x2\n"], False,
+     (CsvParseError, 1, None, "{path} contains no data rows")),
+    ("header-only-groups", "groups", ["group,value\n"], False,
+     (CsvParseError, 1, None, "both groups need at least one row")),
+    ("header-only-single", "two", ["value\n", "1\n"], False,
+     (CsvParseError, 1, None, "{path} contains no data rows")),
+    ("one-group", "groups", ["group,value\n1,2\n1.0,2\n"], False,
+     (CsvParseError, 1, None, "both groups need at least one row")),
+    ("single-header-row-1", "two", ["value\n1\n", "x\n2\n"], False,
+     [[1.0], [2.0]]),
+    ("single-header-row-2", "two", ["\nvalue\n1\n", "2\n"], False,
+     (CsvParseError, 2, 1, NOT_A_NUMBER.format(row=2, col=1, text="value"))),
+    ("single-header-after-data", "two", ["1\n", "2\nvalue\n"], False,
+     (CsvParseError, 2, 1, NOT_A_NUMBER.format(row=2, col=1, text="value"))),
+    ("underscore-and-plus", "pairs", ["x1,x2\n1_0,+3\n-0.0,1e1\n"], False,
+     [[10.0, -0.0], [3.0, 10.0]]),
+    ("underscore-single", "two", ["1_0\n+3\n", "2\n"], False,
+     [[10.0, 3.0], [2.0]]),
+    ("quoted-cells", "pairs", ['x1,x2\n"1","2"\n'], False, [[1.0], [2.0]]),
+    ("too-many-columns", "pairs", ["x1,x2\n1,2\n3,4,5\n"], False,
+     (CsvParseError, 3, None, "row 3: expected 2 columns")),
+    ("too-few-columns", "pairs", ["x1,x2\n1\n"], False,
+     (CsvParseError, 2, None, "row 2: expected 2 columns")),
+    ("too-many-columns-groups", "groups", ["group,value\n1,2,3\n"], False,
+     (CsvParseError, 2, None, "row 2: expected 2 columns")),
+    ("too-many-columns-single", "two", ["1\n2,3\n", "4\n"], False,
+     (CsvParseError, 2, None, "row 2: expected a single column, got 2")),
+    ("group-1.0", "groups", ["group,value\n1.0,5\n2,7\n1,6\n"], False,
+     [[5.0, 6.0], [7.0]]),
+    ("group-3", "groups", ["group,value\n1,5\n3,7\n"], False,
+     (CsvParseError, 3, 1, "row 3: group must be 1 or 2")),
+    ("group-text", "groups", ["group,value\n1,5\nabc,7\n"], False,
+     (CsvParseError, 3, 1, NOT_A_NUMBER.format(row=3, col=1, text="abc"))),
+    ("negative-before-bad", "pairs", ["x1,x2\n1,2\n-3,4\n5,6\n7,abc\n"], True,
+     (NegativeValueError, 3, None, NEGATIVE.format(row=3, value="-3.0"))),
+    ("bad-before-negative", "pairs", ["x1,x2\n1,2\n3,abc\n5,6\n-7,8\n"], True,
+     (CsvParseError, 3, 2, NOT_A_NUMBER.format(row=3, col=2, text="abc"))),
+    ("negative-then-bad-in-row", "pairs", ["x1,x2\n-1,abc\n"], True,
+     (NegativeValueError, 2, None, NEGATIVE.format(row=2, value="-1.0"))),
+    ("bad-then-negative-in-row", "pairs", ["x1,x2\nabc,-1\n"], True,
+     (CsvParseError, 2, 1, NOT_A_NUMBER.format(row=2, col=1, text="abc"))),
+    ("negative-allowed", "pairs", ["x1,x2\n1,2\n-3,4\n5,abc\n"], False,
+     (CsvParseError, 4, 2, NOT_A_NUMBER.format(row=4, col=2, text="abc"))),
+    ("negative-inf", "pairs", ["x1,x2\n1,-inf\n"], True,
+     (NegativeValueError, 2, None, NEGATIVE.format(row=2, value="-inf"))),
+    ("negative-before-bad-group", "groups", ["group,value\n1,-5\n3,7\n"], True,
+     (NegativeValueError, 2, None, NEGATIVE.format(row=2, value="-5.0"))),
+    ("bad-group-before-negative", "groups", ["group,value\n3,-5\n"], True,
+     (CsvParseError, 2, 1, "row 2: group must be 1 or 2")),
+    ("negative-single-row-1", "two", ["-1\n2\n", "3\n"], True,
+     (NegativeValueError, 1, None, NEGATIVE.format(row=1, value="-1.0"))),
+    ("negative-second-file", "two", ["1\n", "value\n2\n-3\n"], True,
+     (NegativeValueError, 3, None, NEGATIVE.format(row=3, value="-3.0"))),
+    ("wrong-header", "pairs", ["a,b\n1,2\n"], False,
+     (CsvParseError, 1, None, "expected header 'x1,x2', got 'a,b'")),
+    ("wrong-header-groups", "groups", ["x1,x2\n1,2\n"], False,
+     (CsvParseError, 1, None,
+      "expected header 'group,value' (or pass two files), got 'x1,x2'")),
+    ("nan-cell", "pairs", ["x1,x2\n1,2\nnan,3\n"], True,
+     (DomainError, None, None, "first coordinate contains non-finite values")),
+]
 
 
 def write(path, text):
@@ -69,6 +162,33 @@ class TestLoadCsv:
         path = write(tmp_path / "bad.csv", "a,b\n1,2\n")
         with pytest.raises(CsvParseError):
             load_csv(path, MP)
+
+    @pytest.mark.parametrize(
+        "layout, texts, nonneg, expected",
+        [case[1:] for case in LOAD_CASES],
+        ids=[case[0] for case in LOAD_CASES],
+    )
+    def test_reader_table(self, layout, texts, nonneg, expected, tmp_path):
+        paths = [write(tmp_path / f"in{i}.csv", text) for i, text in enumerate(texts)]
+        scheme = MP if layout == "pairs" else IND
+
+        def load():
+            return load_csv(paths[0], scheme, *paths[1:], require_nonnegative=nonneg)
+
+        if isinstance(expected, tuple):
+            cls, row, col, message = expected
+            with pytest.raises(cls) as excinfo:
+                load()
+            exc = excinfo.value
+            assert type(exc) is cls
+            assert getattr(exc, "row", None) == row
+            assert getattr(exc, "col", None) == col
+            assert str(exc) == message.format(path=paths[0])
+            return
+        data = load()
+        columns = (data.x1, data.x2) if layout == "pairs" else (data[0].values, data[1].values)
+        for got, want in zip(columns, expected, strict=True):
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -174,12 +294,23 @@ class TestBadInput:
             ["--family", "lorenz", "--input", "NAN_FILE"],
             ["--family", "lorenz", "--input", "DATA", "--grid", "1"],
             ["--family", "sd", "--input", "DATA", "--domain", "5,1"],
+            ["--family", "lorenz", "--input", "BAD_BYTES"],
+            ["--family", "lorenz", "--input", "HUGE_FIELD"],
         ],
-        ids=["nan-cell", "grid-1", "reversed-domain"],
+        ids=["nan-cell", "grid-1", "reversed-domain", "not-utf8", "huge-field"],
     )
     def test_one_error_line(self, extra, matched_file, tmp_path, capsys):
         nan_file = write(tmp_path / "nan.csv", "x1,x2\n1,2\nnan,3\n")
-        paths = {"NAN_FILE": nan_file, "DATA": matched_file}
+        bad_bytes = tmp_path / "bytes.csv"
+        bad_bytes.write_bytes(b"x1,x2\n1,2\n\xff\xfe,3\n")
+        # a cell longer than the csv module's field limit (131072 characters)
+        huge_field = write(tmp_path / "huge.csv", "x1,x2\n" + "1" * 200_000 + ",2\n")
+        paths = {
+            "NAN_FILE": nan_file,
+            "DATA": matched_file,
+            "BAD_BYTES": str(bad_bytes),
+            "HUGE_FIELD": huge_field,
+        }
         code = run_cli(
             ["estimate", "--scheme", "matched"] + [paths.get(a, a) for a in extra]
         )
@@ -188,6 +319,8 @@ class TestBadInput:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if extra[-1] in ("BAD_BYTES", "HUGE_FIELD"):
+            assert paths[extra[-1]] in lines[0]
 
     def test_simulate_size_one(self, capsys):
         code = run_cli(
@@ -340,6 +473,56 @@ class TestSimulateCommand:
             reports.append(payload)
         assert reports[0] == reports[1]
         assert 0 < reports[0]["failed"] < 20
+
+    # population curves at --grid 6, recorded before the CLI read them from
+    # the oracle; the oracle forms the uisdc difference as cumsum(q2 - q1)
+    @pytest.mark.parametrize(
+        "preset, curve1, curve2, diff",
+        [
+            (
+                "ldc-a",
+                [0.046296296296296294, 0.14259647328944, 0.27796766487336894,
+                 0.44737996626332133, 0.65120263594817485, 0.9451657937200636],
+                [0.052820810036018018, 0.14430913671534529, 0.26242005858248474,
+                 0.40358022178214831, 0.58361417317810327, 0.88739125862045021],
+                [0.006524513739721724, 0.0017126634259052864, -0.015547606290884197,
+                 -0.04379974448117302, -0.067588462770071578, -0.057774535099613389],
+            ),
+            (
+                "uisdc-a",
+                [0.0075909967570332903, 0.030971903069210986, 0.076549018549670361,
+                 0.14990391180790752, 0.25868624423153092, 0.42724643594724843],
+                [0.009022360697083516, 0.03291069929931309, 0.075550443322327882,
+                 0.14004039950064984, 0.2290247542622304, 0.34484280511628118],
+                [0.0014313639400502253, 0.0019387962301020988, -0.00099857522734248666,
+                 -0.009863512307257679, -0.029661489969300514, -0.082403630830967162],
+            ),
+            (
+                "sdc-b",
+                [1 / 6] * 6,
+                [0.0, 0.0, 2 / 3, 2 / 3, 1.0, 1.0],
+                [1 / 6, 1 / 6, -0.5, -0.5, -5 / 6, -5 / 6],
+            ),
+        ],
+    )
+    def test_population_curve_values(self, preset, curve1, curve2, diff, tmp_path):
+        curves = tmp_path / "pop.csv"
+        code = run_cli(
+            [
+                "simulate", "--preset", preset, "--n1", "20", "--n2", "20",
+                "--reps", "2", "--boot", "10", "--tn", "1", "--grid", "6",
+                "--threads", "1", "--emit-curves", curves,
+                "--output", tmp_path / "sim.json",
+            ]
+        )
+        assert code == 0
+        with open(curves) as handle:
+            rows = list(csv.DictReader(handle))
+        column = {name: [float(r[name]) for r in rows] for name in rows[0]}
+        assert column["curve1"] == curve1
+        assert column["curve2"] == curve2
+        scale = max(abs(v) for v in diff)
+        assert np.max(np.abs(np.subtract(column["diff"], diff))) <= 1e-12 * scale
 
     def test_all_presets_defined(self):
         names = {f"{fam}-{v}" for fam in ("ldc", "uisdc", "sdc") for v in "abcd"}

@@ -281,6 +281,24 @@ class TestMonteCarlo:
         assert report.cr == np.mean(covered[~failed])
         assert monte_carlo(study, n_jobs=2) == report
 
+    def test_single_point_sd_samples_are_counted(self):
+        # at n = 3 both samples are often all ones: a pooled sample with no
+        # SD domain
+        study = MonteCarloStudy(
+            DiscreteLaw([(1.0, 0.9), (2.0, 0.1)]),
+            DiscreteLaw([(1.0, 0.8), (3.0, 0.2)]),
+            DominanceFamily.sd(1),
+            MP,
+            (3, 3),
+            InferenceConfig(t_n=1, seed=0, n_boot=20),
+            20,
+            0.3,
+            50,
+        )
+        report = monte_carlo(study)
+        assert 0 < report.n_failed < study.n_reps
+        assert monte_carlo(study, n_jobs=2) == report
+
     def test_every_replicate_failing_raises(self):
         study = MonteCarloStudy(
             DiscreteLaw([(0.0, 0.999), (1.0, 0.001)]),
