@@ -647,8 +647,15 @@ def _add_tuning(parser) -> None:
     parser.add_argument("--cal-boot", type=int, default=100)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors reach ``main`` as InvalidConfigError."""
+
+    def error(self, message):
+        raise InvalidConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="almostdom",
         description="Almost-dominance coefficients with bootstrap confidence intervals",
     )
@@ -701,19 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except DegenerateCurvesError as exc:
+    except (OSError, AlmostDomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AlmostDomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DegenerateCurvesError) else 1
 
 
 if __name__ == "__main__":

@@ -26,13 +26,14 @@ the positions give the empirical CDFs. Each chunk is turned into
 derivative draws at once, so memory is bounded by the chunk (a few MB)
 and no longer grows with the number of replicates.
 
-Threshold calibration reuses the same path: calibration replicate r
-resamples a dataset from the stream keyed (seed, r, 0) and bootstraps it
-from a seed derived at (seed, r, 1), scoring every candidate threshold on
-the same chunks. The bootstrap chunks, the calibration replicates, and
-the Monte Carlo study in :mod:`almostdom.simulation` all fan out through
-one order-preserving map (:func:`_ordered_map`), serial or over a process
-pool, with identical results either way.
+Stages 1-3 are one interval step (:func:`_intervals`), shared by
+:func:`bootstrap_ci` and threshold calibration, which scores every
+candidate on the same replicates: calibration replicate r resamples a
+dataset from the stream keyed (seed, r, 0) and bootstraps it from a seed
+derived at (seed, r, 1). The bootstrap chunks, the calibration replicates,
+and the Monte Carlo study in :mod:`almostdom.simulation` all fan out
+through one order-preserving map (:func:`_ordered_map`), serial or over a
+process pool, with identical results either way.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ def _derivative_rows(
     d_neg = (
         -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
     ) * step
-    return (d_pos * neg - pos * d_neg) / total**2
+    # total**2 would turn subnormal once the area falls below about 1.5e-154
+    return (d_pos * (neg / total) - (pos / total) * d_neg) / total
 
 
 def derivative(h: GridFunction, sets: ContactSets, diff: GridFunction) -> float:
@@ -490,21 +492,31 @@ def _bootstrap_draws(
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
-def _interval(
-    c_hat: float, draws: np.ndarray, root: float, cfg: InferenceConfig
-) -> tuple[float, float, tuple[float, float]]:
-    """Quantiles ``q_lo``, ``q_hi`` of the derivative draws and the interval
-    ``[c_hat - q_hi / root, c_hat - q_lo / root]`` they give."""
-    if draws.size == 0:
-        raise NonFiniteDrawError("every bootstrap replicate was degenerate")
-    q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
-    q_hi = _inf_quantile(draws, 1.0 - cfg.alpha / 2.0)
-    lo = c_hat - q_hi / root
-    hi = c_hat - q_lo / root
-    if cfg.clamp_to_unit:
-        lo = min(max(lo, 0.0), 1.0)
-        hi = min(max(hi, 0.0), 1.0)
-    return q_lo, q_hi, (lo, hi)
+def _intervals(
+    est: CoefficientEstimate,
+    prep: _Prepared,
+    cfg: InferenceConfig,
+    thresholds: tuple[float, ...],
+    n_jobs: int,
+) -> list[tuple[np.ndarray, float, float, tuple[float, float]]]:
+    """``(draws, q_lo, q_hi, ci)`` under the contact sets of each threshold
+    in ``thresholds``, all read off the same ``cfg.n_boot`` replicates."""
+    std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
+    sets = tuple(
+        contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
+        for t_n in thresholds
+    )
+    results = []
+    for draws in _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs):
+        if draws.size == 0:
+            raise NonFiniteDrawError("every bootstrap replicate was degenerate")
+        q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
+        q_hi = _inf_quantile(draws, 1.0 - cfg.alpha / 2.0)
+        lo, hi = est.c_hat - q_hi / prep.root_n, est.c_hat - q_lo / prep.root_n
+        if cfg.clamp_to_unit:
+            lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+        results.append((draws, q_lo, q_hi, (lo, hi)))
+    return results
 
 
 def bootstrap_ci(
@@ -529,10 +541,7 @@ def bootstrap_ci(
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
     est, prep = _prepare(data, family, scheme, spec, cfg)
-    std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
-    sets = contact_sets(est.difference, std, est.effective_n, cfg)
-    (draws,) = _bootstrap_draws(prep, (sets,), cfg.n_boot, n_jobs)
-    q_lo, q_hi, ci = _interval(est.c_hat, draws, prep.root_n, cfg)
+    ((draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
     return BootstrapResult(
         estimate=est,
         draws=draws,
@@ -565,7 +574,6 @@ def _calibration_rep(
     base: _Prepared,
     cfg: InferenceConfig,
     candidates: tuple[float, ...],
-    n_cal_boot: int,
     pseudo_true: float,
     rep: int,
 ) -> np.ndarray | None:
@@ -573,23 +581,13 @@ def _calibration_rep(
     replicate ``rep`` (None if the replicate cannot be evaluated)."""
     r1, r2 = _draw(base, child_rng(cfg.seed, rep, 0))
     sim = PairedSample(r1, r2) if base.pairs is not None else (r1, r2)
-    rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1), n_boot=n_cal_boot)
+    rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1))
     try:
         est, prep = _prepare(sim, base.family, base.scheme, base.spec, rep_cfg)
-        std = std_curve_for(
-            base.family, prep.d1, prep.d2, prep.pairs, base.scheme, base.spec
-        )
-        sets = tuple(
-            contact_sets(est.difference, std, est.effective_n, replace(rep_cfg, t_n=t_n))
-            for t_n in candidates
-        )
-        covered = np.zeros(len(candidates), dtype=bool)
-        for j, draws in enumerate(_bootstrap_draws(prep, sets, n_cal_boot, 1)):
-            _, _, (lo, hi) = _interval(est.c_hat, draws, prep.root_n, rep_cfg)
-            covered[j] = lo <= pseudo_true <= hi
+        results = _intervals(est, prep, rep_cfg, candidates, 1)
     except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
         return None
-    return covered
+    return np.array([lo <= pseudo_true <= hi for *_, (lo, hi) in results])
 
 
 def tuning_table(
@@ -622,9 +620,8 @@ def tuning_table(
     if n_cal_boot < 1:
         raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
     estimate, base = _prepare(data, family, scheme, spec, cfg)
-    rep_fn = partial(
-        _calibration_rep, base, cfg, candidates, n_cal_boot, estimate.c_hat
-    )
+    cal_cfg = replace(cfg, n_boot=n_cal_boot)
+    rep_fn = partial(_calibration_rep, base, cal_cfg, candidates, estimate.c_hat)
     results = _ordered_map(rep_fn, range(n_cal_reps), n_jobs)
     covered = [row for row in results if row is not None]
     if not covered:

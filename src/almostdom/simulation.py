@@ -311,6 +311,8 @@ class MonteCarloStudy:
             raise InvalidConfigError("matched pairs need equal sample sizes")
         if self.n_reps < 1:
             raise InvalidConfigError("n_reps must be >= 1")
+        if self.grid_points < 2:
+            raise InvalidConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
 
 @dataclass(frozen=True)

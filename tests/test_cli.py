@@ -322,6 +322,44 @@ class TestBadInput:
         if extra[-1] in ("BAD_BYTES", "HUGE_FIELD"):
             assert paths[extra[-1]] in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--preset", "sdc-a", "--n1", "5", "--n2", "5", "--reps", "2",
+              "--boot", "5", "--tn", "1", "--threads", "1", "--grid", "1"],
+             "grid_points"),
+            (["estimate", "--family", "foo", "--scheme", "matched", "--input", "DATA"],
+             "--family"),
+            (["ci", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
+              "--tn", "1", "--boot", "abc"], "--boot"),
+            (["estimate", "--scheme", "matched", "--input", "DATA"], "--family"),
+            (["estimate", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
+              "--output", "DIR"], "DIR"),
+            (["estimate", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
+              "--emit-curves", "DIR"], "DIR"),
+        ],
+        ids=[
+            "simulate-grid-1", "unknown-family", "boot-not-int", "missing-family",
+            "output-directory", "curves-directory",
+        ],
+    )
+    def test_one_named_error_line(self, argv, named, matched_file, tmp_path, capsys):
+        # usage errors and write failures exit 1 with one line naming the cause
+        paths = {"DATA": matched_file, "DIR": str(tmp_path)}
+        code = run_cli([paths.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert paths.get(named, named) in lines[0]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["ci", "--help"])
+        assert excinfo.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: almostdom ci") and err == ""
+
     def test_simulate_size_one(self, capsys):
         code = run_cli(
             [

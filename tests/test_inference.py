@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almostdom.calculus import GridFunction, GridSpec, negative_area, positive_area
-from almostdom.coefficients import DominanceFamily
+from almostdom.coefficients import DominanceFamily, default_grid
 from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     GridMismatchError,
@@ -202,6 +202,24 @@ class TestBootstrapCi:
         parallel = bootstrap_ci(pairs, fam, MP, GridSpec(128), cfg, n_jobs=2)
         np.testing.assert_array_equal(serial.draws, parallel.draws)
         assert serial.ci == parallel.ci and parallel.n_boot_effective == 1
+
+    def test_sd_draws_are_scale_free(self):
+        # first-degree SD does not see the scale of the data, and at 2**-520
+        # the squared area of the difference curve would be subnormal
+        rng = child_rng(46, 0)
+        pairs = PairedSample(rng.lognormal(0.0, 0.5, 90), rng.lognormal(0.1, 1.2, 90))
+        fam = DominanceFamily.sd(1)
+        cfg = cfg_with(t_n=0.5, seed=5, n_boot=80)
+        results = []
+        for scale in (1.0, 2.0**-520):
+            data = PairedSample(scale * pairs.x1, scale * pairs.x2)
+            d1, d2 = EmpiricalDistribution(data.x1), EmpiricalDistribution(data.x2)
+            spec = default_grid(fam, d1, d2, 150)
+            results.append(bootstrap_ci(data, fam, MP, spec, cfg))
+        base, tiny = results
+        assert 0.0 < base.estimate.c_hat < 1.0
+        np.testing.assert_array_equal(tiny.draws, base.draws)
+        assert tiny.ci == base.ci
 
     @pytest.mark.parametrize("scheme", [MP, IND])
     def test_prefix_stability(self, scheme):

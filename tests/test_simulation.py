@@ -1,5 +1,7 @@
 """DGPs, population oracles, and the Monte Carlo driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -313,6 +315,11 @@ class TestMonteCarlo:
         )
         with pytest.raises(NonFiniteDrawError):
             monte_carlo(study)
+
+    def test_needs_two_grid_points(self):
+        # a one-point grid is a bad study, not a replicate that failed
+        with pytest.raises(InvalidConfigError, match="grid_points"):
+            replace(self.study(2), grid_points=1)
 
     def test_matched_needs_equal_sizes(self):
         first, second = sdc_laws(2)
