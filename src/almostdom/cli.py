@@ -356,10 +356,8 @@ def _grid_from_args(args, family: DominanceFamily, d1, d2) -> GridSpec:
     return default_grid(family, d1, d2, args.grid)
 
 
-def _emit_fit_curves(path, family, d1, d2, pairs, scheme, spec) -> None:
+def _emit_fit_curves(path, family, d1, d2, spec, diff, std) -> None:
     curve1, curve2 = family_curves(family, d1, d2, spec)
-    diff = difference_curve(family, d1, d2, spec)
-    std = std_curve_for(family, d1, d2, pairs, scheme, spec)
     _write_curves(
         path,
         {
@@ -384,7 +382,8 @@ def _cmd_estimate(args) -> int:
     est = coefficient(family, d1, d2, spec)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
-        _emit_fit_curves(args.emit_curves, family, d1, d2, pairs, scheme, spec)
+        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
+        _emit_fit_curves(args.emit_curves, family, d1, d2, spec, est.difference, std)
     _emit(
         {
             "family": family.kind.value,
@@ -411,7 +410,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_ci(args) -> int:
     family = _family_from_args(args)
     start = time.perf_counter()
-    data, d1, d2, pairs, scheme = _load_data(args, family)
+    data, d1, d2, _, scheme = _load_data(args, family)
     spec = _grid_from_args(args, family, d1, d2)
     n_jobs = _threads(args)
     if args.tn is not None and args.tune:
@@ -436,7 +435,9 @@ def _cmd_ci(args) -> int:
     result = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=n_jobs)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
-        _emit_fit_curves(args.emit_curves, family, d1, d2, pairs, scheme, spec)
+        _emit_fit_curves(
+            args.emit_curves, family, d1, d2, spec, result.estimate.difference, result.std
+        )
     record = ReportRecord(
         family=family.kind.value,
         m=family.degree,
@@ -522,9 +523,7 @@ def _cmd_tune(args) -> int:
     start = time.perf_counter()
     data, d1, d2, pairs, scheme = _load_data(args, family)
     spec = _grid_from_args(args, family, d1, d2)
-    cfg = InferenceConfig(
-        t_n=1.0, seed=args.seed, xi0=args.xi0, n_boot=args.boot, alpha=args.alpha
-    )
+    cfg = InferenceConfig(t_n=1.0, seed=args.seed, xi0=args.xi0, alpha=args.alpha)
     candidates = _parse_floats(args.candidates, "--candidates")
     table = tuning_table(
         data, family, scheme, spec, cfg, candidates, args.cal_reps, args.cal_boot,
@@ -532,7 +531,9 @@ def _cmd_tune(args) -> int:
     )
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
-        _emit_fit_curves(args.emit_curves, family, d1, d2, pairs, scheme, spec)
+        diff = difference_curve(family, d1, d2, spec)
+        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
+        _emit_fit_curves(args.emit_curves, family, d1, d2, spec, diff, std)
     rows = [
         {
             "t_n": t,
@@ -689,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="calibrate the studentization threshold")
     _add_family_and_data(p_tune)
-    p_tune.add_argument("--boot", type=int, default=1000)
     p_tune.add_argument("--alpha", type=float, default=0.05)
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--xi0", type=float, default=0.001)

@@ -27,13 +27,17 @@ derivative draws at once, so memory is bounded by the chunk (a few MB)
 and no longer grows with the number of replicates.
 
 Stages 1-3 are one interval step (:func:`_intervals`), shared by
-:func:`bootstrap_ci` and threshold calibration, which scores every
-candidate on the same replicates: calibration replicate r resamples a
-dataset from the stream keyed (seed, r, 0) and bootstraps it from a seed
-derived at (seed, r, 1). The bootstrap chunks, the calibration replicates,
-and the Monte Carlo study in :mod:`almostdom.simulation` all fan out
-through one order-preserving map (:func:`_ordered_map`), serial or over a
-process pool, with identical results either way.
+:func:`bootstrap_ci` and the coverage studies: threshold calibration
+(resamples of the observed data, every candidate threshold) and the
+Monte Carlo study in :mod:`almostdom.simulation` (draws from the laws,
+one threshold) run the same study replicate (:func:`_study_replicate`).
+Study replicate r draws its data from the stream keyed (seed, r, 0) and
+bootstraps it from a seed derived at (seed, r, 1); it fails, and is
+counted, when its curves coincide, its Lorenz sample has no positive
+mean, or its bootstrap leaves no usable draw. The bootstrap chunks and
+the study replicates all fan out through one order-preserving map
+(:func:`_ordered_map`), serial or over a process pool, with identical
+results either way.
 """
 
 from __future__ import annotations
@@ -163,12 +167,14 @@ class ContactSets:
 class BootstrapResult:
     """Coefficient estimate with bootstrap quantiles and confidence interval.
 
+    ``std`` is the studentization curve behind the contact sets.
     ``boundary`` flags estimates sitting exactly at 0 or 1, where the
     interval theory does not apply; the clamped interval is still
     returned.
     """
 
     estimate: CoefficientEstimate
+    std: GridFunction
     draws: np.ndarray
     q_lo: float
     q_hi: float
@@ -368,6 +374,12 @@ def _draw(prep: _Prepared, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return prep.d1.sorted_values[idx1], prep.d2.sorted_values[idx2]
 
 
+def _resample(prep: _Prepared, rng: np.random.Generator):
+    """One resample of the prepared data as a dataset, and its grid."""
+    r1, r2 = _draw(prep, rng)
+    return (PairedSample(r1, r2) if prep.pairs is not None else (r1, r2)), prep.spec
+
+
 def _ordered_map(fn, items, n_jobs: int):
     """Yield ``fn(item)`` for each item, in item order.
 
@@ -498,9 +510,10 @@ def _intervals(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     n_jobs: int,
-) -> list[tuple[np.ndarray, float, float, tuple[float, float]]]:
-    """``(draws, q_lo, q_hi, ci)`` under the contact sets of each threshold
-    in ``thresholds``, all read off the same ``cfg.n_boot`` replicates."""
+) -> tuple[GridFunction, list[tuple[np.ndarray, float, float, tuple[float, float]]]]:
+    """The studentization curve, and ``(draws, q_lo, q_hi, ci)`` under the
+    contact sets of each threshold in ``thresholds``, all read off the same
+    ``cfg.n_boot`` replicates."""
     std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
     sets = tuple(
         contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
@@ -516,7 +529,7 @@ def _intervals(
         if cfg.clamp_to_unit:
             lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
         results.append((draws, q_lo, q_hi, (lo, hi)))
-    return results
+    return std, results
 
 
 def bootstrap_ci(
@@ -541,9 +554,10 @@ def bootstrap_ci(
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
     est, prep = _prepare(data, family, scheme, spec, cfg)
-    ((draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
+    std, ((draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
     return BootstrapResult(
         estimate=est,
+        std=std,
         draws=draws,
         q_lo=q_lo,
         q_hi=q_hi,
@@ -570,24 +584,39 @@ class TuningTable:
     n_failed: int
 
 
-def _calibration_rep(
-    base: _Prepared,
+def _study_replicate(
+    source,
+    family: DominanceFamily,
+    scheme: SamplingScheme,
     cfg: InferenceConfig,
-    candidates: tuple[float, ...],
-    pseudo_true: float,
+    thresholds: tuple[float, ...],
+    truth: float,
     rep: int,
-) -> np.ndarray | None:
-    """Which candidates' intervals cover ``pseudo_true`` in calibration
-    replicate ``rep`` (None if the replicate cannot be evaluated)."""
-    r1, r2 = _draw(base, child_rng(cfg.seed, rep, 0))
-    sim = PairedSample(r1, r2) if base.pairs is not None else (r1, r2)
+) -> tuple[float, np.ndarray | None]:
+    """Estimate of study replicate ``rep``, and whether each threshold's
+    interval covers ``truth``.
+
+    ``source(rng)`` gives the replicate's ``(data, spec)`` from the stream
+    keyed (seed, rep, 0); the bootstrap runs from the seed derived at
+    (seed, rep, 1). A replicate whose data admit no estimate or no interval
+    (curves that coincide, a Lorenz sample without a positive mean, no
+    usable bootstrap draw) fails and gives ``(nan, None)``.
+    """
     rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1))
     try:
-        est, prep = _prepare(sim, base.family, base.scheme, base.spec, rep_cfg)
-        results = _intervals(est, prep, rep_cfg, candidates, 1)
+        data, spec = source(child_rng(cfg.seed, rep, 0))
+        est, prep = _prepare(data, family, scheme, spec, rep_cfg)
+        _, results = _intervals(est, prep, rep_cfg, thresholds, 1)
     except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
-        return None
-    return np.array([lo <= pseudo_true <= hi for *_, (lo, hi) in results])
+        return float("nan"), None
+    return est.c_hat, np.array([lo <= truth <= hi for *_, (lo, hi) in results])
+
+
+def _coverage_study(source, family, scheme, cfg, thresholds, truth, n_reps, n_jobs):
+    """:func:`_study_replicate` of replicates ``0`` to ``n_reps - 1``, in
+    replicate order."""
+    rep_fn = partial(_study_replicate, source, family, scheme, cfg, thresholds, truth)
+    return list(_ordered_map(rep_fn, range(n_reps), n_jobs))
 
 
 def tuning_table(
@@ -609,10 +638,11 @@ def tuning_table(
     every candidate threshold is scored by how often its interval covers
     that truth. Candidates share the simulated datasets and bootstrap
     resamples (neither depends on the threshold), so their coverages
-    differ only through the contact sets. Degenerate replicates are counted
-    in ``n_failed``; :class:`NonFiniteDrawError` is raised if all are.
+    differ only through the contact sets; a repeated candidate is scored
+    once. Degenerate replicates are counted in ``n_failed``;
+    :class:`NonFiniteDrawError` is raised if all are.
     """
-    candidates = tuple(sorted(float(t) for t in candidates))
+    candidates = tuple(sorted({float(t) for t in candidates}))
     if not candidates:
         raise InvalidConfigError("need at least one candidate threshold")
     if n_cal_reps < 1:
@@ -620,10 +650,11 @@ def tuning_table(
     if n_cal_boot < 1:
         raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
     estimate, base = _prepare(data, family, scheme, spec, cfg)
-    cal_cfg = replace(cfg, n_boot=n_cal_boot)
-    rep_fn = partial(_calibration_rep, base, cal_cfg, candidates, estimate.c_hat)
-    results = _ordered_map(rep_fn, range(n_cal_reps), n_jobs)
-    covered = [row for row in results if row is not None]
+    results = _coverage_study(
+        partial(_resample, base), family, scheme, replace(cfg, n_boot=n_cal_boot),
+        candidates, estimate.c_hat, n_cal_reps, n_jobs,
+    )
+    covered = [row for _, row in results if row is not None]
     if not covered:
         raise NonFiniteDrawError("every calibration replicate was degenerate")
     coverage = np.mean(covered, axis=0)

@@ -16,7 +16,7 @@ matched-pairs theory needs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -29,10 +29,8 @@ from .errors import (
     DomainError,
     InvalidConfigError,
     NonFiniteDrawError,
-    ZeroMeanError,
 )
-from .inference import InferenceConfig, _ordered_map, _unpack, bootstrap_ci
-from .rng import child_rng, child_seed
+from .inference import InferenceConfig, _coverage_study, _unpack
 
 __all__ = [
     "DoublePareto",
@@ -337,32 +335,20 @@ class MonteCarloReport:
 
 
 def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
+    """A dataset drawn from the study's DGPs, and its default grid."""
     n1, n2 = study.sizes
     x1 = study.dgp1.sample(n1, rng)
     x2 = study.dgp2.sample(n2, rng)
     if study.scheme is SamplingScheme.MATCHED:
-        return PairedSample(x1, x2)
-    return Sample(x1), Sample(x2)
-
-
-def _run_one(study: MonteCarloStudy, rep: int) -> tuple[float, bool]:
-    """Estimate and coverage of replicate ``rep``; ``(nan, False)`` when its
-    data admit no estimate or no bootstrap interval."""
-    data_rng = child_rng(study.cfg.seed, rep, 0)
-    data = _simulate_data(study, data_rng)
-    cfg = replace(study.cfg, seed=child_seed(study.cfg.seed, rep, 1))
+        data = PairedSample(x1, x2)
+    else:
+        data = Sample(x1), Sample(x2)
     d1, d2, _ = _unpack(data, study.scheme)
     try:
         spec = default_grid(study.family, d1, d2, study.grid_points)
-    except InvalidConfigError:  # an SD sample pooled into a single point
-        return float("nan"), False
-    try:
-        result = bootstrap_ci(data, study.family, study.scheme, spec, cfg)
-    except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
-        return float("nan"), False
-    lo, hi = result.ci
-    covered = lo <= study.true_c <= hi
-    return result.estimate.c_hat, covered
+    except InvalidConfigError as exc:  # an SD sample pooled into a single point
+        raise DegenerateCurvesError(str(exc)) from exc
+    return data, spec
 
 
 def run_replicates(
@@ -370,15 +356,16 @@ def run_replicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replicate estimates and coverage indicators, in replicate order.
 
-    Replicate r draws its data from the stream keyed (seed, r, 0) and its
-    bootstrap from a seed derived at (seed, r, 1), so results are
-    identical under any ``n_jobs`` and the first R replicates agree
-    between runs with different ``n_reps``. A replicate that cannot be
-    evaluated has estimate ``nan`` and is not covered.
+    Results are identical under any ``n_jobs``, and the first R replicates
+    agree between runs with different ``n_reps``. A replicate that cannot
+    be evaluated has estimate ``nan`` and is not covered.
     """
-    results = list(_ordered_map(partial(_run_one, study), range(study.n_reps), n_jobs))
+    results = _coverage_study(
+        partial(_simulate_data, study), study.family, study.scheme, study.cfg,
+        (study.cfg.t_n,), study.true_c, study.n_reps, n_jobs,
+    )
     estimates = np.array([est for est, _ in results], dtype=float)
-    covered = np.array([cov for _, cov in results], dtype=bool)
+    covered = np.array([row is not None and row[0] for _, row in results], dtype=bool)
     return estimates, covered
 
 

@@ -6,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
+import almostdom.cli
+import almostdom.inference
+from almostdom.calculus import GridSpec
 from almostdom.cli import PRESETS, ReportRecord, load_csv, main
-from almostdom.coefficients import DominanceFamily
-from almostdom.empirical import PairedSample, SamplingScheme
+from almostdom.coefficients import DominanceFamily, difference_curve
+from almostdom.covariance import std_curve_for
+from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import CsvParseError, DomainError, NegativeValueError
 from almostdom.simulation import DiscreteLaw
 
@@ -337,10 +341,12 @@ class TestBadInput:
               "--output", "DIR"], "DIR"),
             (["estimate", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
               "--emit-curves", "DIR"], "DIR"),
+            (["tune", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
+              "--boot", "5"], "--boot"),
         ],
         ids=[
             "simulate-grid-1", "unknown-family", "boot-not-int", "missing-family",
-            "output-directory", "curves-directory",
+            "output-directory", "curves-directory", "tune-boot",
         ],
     )
     def test_one_named_error_line(self, argv, named, matched_file, tmp_path, capsys):
@@ -447,6 +453,31 @@ class TestCiCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["p", "curve1", "curve2", "diff", "std"]
         assert len(rows) == 151
+
+    def test_emit_curves_reuses_the_interval_std(self, matched_file, tmp_path, monkeypatch):
+        # the curves file takes diff and std from the interval, not from a second pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return std_curve_for(*args, **kwargs)
+
+        monkeypatch.setattr(almostdom.inference, "std_curve_for", counted)
+        monkeypatch.setattr(almostdom.cli, "std_curve_for", counted)
+        curves = tmp_path / "curves.csv"
+        args = self.args(matched_file, tmp_path / "r.json") + ["--emit-curves", curves]
+        assert run_cli(args) == 0
+        assert len(calls) == 1
+        with open(curves) as handle:
+            rows = list(csv.reader(handle))
+        columns = np.array(rows[1:], dtype=float).T
+        pairs = load_csv(matched_file, MP)
+        d1, d2 = EmpiricalDistribution(pairs.x1), EmpiricalDistribution(pairs.x2)
+        family, spec = DominanceFamily.lorenz(1), GridSpec(150)
+        diff = difference_curve(family, d1, d2, spec)
+        std = std_curve_for(family, d1, d2, pairs, MP, spec)
+        np.testing.assert_array_equal(columns[3], diff.values)
+        np.testing.assert_array_equal(columns[4], std.values)
 
 
 class TestSimulateCommand:
@@ -625,16 +656,30 @@ class TestTuneCommand:
         assert [r["t_n"] for r in rows] == [0.001, 20.0]
         assert sum(r["selected"] for r in rows) == 1
 
+    def test_repeated_candidates_give_one_row(self, matched_file, tmp_path):
+        out = tmp_path / "tune.json"
+        code = run_cli(
+            [
+                "tune", "--family", "lorenz", "--scheme", "matched",
+                "--input", matched_file, "--grid", "50", "--candidates", "1,1,5",
+                "--cal-reps", "3", "--cal-boot", "10", "--threads", "1", "--output", out,
+            ]
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert [r["t_n"] for r in rows] == [1.0, 5.0]
+        assert sum(r["selected"] for r in rows) == 1
+
     def test_degenerate_calibration_replicates(self, tmp_path):
         # one distinct pair per resample happens often with two rows; such a
         # calibration replicate is counted, not fatal
         path = write(tmp_path / "two.csv", "x1,x2\n1,2\n2,3\n")
         common = [
             "--family", "lorenz", "--scheme", "matched", "--input", path,
-            "--boot", "10", "--grid", "20", "--cal-reps", "10",
-            "--cal-boot", "10", "--threads", "1",
+            "--grid", "20", "--cal-reps", "10", "--cal-boot", "10", "--threads", "1",
         ]
-        assert run_cli(["ci", "--tune", *common, "--output", tmp_path / "ci.json"]) == 0
+        ci_out = tmp_path / "ci.json"
+        assert run_cli(["ci", "--tune", "--boot", "10", *common, "--output", ci_out]) == 0
         out = tmp_path / "tune.json"
         assert run_cli(["tune", *common, "--output", out]) == 0
         rows = json.loads(out.read_text())

@@ -357,6 +357,25 @@ class TestSelectTuning:
         assert table1 == table2  # candidate order does not matter
         assert all(0.0 <= c <= 1.0 for c in table1.coverage)
 
+    def test_repeated_candidates_counted_once(self):
+        pairs, fam, spec = self.small_setup()
+        cfg = cfg_with(seed=21, n_boot=30)
+        table = tuning_table(pairs, fam, MP, spec, cfg, [1.0, 1.0, 5.0], 4, 20)
+        assert table.candidates == (1.0, 5.0)
+        assert len(table.coverage) == 2
+
+    def test_bad_settings_are_not_failed_replicates(self):
+        # a candidate <= 0 or a one-observation sample is a bad request,
+        # raised as such rather than counted as a failed replicate
+        pairs, fam, spec = self.small_setup()
+        with pytest.raises(InvalidConfigError, match="t_n"):
+            tuning_table(pairs, fam, MP, spec, cfg_with(), [0.0, 1.0], 3, 10)
+        single = (Sample([1.0]), Sample([2.0, 3.0]))
+        with pytest.raises(InvalidConfigError, match="2 observations"):
+            tuning_table(
+                single, DominanceFamily.lorenz(1), IND, GridSpec(10), cfg_with(), [1.0], 3, 5
+            )
+
     def test_parallel_matches_serial(self):
         pairs, fam, spec = self.small_setup()
         cfg = cfg_with(seed=23, n_boot=30)
