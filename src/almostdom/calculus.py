@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     GridMismatchError,
     InvalidConfigError,
+    NumericOverflowError,
 )
 
 __all__ = [
@@ -50,6 +51,8 @@ class GridSpec:
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InvalidConfigError(f"domain must be a finite interval, got {self.domain}")
+        if float(hi) - float(lo) == np.inf:
+            raise InvalidConfigError(f"domain width overflows, got {self.domain}")
         object.__setattr__(self, "domain", (float(lo), float(hi)))
 
     @property
@@ -134,32 +137,40 @@ def integrate_up(f: GridFunction, m: int) -> GridFunction:
     approximately ``p`` and degree 3 of ``f(p) == p`` is approximately
     ``p**3 / 6``.
     """
-    if m < 1:
-        raise InvalidConfigError(f"operator degree must be >= 1, got {m}")
-    if m == 1:
-        return f
-    return GridFunction(f.spec, iterated_cumsum(f.values, f.spec.step, m - 1))
+    return _integrated(f, m, downward=False)
 
 
 def integrate_down(f: GridFunction, m: int) -> GridFunction:
     """Iterated integral toward the upper endpoint; mirror of :func:`integrate_up`."""
+    return _integrated(f, m, downward=True)
+
+
+def _integrated(f: GridFunction, m: int, downward: bool) -> GridFunction:
     if m < 1:
         raise InvalidConfigError(f"operator degree must be >= 1, got {m}")
     if m == 1:
         return f
-    return GridFunction(
-        f.spec, iterated_cumsum(f.values, f.spec.step, m - 1, downward=True)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = iterated_cumsum(f.values, f.spec.step, m - 1, downward)
+    if not np.all(np.isfinite(values)):
+        raise NumericOverflowError(f"degree-{m} integral overflows the float range")
+    return GridFunction(f.spec, values)
+
+
+def _area(values: np.ndarray, step: float) -> float:
+    # an area beyond the float range is inf, which area_ratio rejects
+    with np.errstate(over="ignore"):
+        return float(np.maximum(values, 0.0).sum() * step)
 
 
 def positive_area(f: GridFunction) -> float:
     """Rectangle-rule integral of ``max(f, 0)`` over the domain."""
-    return float(np.maximum(f.values, 0.0).sum() * f.spec.step)
+    return _area(f.values, f.spec.step)
 
 
 def negative_area(f: GridFunction) -> float:
     """Rectangle-rule integral of ``max(-f, 0)`` over the domain."""
-    return float(np.maximum(-f.values, 0.0).sum() * f.spec.step)
+    return _area(-f.values, f.spec.step)
 
 
 def area_ratio(f: GridFunction) -> float:
@@ -174,6 +185,8 @@ def area_ratio(f: GridFunction) -> float:
     """
     pos = positive_area(f)
     neg = negative_area(f)
+    if pos + neg == np.inf:
+        raise NumericOverflowError("curve area overflows the float range")
     if pos + neg == 0.0:
         if not np.any(f.values):
             raise DegenerateCurvesError(

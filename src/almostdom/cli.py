@@ -344,16 +344,12 @@ def _load_data(args, family: DominanceFamily):
     nonneg = family.kind in (Family.LORENZ, Family.INVERSE_SD)
     data = load_csv(args.input, scheme, args.input2, require_nonnegative=nonneg)
     d1, d2, pairs = _unpack(data, scheme)
-    return data, d1, d2, pairs, scheme
-
-
-def _grid_from_args(args, family: DominanceFamily, d1, d2) -> GridSpec:
-    if args.domain is not None:
-        parts = _parse_floats(args.domain, "--domain")
-        if len(parts) != 2:
-            raise InvalidConfigError(f"--domain needs exactly two numbers: {args.domain!r}")
-        return GridSpec(args.grid, (parts[0], parts[1]))
-    return default_grid(family, d1, d2, args.grid)
+    if args.domain is None:
+        return data, d1, d2, pairs, scheme, default_grid(family, d1, d2, args.grid)
+    parts = _parse_floats(args.domain, "--domain")
+    if len(parts) != 2:
+        raise InvalidConfigError(f"--domain needs exactly two numbers: {args.domain!r}")
+    return data, d1, d2, pairs, scheme, GridSpec(args.grid, (parts[0], parts[1]))
 
 
 def _emit_fit_curves(path, family, d1, d2, spec, diff, std) -> None:
@@ -377,8 +373,7 @@ def _emit_fit_curves(path, family, d1, d2, spec, diff, std) -> None:
 def _cmd_estimate(args) -> int:
     family = _family_from_args(args)
     start = time.perf_counter()
-    _, d1, d2, pairs, scheme = _load_data(args, family)
-    spec = _grid_from_args(args, family, d1, d2)
+    _, d1, d2, pairs, scheme, spec = _load_data(args, family)
     est = coefficient(family, d1, d2, spec)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.emit_curves:
@@ -410,8 +405,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_ci(args) -> int:
     family = _family_from_args(args)
     start = time.perf_counter()
-    data, d1, d2, _, scheme = _load_data(args, family)
-    spec = _grid_from_args(args, family, d1, d2)
+    data, d1, d2, _, scheme, spec = _load_data(args, family)
     n_jobs = _threads(args)
     if args.tn is not None and args.tune:
         raise InvalidConfigError("pass either --tn or --tune, not both")
@@ -521,8 +515,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_tune(args) -> int:
     family = _family_from_args(args)
     start = time.perf_counter()
-    data, d1, d2, pairs, scheme = _load_data(args, family)
-    spec = _grid_from_args(args, family, d1, d2)
+    data, d1, d2, pairs, scheme, spec = _load_data(args, family)
     cfg = InferenceConfig(t_n=1.0, seed=args.seed, xi0=args.xi0, alpha=args.alpha)
     candidates = _parse_floats(args.candidates, "--candidates")
     table = tuning_table(

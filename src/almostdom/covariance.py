@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     FamilyMismatchError,
     InvalidConfigError,
+    NumericOverflowError,
     SchemeMismatchError,
 )
 
@@ -245,7 +246,13 @@ def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
         step = kernel.spec.step
         matrix = iterated_cumsum(matrix, step, passes, downward, axis=0)
         matrix = iterated_cumsum(matrix, step, passes, downward, axis=1)
-    return GridFunction(kernel.spec, np.sqrt(np.maximum(np.diagonal(matrix), 0.0)))
+    return _std(kernel.spec, np.diagonal(matrix))
+
+
+def _std(spec: GridSpec, var: np.ndarray) -> GridFunction:
+    if not np.all(np.isfinite(var)):
+        raise NumericOverflowError("studentization variance overflows the float range")
+    return GridFunction(spec, np.sqrt(np.maximum(var, 0.0)))
 
 
 def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
@@ -279,13 +286,15 @@ def std_curve_for(
     """
     _check_scheme(scheme, pairs, d1, d2)
     passes = family.operator_degree - 1
-    if family.kind is not Family.SD:
-        downward = family.direction is Direction.DOWN
-        var = _transform_cov(
-            family.kind, d1, d2, pairs, scheme, spec, _row_squares, passes, downward
-        )
-    elif passes:
-        return std_curve(sd_kernel(d1, d2, pairs, scheme, spec), family)
-    else:
-        var = _sd_variance(d1, d2, pairs, scheme, spec)
-    return GridFunction(spec, np.sqrt(np.maximum(var, 0.0)))
+    # a variance that overflows is not finite, and _std raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family.kind is not Family.SD:
+            downward = family.direction is Direction.DOWN
+            var = _transform_cov(
+                family.kind, d1, d2, pairs, scheme, spec, _row_squares, passes, downward
+            )
+        elif passes:
+            return std_curve(sd_kernel(d1, d2, pairs, scheme, spec), family)
+        else:
+            var = _sd_variance(d1, d2, pairs, scheme, spec)
+    return _std(spec, var)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, EmptySampleError, ZeroMeanError
+from .errors import DomainError, EmptySampleError, NumericOverflowError, ZeroMeanError
 
 __all__ = [
     "Sample",
@@ -127,8 +127,9 @@ class EmpiricalDistribution:
         sorted_values.flags.writeable = False
         self.sorted_values = sorted_values
         self.n = int(sorted_values.size)
-        # prefix[k] = sum of the k smallest observations
-        prefix = np.concatenate(([0.0], np.cumsum(sorted_values)))
+        # prefix[k] = sum of the k smallest observations (inf from an overflow on)
+        with np.errstate(over="ignore"):
+            prefix = np.concatenate(([0.0], np.cumsum(sorted_values)))
         prefix.flags.writeable = False
         self._prefix = prefix
         self.mean = float(prefix[-1] / self.n)
@@ -173,6 +174,9 @@ class EmpiricalDistribution:
         """
         p = np.asarray(p, dtype=float)
         self._check_probability(p)
+        # an overflowed partial sum stays infinite, so the mean shows any overflow
+        if not np.isfinite(self.mean):
+            raise NumericOverflowError("the sample sum overflows the float range")
         k, frac = quantile_positions(self.n, p)
         out = cum_quantile_at(self.sorted_values, self._prefix, k, frac)
         return out if out.ndim else float(out)
@@ -184,7 +188,7 @@ class EmpiricalDistribution:
         Requires a strictly positive mean.
         """
         if self.mean <= 0.0:
-            raise zero_mean_error(self.mean)
+            raise ZeroMeanError(f"Lorenz curve needs a positive mean, got {self.mean:.6g}")
         out = self.cum_quantile(p)
         return out / self.mean
 
@@ -214,11 +218,6 @@ def cum_quantile_at(
     out += prefix[..., k]
     out /= n
     return out
-
-
-def zero_mean_error(mean: float) -> ZeroMeanError:
-    """The error for a Lorenz curve of a sample whose mean is not positive."""
-    return ZeroMeanError(f"Lorenz curve needs a positive mean, got {mean:.6g}")
 
 
 def build_empirical(sample) -> EmpiricalDistribution:

@@ -47,11 +47,11 @@ class FamilyMismatchError(AlmostDomError, ValueError):
 
 
 class NonFiniteDrawError(AlmostDomError, ArithmeticError):
-    """A bootstrap replicate produced a degenerate resample or a non-finite value."""
+    """No usable bootstrap draw, or no usable study replicate, is left."""
 
-    def __init__(self, message: str, replicate: int | None = None):
-        super().__init__(message)
-        self.replicate = replicate
+
+class NumericOverflowError(DomainError):
+    """A sum or integral of the data exceeds the floating-point range."""
 
 
 class InvalidConfigError(AlmostDomError, ValueError):

@@ -24,7 +24,10 @@ read at node positions that do not change between replicates, the sums
 give the Lorenz and integrated-quantile curves, and cumulative counts of
 the positions give the empirical CDFs. Each chunk is turned into
 derivative draws at once, so memory is bounded by the chunk (a few MB)
-and no longer grows with the number of replicates.
+and no longer grows with the number of replicates. A replicate whose
+Lorenz resample has no positive mean, or whose curve or draw is not
+finite, gives no draw: it is dropped, and ``n_boot_effective`` counts
+the rest.
 
 Stages 1-3 are one interval step (:func:`_intervals`), shared by
 :func:`bootstrap_ci` and the coverage studies: threshold calibration
@@ -34,10 +37,10 @@ one threshold) run the same study replicate (:func:`_study_replicate`).
 Study replicate r draws its data from the stream keyed (seed, r, 0) and
 bootstraps it from a seed derived at (seed, r, 1); it fails, and is
 counted, when its curves coincide, its Lorenz sample has no positive
-mean, or its bootstrap leaves no usable draw. The bootstrap chunks and
-the study replicates all fan out through one order-preserving map
-(:func:`_ordered_map`), serial or over a process pool, with identical
-results either way.
+mean, its sums overflow, or its bootstrap leaves no usable draw. The
+bootstrap chunks and the study replicates all fan out through one
+order-preserving map (:func:`_ordered_map`), serial or over a process
+pool, with identical results either way.
 """
 
 from __future__ import annotations
@@ -66,11 +69,10 @@ from .covariance import std_curve_for
 from .empirical import (
     EmpiricalDistribution,
     PairedSample,
-    Sample,
     SamplingScheme,
+    build_empirical,
     cum_quantile_at,
     quantile_positions,
-    zero_mean_error,
 )
 from .errors import (
     DegenerateCurvesError,
@@ -78,6 +80,7 @@ from .errors import (
     GridMismatchError,
     InvalidConfigError,
     NonFiniteDrawError,
+    NumericOverflowError,
     SchemeMismatchError,
     ZeroMeanError,
 )
@@ -108,10 +111,10 @@ class InferenceConfig:
     from the estimated contact set; it must grow with the sample (slower
     than sqrt(effective_n)) for the asymptotics, and is a finite-sample
     tuning choice here (see :func:`select_tuning`). ``xi0`` bounds the
-    studentization away from zero. With ``skip_degenerate`` a replicate
-    that cannot be evaluated (e.g. a resample with zero mean) is dropped
-    and counted in ``n_boot_effective``; otherwise it raises
-    :class:`~almostdom.errors.NonFiniteDrawError`.
+    studentization away from zero. A bootstrap replicate that gives no
+    draw (a Lorenz resample without a positive mean, or a curve that is
+    not finite) is dropped, so ``n_boot_effective`` may fall below
+    ``n_boot``.
     """
 
     t_n: float
@@ -120,7 +123,6 @@ class InferenceConfig:
     n_boot: int = 1000
     alpha: float = 0.05
     clamp_to_unit: bool = True
-    skip_degenerate: bool = False
 
     def __post_init__(self):
         if not self.t_n > 0:
@@ -195,7 +197,9 @@ def contact_sets(
         raise GridMismatchError("difference and studentization curves differ in grid")
     if not effective_n > 0:
         raise InvalidConfigError(f"effective_n must be positive, got {effective_n}")
-    scaled = np.sqrt(effective_n) * diff.values / np.maximum(std.values, cfg.xi0)
+    # a node far past the threshold may overflow to +-inf, which still classifies
+    with np.errstate(over="ignore"):
+        scaled = np.sqrt(effective_n) * diff.values / np.maximum(std.values, cfg.xi0)
     plus = scaled > cfg.t_n
     minus = scaled < -cfg.t_n
     zero = ~(plus | minus)
@@ -265,9 +269,7 @@ def _unpack(data, scheme: SamplingScheme):
         raise SchemeMismatchError(
             "independent scheme needs a (sample, sample) pair"
         ) from exc
-    values1 = first.values if isinstance(first, Sample) else first
-    values2 = second.values if isinstance(second, Sample) else second
-    return EmpiricalDistribution(values1), EmpiricalDistribution(values2), None
+    return build_empirical(first), build_empirical(second), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,18 +325,19 @@ class _Prepared:
     diff: GridFunction
     root_n: float
     seed: int
-    skip_degenerate: bool
 
 
 def _prepare(
-    data,
+    d1: EmpiricalDistribution,
+    d2: EmpiricalDistribution,
+    pairs: PairedSample | None,
     family: DominanceFamily,
     scheme: SamplingScheme,
     spec: GridSpec,
     cfg: InferenceConfig,
 ) -> tuple[CoefficientEstimate, _Prepared]:
-    """Point estimate of ``data`` and the state its replicates share."""
-    d1, d2, pairs = _unpack(data, scheme)
+    """Point estimate of the data (see :func:`_unpack`) and the state its
+    replicates share."""
     est = coefficient(family, d1, d2, spec)
     prep = _Prepared(
         family=family,
@@ -348,7 +351,6 @@ def _prepare(
         diff=est.difference,
         root_n=float(np.sqrt(est.effective_n)),
         seed=cfg.seed,
-        skip_degenerate=cfg.skip_degenerate,
     )
     return est, prep
 
@@ -365,19 +367,15 @@ def _draw_indices(
     return rng.integers(0, prep.d1.n, prep.d1.n), rng.integers(0, prep.d2.n, prep.d2.n)
 
 
-def _draw(prep: _Prepared, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One resample of the prepared data: pairs jointly when matched, else
-    each sample on its own."""
-    idx1, idx2 = _draw_indices(prep, rng)
-    if prep.scheme is SamplingScheme.MATCHED:
-        return prep.pairs.x1[idx1], prep.pairs.x2[idx2]
-    return prep.d1.sorted_values[idx1], prep.d2.sorted_values[idx2]
-
-
 def _resample(prep: _Prepared, rng: np.random.Generator):
-    """One resample of the prepared data as a dataset, and its grid."""
-    r1, r2 = _draw(prep, rng)
-    return (PairedSample(r1, r2) if prep.pairs is not None else (r1, r2)), prep.spec
+    """One resample of the prepared data (pairs jointly when matched, else
+    each sample on its own), unpacked (see :func:`_unpack`), and its grid."""
+    idx1, idx2 = _draw_indices(prep, rng)
+    if prep.pairs is not None:
+        data = PairedSample(prep.pairs.x1[idx1], prep.pairs.x2[idx2])
+    else:
+        data = prep.d1.sorted_values[idx1], prep.d2.sorted_values[idx2]
+    return _unpack(data, prep.scheme), prep.spec
 
 
 def _ordered_map(fn, items, n_jobs: int):
@@ -433,54 +431,39 @@ def _replicate_rows(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.n
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` of replicates
     ``lo`` to ``hi - 1``, one row each, and a mask of the usable rows.
 
-    A row is unusable when a Lorenz resample has a mean that is not
-    positive or the curve is not finite. Unless ``skip_degenerate``, the
-    lowest such replicate raises :class:`NonFiniteDrawError`.
+    A row is usable when it is finite: a row whose sums overflow is not, and
+    a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
     """
     pos1, pos2 = _positions(prep, lo, hi)
     kind = prep.family.kind
-    zero_mean = np.zeros(hi - lo, dtype=bool)
-    if kind is Family.SD:
-        rows = _cdf_rows(prep.side1, pos1) - _cdf_rows(prep.side2, pos2)
-    else:
-        cq1, mean1 = _cum_quantile_rows(prep.side1, pos1)
-        cq2, mean2 = _cum_quantile_rows(prep.side2, pos2)
-        if kind is Family.LORENZ:
-            # difference_curve reads the second sample's curve first
-            bad_mean = np.where(mean2 <= 0.0, mean2, mean1)
-            zero_mean = bad_mean <= 0.0
-            # such rows are masked out; dividing them by 1 keeps numpy quiet
-            cq1 /= np.where(mean1 > 0.0, mean1, 1.0)[:, None]
-            cq2 /= np.where(mean2 > 0.0, mean2, 1.0)[:, None]
-        rows = np.subtract(cq2, cq1, out=cq2)
-    passes = prep.family.operator_degree - 1
-    if passes:
-        down = prep.family.direction is Direction.DOWN
-        rows = iterated_cumsum(rows, prep.spec.step, passes, down, axis=1)
-    rows -= prep.diff.values
-    rows *= prep.root_n
-    ok = ~zero_mean & np.isfinite(rows).all(axis=1)
-    if not (prep.skip_degenerate or ok.all()):
-        row = int(np.argmin(ok))
-        index = lo + row
-        if zero_mean[row]:
-            cause = zero_mean_error(float(bad_mean[row]))
-            problem = f"a degenerate resample: {cause}"
+    with np.errstate(all="ignore"):
+        if kind is Family.SD:
+            rows = _cdf_rows(prep.side1, pos1) - _cdf_rows(prep.side2, pos2)
         else:
-            cause, problem = None, "non-finite values"
-        raise NonFiniteDrawError(
-            f"bootstrap replicate {index} produced {problem}", replicate=index
-        ) from cause
-    return rows, ok
+            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1)
+            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2)
+            if kind is Family.LORENZ:
+                for cq, mean in ((cq1, mean1), (cq2, mean2)):
+                    cq /= np.where((mean > 0.0) & (mean < np.inf), mean, np.nan)[:, None]
+            rows = np.subtract(cq2, cq1, out=cq2)
+        passes = prep.family.operator_degree - 1
+        if passes:
+            down = prep.family.direction is Direction.DOWN
+            rows = iterated_cumsum(rows, prep.spec.step, passes, down, axis=1)
+        rows -= prep.diff.values
+        rows *= prep.root_n
+    return rows, np.isfinite(rows).all(axis=1)
 
 
 def _chunk_draws(
     prep: _Prepared, sets: tuple[ContactSets, ...], bounds: tuple[int, int]
 ) -> list[np.ndarray]:
     """Derivative draws of the usable replicates in ``bounds`` under each
-    contact-set estimate in ``sets``."""
+    contact-set estimate in ``sets``; a draw that overflows is dropped too."""
     rows, ok = _replicate_rows(prep, *bounds)
-    return [_derivative_rows(rows, s, prep.diff)[ok] for s in sets]
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = [_derivative_rows(rows, s, prep.diff) for s in sets]
+    return [d[ok & np.isfinite(d)] for d in draws]
 
 
 def _bootstrap_draws(
@@ -553,7 +536,7 @@ def bootstrap_ci(
     ``c_hat - q(alpha) / sqrt(effective_n)``, the lower bound is
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
-    est, prep = _prepare(data, family, scheme, spec, cfg)
+    est, prep = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
     std, ((draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
     return BootstrapResult(
         estimate=est,
@@ -596,18 +579,21 @@ def _study_replicate(
     """Estimate of study replicate ``rep``, and whether each threshold's
     interval covers ``truth``.
 
-    ``source(rng)`` gives the replicate's ``(data, spec)`` from the stream
-    keyed (seed, rep, 0); the bootstrap runs from the seed derived at
-    (seed, rep, 1). A replicate whose data admit no estimate or no interval
-    (curves that coincide, a Lorenz sample without a positive mean, no
-    usable bootstrap draw) fails and gives ``(nan, None)``.
+    ``source(rng)`` gives the replicate's unpacked data ``(d1, d2, pairs)``
+    (see :func:`_unpack`) and its grid from the stream keyed (seed, rep, 0);
+    the bootstrap runs from the seed derived at (seed, rep, 1). A replicate
+    whose data admit no estimate or no interval (curves that coincide, a
+    Lorenz sample without a positive mean, sums that overflow, no usable
+    bootstrap draw) fails and gives ``(nan, None)``.
     """
     rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1))
     try:
-        data, spec = source(child_rng(cfg.seed, rep, 0))
-        est, prep = _prepare(data, family, scheme, spec, rep_cfg)
+        dists, spec = source(child_rng(cfg.seed, rep, 0))
+        est, prep = _prepare(*dists, family, scheme, spec, rep_cfg)
         _, results = _intervals(est, prep, rep_cfg, thresholds, 1)
-    except (DegenerateCurvesError, ZeroMeanError, NonFiniteDrawError):
+    except (
+        DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError
+    ):
         return float("nan"), None
     return est.c_hat, np.array([lo <= truth <= hi for *_, (lo, hi) in results])
 
@@ -649,7 +635,7 @@ def tuning_table(
         raise InvalidConfigError(f"n_cal_reps must be >= 1, got {n_cal_reps}")
     if n_cal_boot < 1:
         raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
-    estimate, base = _prepare(data, family, scheme, spec, cfg)
+    estimate, base = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
     results = _coverage_study(
         partial(_resample, base), family, scheme, replace(cfg, n_boot=n_cal_boot),
         candidates, estimate.c_hat, n_cal_reps, n_jobs,

@@ -23,14 +23,14 @@ import numpy as np
 
 from .calculus import GridSpec
 from .coefficients import Direction, DominanceFamily, Family, default_grid
-from .empirical import PairedSample, Sample, SamplingScheme
+from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from .errors import (
     DegenerateCurvesError,
     DomainError,
     InvalidConfigError,
     NonFiniteDrawError,
 )
-from .inference import InferenceConfig, _coverage_study, _unpack
+from .inference import InferenceConfig, _coverage_study
 
 __all__ = [
     "DoublePareto",
@@ -335,20 +335,18 @@ class MonteCarloReport:
 
 
 def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
-    """A dataset drawn from the study's DGPs, and its default grid."""
+    """A dataset drawn from the study's DGPs as ``(d1, d2, pairs)`` (pairs
+    None unless matched), and its default grid."""
     n1, n2 = study.sizes
     x1 = study.dgp1.sample(n1, rng)
     x2 = study.dgp2.sample(n2, rng)
-    if study.scheme is SamplingScheme.MATCHED:
-        data = PairedSample(x1, x2)
-    else:
-        data = Sample(x1), Sample(x2)
-    d1, d2, _ = _unpack(data, study.scheme)
+    pairs = PairedSample(x1, x2) if study.scheme is SamplingScheme.MATCHED else None
+    d1, d2 = EmpiricalDistribution(x1), EmpiricalDistribution(x2)
     try:
         spec = default_grid(study.family, d1, d2, study.grid_points)
     except InvalidConfigError as exc:  # an SD sample pooled into a single point
         raise DegenerateCurvesError(str(exc)) from exc
-    return data, spec
+    return (d1, d2, pairs), spec
 
 
 def run_replicates(

@@ -1,10 +1,17 @@
 """CLI: CSV ingestion, report records, commands, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import almostdom.cli
 import almostdom.inference
@@ -380,6 +387,105 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: sample sizes")
 
 
+def run_quietly(args):
+    """Exit code, stdout and stderr of ``main``, and the warnings it issued."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(args)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+# one huge value per column: the sorted prefix sums overflow, the CDFs do not
+HUGE = "x1,x2\n1e308,1\n1e308,2\n1,1e308\n"
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("command", [[], ["ci", "--tn", "1", "--boot", "50"]])
+    def test_sd_one_needs_no_sums(self, command, tmp_path):
+        path = write(tmp_path / "huge.csv", HUGE)
+        args = command or ["estimate"]
+        args += ["--family", "sd", "--scheme", "matched", "--input", path, "--grid", "10",
+                 "--threads", "1"]
+        code, out, err, caught = run_quietly(args)
+        assert code == 0 and err == "" and caught == []
+        assert json.loads(out)["c_hat"] == 0.0
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            (HUGE, ["estimate", "--family", "lorenz", "--m", "2"]),
+            (HUGE, ["ci", "--family", "lorenz", "--tn", "1", "--boot", "5"]),
+            (HUGE, ["estimate", "--family", "isd", "--m", "2"]),
+            (HUGE, ["tune", "--family", "isd", "--m", "3", "--cal-reps", "2"]),
+            (HUGE, ["estimate", "--family", "sd", "--m", "2"]),
+            (HUGE.replace("e308", "e300"), ["estimate", "--family", "sd", "--m", "3"]),
+            ("x1,x2\n1,2\n3,1\n", ["estimate", "--family", "sd", "--domain=-1e308,1e308"]),
+        ],
+        ids=["lorenz-2", "lorenz-ci", "isd-2", "isd-tune", "sd-2", "sd-3", "sd-domain"],
+    )
+    def test_one_error_line_names_the_overflow(self, text, extra, tmp_path):
+        path = write(tmp_path / "huge.csv", text)
+        args = extra + ["--scheme", "matched", "--input", path, "--grid", "10", "--threads", "1"]
+        code, out, err, caught = run_quietly(args)
+        assert code == 1 and out == "" and caught == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
+
+# cells near the edges of the float range come up often, so that two huge
+# cells meet in one column
+EDGE_CELLS = ["1e308", "1.7e308", "-1e308", "1e300", "-0.0", "0", "5e-324", "1e-320",
+              "1", "2", "3.5"]
+cells = st.one_of(
+    st.sampled_from(EDGE_CELLS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "", "x"]),
+)
+
+
+@st.composite
+def cli_cases(draw):
+    scheme = draw(st.sampled_from(["matched", "ind"]))
+    n_rows = draw(st.integers(1, 6))
+    if scheme == "matched":
+        rows = ["x1,x2"] + [f"{draw(cells)},{draw(cells)}" for _ in range(n_rows)]
+    else:
+        groups = st.sampled_from(["1", "2", "1", "2", "3"])
+        rows = ["group,value"] + [f"{draw(groups)},{draw(cells)}" for _ in range(n_rows)]
+    args = [
+        draw(st.sampled_from(["estimate", "ci", "tune"])),
+        "--family", draw(st.sampled_from(["lorenz", "isd", "sd"])),
+        "--m", draw(st.sampled_from(["1", "2", "3"])),
+        "--dir", draw(st.sampled_from(["up", "down"])),
+        "--scheme", scheme,
+        "--grid", draw(st.sampled_from(["2", "3", "10"])),
+        "--threads", "1",
+    ]
+    domain = draw(st.sampled_from([None, "0,1", "-1e308,1e308", "0,1e308", "5e-324,1e-323"]))
+    if domain is not None:
+        args.append(f"--domain={domain}")
+    if args[0] == "ci":
+        args += ["--tn", "1", "--boot", "5"]
+    if args[0] == "tune":
+        args += ["--cal-reps", "2", "--cal-boot", "3"]
+    return "\n".join(rows) + "\n", args
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_cases())
+def test_any_input_gives_a_result_or_one_error_line(case):
+    text, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "data.csv", text)
+        code, _, err, caught = run_quietly(args + ["--input", path])
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    assert err == "" or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
+
+
 class TestCiCommand:
     def args(self, matched_file, out, seed=3):
         return [
@@ -433,6 +539,18 @@ class TestCiCommand:
         header, row = out.read_text().strip().splitlines()
         assert header.split(",")[:5] == ["family", "m", "direction", "n1", "n2"]
         assert row.split(",")[0] == "lorenz"
+
+    def test_unusable_resamples_are_dropped(self, tmp_path):
+        # resampling the first coordinate {0, 0, 0, 1} often draws only zeros,
+        # whose Lorenz curve does not exist: those resamples give no draw
+        path = write(tmp_path / "zeros.csv", "x1,x2\n0,1\n0,2\n0,3\n1,4\n")
+        code, out, err, caught = run_quietly(
+            ["ci", "--family", "lorenz", "--scheme", "matched", "--input", path, "--tn", "1",
+             "--boot", "50", "--grid", "64", "--seed", "11", "--threads", "1"]
+        )
+        assert code == 0 and err == "" and caught == []
+        record = json.loads(out)
+        assert record["n_boot"] == 50 and record["n_boot_effective"] == 33
 
     def test_strict_boundary_exit_code(self, tmp_path):
         lines = ["x1,x2"] + [f"5,{v}" for v in (1.0, 2.0, 3.0, 4.0, 2.5, 1.5)]

@@ -3,7 +3,7 @@
 The reference rebuilds each replicate the direct way: draw the resample,
 build both empirical distributions, and recompute the difference curve.
 The engine must give the same rows, the same draws for any chunk size and
-``n_jobs``, and the same errors for replicates it cannot evaluate.
+``n_jobs``, and drop the same replicates the reference cannot evaluate.
 """
 
 import numpy as np
@@ -20,16 +20,15 @@ from almostdom.coefficients import (
     difference_curve,
 )
 from almostdom.covariance import std_curve_for
-from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
+from almostdom.empirical import PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     DegenerateCurvesError,
     DomainError,
-    NonFiniteDrawError,
     ZeroMeanError,
 )
 from almostdom.inference import InferenceConfig, bootstrap_ci, tuning_table
 from almostdom.rng import child_rng
-from almostdom.simulation import DoublePareto
+from almostdom.simulation import DoublePareto, MonteCarloStudy, run_replicates
 
 MP = SamplingScheme.MATCHED
 IND = SamplingScheme.INDEPENDENT
@@ -53,11 +52,9 @@ def reference_rows(prep, n_boot):
     """Per-replicate rows the direct way, NaN where a replicate fails."""
     rows = np.full((n_boot, prep.spec.n_points), np.nan)
     for b in range(n_boot):
-        r1, r2 = inference._draw(prep, child_rng(prep.seed, b))
+        (d1, d2, _), spec = inference._resample(prep, child_rng(prep.seed, b))
         try:
-            star = difference_curve(
-                prep.family, EmpiricalDistribution(r1), EmpiricalDistribution(r2), prep.spec
-            )
+            star = difference_curve(prep.family, d1, d2, spec)
         except (ZeroMeanError, DomainError):
             continue
         rows[b] = prep.root_n * (star.values - prep.diff.values)
@@ -111,10 +108,12 @@ values = st.one_of(
 )
 def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     data = make_data(scheme, x1, x2)
-    cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=6, skip_degenerate=True)
+    cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=6)
     try:
         spec = grid_for(family, data, scheme, points)
-        est, prep = inference._prepare(data, family, scheme, spec, cfg)
+        est, prep = inference._prepare(
+            *inference._unpack(data, scheme), family, scheme, spec, cfg
+        )
         std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     except (DegenerateCurvesError, ZeroMeanError, ValueError):
         assume(False)
@@ -181,50 +180,11 @@ def zero_heavy_pairs():
     return PairedSample(np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0]))
 
 
-def first_failure(prep, n_boot):
-    """Index and Lorenz error of the first replicate the reference cannot build."""
-    for b in range(n_boot):
-        r1, r2 = inference._draw(prep, child_rng(prep.seed, b))
-        try:
-            difference_curve(
-                prep.family, EmpiricalDistribution(r1), EmpiricalDistribution(r2), prep.spec
-            )
-        except ZeroMeanError as exc:
-            return b, str(exc)
-    raise AssertionError("no replicate fails")
-
-
-@pytest.mark.parametrize(
-    "data,scheme,seed",
-    [
-        (zero_heavy_pairs(), MP, 5),
-        # replicate 4 draws negative means in both samples; the second is reported
-        ((Sample([-2.0, -1.0, 4.0]), Sample([-5.0, -1.0, 7.0])), IND, 5),
-    ],
-)
-def test_lowest_failing_replicate_raises_from_a_later_chunk(monkeypatch, data, scheme, seed):
-    family, spec = DominanceFamily.lorenz(1), GridSpec(20)
-    cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=40)
-    _, prep = inference._prepare(data, family, scheme, spec, cfg)
-    index, problem = first_failure(prep, cfg.n_boot)
-    assert index >= 4  # past the first chunk of two rows
-    chunk_rows(monkeypatch, data, scheme, spec, 2)
-    for n_jobs in (1, 2):
-        with pytest.raises(NonFiniteDrawError) as info:
-            bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=n_jobs)
-        assert info.value.replicate == index
-        assert str(info.value) == (
-            f"bootstrap replicate {index} produced a degenerate resample: {problem}"
-        )
-        if n_jobs == 1:  # a worker process sends its traceback as the cause
-            assert isinstance(info.value.__cause__, ZeroMeanError)
-
-
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     pairs = zero_heavy_pairs()
     family, spec = DominanceFamily.lorenz(1), GridSpec(20)
-    cfg = InferenceConfig(t_n=0.5, seed=5, n_boot=40, skip_degenerate=True)
-    _, prep = inference._prepare(pairs, family, MP, spec, cfg)
+    cfg = InferenceConfig(t_n=0.5, seed=5, n_boot=40)
+    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
     failed = int(np.isnan(reference_rows(prep, cfg.n_boot)).any(axis=1).sum())
     assert 0 < failed < cfg.n_boot
     whole = bootstrap_ci(pairs, family, MP, spec, cfg)
@@ -238,18 +198,11 @@ def test_non_finite_replicate():
     # one huge value: resamples that draw it twice overflow the partial sums
     pairs = PairedSample(np.array([1e308, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
     family, spec = DominanceFamily.inverse_sd(2), GridSpec(10)
-    raising = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
-    skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30, skip_degenerate=True)
-    _, prep = inference._prepare(pairs, family, MP, spec, skipping)
+    skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
+    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, skipping)
     with np.errstate(over="ignore", invalid="ignore"):
         rows, ok = inference._replicate_rows(prep, 0, 30)
-        _, prep = inference._prepare(pairs, family, MP, spec, raising)
-        with pytest.raises(NonFiniteDrawError) as info:
-            inference._replicate_rows(prep, 0, 30)
-    index = int(np.argmin(ok))
     assert 0 < ok.sum() < 30 and np.all(np.isfinite(rows[ok]))
-    assert info.value.replicate == index
-    assert str(info.value) == f"bootstrap replicate {index} produced non-finite values"
 
 
 @pytest.mark.parametrize("family", [DominanceFamily.lorenz(2), DominanceFamily.sd(1)])
@@ -276,3 +229,22 @@ def test_replicates_build_no_curve_objects(monkeypatch, family):
         bootstrap_ci(data, family, MP, spec, InferenceConfig(t_n=1, seed=0, n_boot=n_boot))
         counts.append(dict(built))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_monte_carlo_builds_each_distribution_once(monkeypatch, scheme):
+    built = [0]
+    dist_init = empirical.EmpiricalDistribution.__init__
+
+    def count_dist(self, *args):
+        built[0] += 1
+        dist_init(self, *args)
+
+    monkeypatch.setattr(empirical.EmpiricalDistribution, "__init__", count_dist)
+    study = MonteCarloStudy(
+        DoublePareto(3.0, 1.5), DoublePareto(2.1, 3.0), DominanceFamily.lorenz(1), scheme,
+        (20, 20), InferenceConfig(t_n=1, seed=0, n_boot=10), 3, 0.4, 30,
+    )
+    estimates, _ = run_replicates(study)
+    assert not np.isnan(estimates).any()
+    assert built[0] == 2 * study.n_reps

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from almostdom.calculus import GridFunction, GridSpec, negative_area, positive_area
 from almostdom.coefficients import DominanceFamily, default_grid
@@ -28,6 +30,18 @@ from almostdom.simulation import DoublePareto
 
 IND = SamplingScheme.INDEPENDENT
 MP = SamplingScheme.MATCHED
+
+# SD 1 draws do not see a power-of-two scale 2**k of the data while the data
+# stay finite and every step-scaled term of a draw stays normal, down to the
+# grid step times one observation's share of a scaled CDF, sqrt(n / 2) / n
+_SCALE_RNG = child_rng(46, 0)
+SCALE_PAIRS = PairedSample(
+    _SCALE_RNG.lognormal(0.0, 0.5, 90), _SCALE_RNG.lognormal(0.1, 1.2, 90)
+)
+_HI = max(SCALE_PAIRS.x1.max(), SCALE_PAIRS.x2.max())
+_STEP = (_HI - min(SCALE_PAIRS.x1.min(), SCALE_PAIRS.x2.min())) / 150
+K_MAX = 1024 - int(np.frexp(_HI)[1])
+K_MIN = -1021 - int(np.frexp(_STEP * np.sqrt(45.0) / 90)[1])
 
 
 def cfg_with(**kwargs):
@@ -203,23 +217,26 @@ class TestBootstrapCi:
         np.testing.assert_array_equal(serial.draws, parallel.draws)
         assert serial.ci == parallel.ci and parallel.n_boot_effective == 1
 
-    def test_sd_draws_are_scale_free(self):
-        # first-degree SD does not see the scale of the data, and at 2**-520
-        # the squared area of the difference curve would be subnormal
-        rng = child_rng(46, 0)
-        pairs = PairedSample(rng.lognormal(0.0, 0.5, 90), rng.lognormal(0.1, 1.2, 90))
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(K_MIN, K_MAX))
+    @example(k=-520)  # the squared area of the difference curve is subnormal
+    @example(k=K_MIN)
+    @example(k=K_MAX)
+    def test_sd_draws_are_scale_free(self, k):
         fam = DominanceFamily.sd(1)
         cfg = cfg_with(t_n=0.5, seed=5, n_boot=80)
         results = []
-        for scale in (1.0, 2.0**-520):
-            data = PairedSample(scale * pairs.x1, scale * pairs.x2)
+        for exponent in (0, k):
+            data = PairedSample(
+                np.ldexp(SCALE_PAIRS.x1, exponent), np.ldexp(SCALE_PAIRS.x2, exponent)
+            )
             d1, d2 = EmpiricalDistribution(data.x1), EmpiricalDistribution(data.x2)
             spec = default_grid(fam, d1, d2, 150)
             results.append(bootstrap_ci(data, fam, MP, spec, cfg))
-        base, tiny = results
+        base, scaled = results
         assert 0.0 < base.estimate.c_hat < 1.0
-        np.testing.assert_array_equal(tiny.draws, base.draws)
-        assert tiny.ci == base.ci
+        np.testing.assert_array_equal(scaled.draws, base.draws)
+        assert scaled.ci == base.ci
 
     @pytest.mark.parametrize("scheme", [MP, IND])
     def test_prefix_stability(self, scheme):
@@ -281,22 +298,12 @@ class TestBootstrapCi:
         assert result.boundary
         assert result.ci[0] >= 0.0
 
-    def test_degenerate_resample_raises(self):
-        # resampling {0, 0, 0, 1} yields all-zero draws with high probability
-        pairs = PairedSample(
-            np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0])
-        )
-        fam = DominanceFamily.lorenz(1)
-        cfg = cfg_with(seed=11, n_boot=50)
-        with pytest.raises(NonFiniteDrawError):
-            bootstrap_ci(pairs, fam, MP, GridSpec(64), cfg)
-
     def test_degenerate_resample_skipped_when_opted_in(self):
         pairs = PairedSample(
             np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0])
         )
         fam = DominanceFamily.lorenz(1)
-        cfg = cfg_with(seed=11, n_boot=50, skip_degenerate=True)
+        cfg = cfg_with(seed=11, n_boot=50)
         result = bootstrap_ci(pairs, fam, MP, GridSpec(64), cfg)
         assert result.n_boot_effective < 50
         assert result.draws.size == result.n_boot_effective
@@ -398,7 +405,7 @@ class TestSelectTuning:
         # first coordinate of all zeros: it is skipped and leaves no draw for
         # the interval, and no other replicate is left to average
         pairs = PairedSample([0.0, 0.0, 6.0], [1.0, 2.0, 3.0])
-        cfg = InferenceConfig(t_n=1, seed=0, skip_degenerate=True)
+        cfg = InferenceConfig(t_n=1, seed=0)
         with pytest.raises(NonFiniteDrawError):
             tuning_table(pairs, DominanceFamily.lorenz(1), MP, GridSpec(50), cfg, [0.1, 1.0], 1, 1)
 

@@ -301,6 +301,25 @@ class TestMonteCarlo:
         assert 0 < report.n_failed < study.n_reps
         assert monte_carlo(study, n_jobs=2) == report
 
+    def test_unusable_resamples_do_not_fail_a_replicate(self):
+        # a resample of six draws from {0 (.8), 1 (.2)} is often all zeros, with
+        # no Lorenz curve: it gives no draw, and the replicate fails only when
+        # no draw is left or its own data have no estimate
+        study = MonteCarloStudy(
+            DiscreteLaw([(0.0, 0.8), (1.0, 0.2)]),
+            DiscreteLaw([(1.0, 0.5), (2.0, 0.5)]),
+            DominanceFamily.lorenz(1),
+            MP,
+            (6, 6),
+            InferenceConfig(t_n=1, seed=0, n_boot=50),
+            20,
+            0.3,
+            50,
+        )
+        report = monte_carlo(study)
+        assert report.n_failed == 3
+        assert monte_carlo(study, n_jobs=2) == report
+
     def test_every_replicate_failing_raises(self):
         study = MonteCarloStudy(
             DiscreteLaw([(0.0, 0.999), (1.0, 0.001)]),
