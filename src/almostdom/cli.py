@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -187,10 +188,10 @@ def load_csv(
     if path2 is not None:
         (v1,) = _read_table(path, None, require_nonnegative)
         (v2,) = _read_table(path2, None, require_nonnegative)
-        return Sample(v1, label="1"), Sample(v2, label="2")
+        return Sample(v1), Sample(v2)
     group, value = _read_table(path, "group,value", require_nonnegative)
     first = group == 1.0
-    return Sample(value[first], "1"), Sample(value[~first], "2")
+    return Sample(value[first]), Sample(value[~first])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ class ReportRecord:
     n_boot_effective: int
     seed: int
     boundary_flag: bool
-    runtime_ms: float
+    runtime_ms: float = 0.0  # set by ``main``
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -352,60 +353,56 @@ def _load_data(args, family: DominanceFamily):
     return data, d1, d2, pairs, scheme, GridSpec(args.grid, (parts[0], parts[1]))
 
 
-def _emit_fit_curves(path, family, d1, d2, spec, diff, std) -> None:
+def _fit_curves(family, d1, d2, pairs, scheme, spec, std=None) -> dict[str, np.ndarray]:
+    """The ``--emit-curves`` columns of a fit; ``std`` is computed when not given."""
+    if std is None:
+        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
     curve1, curve2 = family_curves(family, d1, d2, spec)
-    _write_curves(
-        path,
-        {
-            "p": spec.nodes(),
-            "curve1": curve1.values,
-            "curve2": curve2.values,
-            "diff": diff.values,
-            "std": std.values,
-        },
-    )
+    return {
+        "p": spec.nodes(),
+        "curve1": curve1.values,
+        "curve2": curve2.values,
+        "diff": difference_curve(family, d1, d2, spec).values,
+        "std": std.values,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each command returns ``(report, curves, exit_code)``: one record (a
+# dict), or a list of rows for ``tune``; a zero-argument callable giving
+# the ``--emit-curves`` columns, called only when they are asked for; and
+# the exit code. ``main`` times the command, sets ``runtime_ms`` as the
+# last key of every record (``ReportRecord`` keeps its slot there) and
+# writes both.
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args):
     family = _family_from_args(args)
-    start = time.perf_counter()
     _, d1, d2, pairs, scheme, spec = _load_data(args, family)
     est = coefficient(family, d1, d2, spec)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.emit_curves:
-        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
-        _emit_fit_curves(args.emit_curves, family, d1, d2, spec, est.difference, std)
-    _emit(
-        {
-            "family": family.kind.value,
-            "m": family.degree,
-            "direction": family.direction.value,
-            "n1": est.n1,
-            "n2": est.n2,
-            "c_hat": est.c_hat,
-            "pos_area": est.pos_area,
-            "neg_area": est.neg_area,
-            "effective_n": est.effective_n,
-            "size_share": est.size_share,
-            "grid_points": spec.n_points,
-            "domain_lo": spec.domain[0],
-            "domain_hi": spec.domain[1],
-            "runtime_ms": runtime_ms,
-        },
-        args.format,
-        args.output,
-    )
-    return 0
+    report = {
+        "family": family.kind.value,
+        "m": family.degree,
+        "direction": family.direction.value,
+        "n1": est.n1,
+        "n2": est.n2,
+        "c_hat": est.c_hat,
+        "pos_area": est.pos_area,
+        "neg_area": est.neg_area,
+        "effective_n": est.effective_n,
+        "size_share": est.size_share,
+        "grid_points": spec.n_points,
+        "domain_lo": spec.domain[0],
+        "domain_hi": spec.domain[1],
+    }
+    return report, partial(_fit_curves, family, d1, d2, pairs, scheme, spec), 0
 
 
-def _cmd_ci(args) -> int:
+def _cmd_ci(args):
     family = _family_from_args(args)
-    start = time.perf_counter()
-    data, d1, d2, _, scheme, spec = _load_data(args, family)
+    data, d1, d2, pairs, scheme, spec = _load_data(args, family)
     n_jobs = _threads(args)
     if args.tn is not None and args.tune:
         raise InvalidConfigError("pass either --tn or --tune, not both")
@@ -427,11 +424,6 @@ def _cmd_ci(args) -> int:
         )
         cfg = replace(cfg, t_n=selected)
     result = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=n_jobs)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.emit_curves:
-        _emit_fit_curves(
-            args.emit_curves, family, d1, d2, spec, result.estimate.difference, result.std
-        )
     record = ReportRecord(
         family=family.kind.value,
         m=family.degree,
@@ -447,26 +439,21 @@ def _cmd_ci(args) -> int:
         n_boot_effective=result.n_boot_effective,
         seed=cfg.seed,
         boundary_flag=result.boundary,
-        runtime_ms=runtime_ms,
     )
-    _emit(record.to_dict(), args.format, args.output)
-    if args.strict and result.boundary:
-        return 3
-    return 0
+    curves = partial(_fit_curves, family, d1, d2, pairs, scheme, spec, result.std)
+    return record.to_dict(), curves, 3 if args.strict and result.boundary else 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     preset = PRESETS[args.preset]
     family = preset["family"]
-    scheme = _scheme_from_args(args)
-    start = time.perf_counter()
     true_c = population_coefficient(preset["dgp1"], preset["dgp2"], family)
     cfg = InferenceConfig(t_n=args.tn, seed=args.seed, n_boot=args.boot, alpha=args.alpha)
     study = MonteCarloStudy(
         dgp1=preset["dgp1"],
         dgp2=preset["dgp2"],
         family=family,
-        scheme=scheme,
+        scheme=_scheme_from_args(args),
         sizes=(args.n1, args.n2),
         cfg=cfg,
         n_reps=args.reps,
@@ -474,47 +461,39 @@ def _cmd_simulate(args) -> int:
         grid_points=args.grid,
     )
     report = monte_carlo(study, n_jobs=_threads(args))
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.emit_curves:
+    record = {
+        "preset": args.preset,
+        "family": family.kind.value,
+        "m": family.degree,
+        "direction": family.direction.value,
+        "scheme": args.scheme,
+        "n1": args.n1,
+        "n2": args.n2,
+        "reps": args.reps,
+        "boot": args.boot,
+        "seed": args.seed,
+        "true_c": true_c,
+        "Mean": report.mean,
+        "Bias": report.bias,
+        "SE": report.se,
+        "RMSE": report.rmse,
+        "t_n": cfg.t_n,
+        "CR": report.cr,
+        "CR_se": report.cr_se,
+        "failed": report.n_failed,
+    }
+
+    def curves():
         spec, curve1, curve2, diff = population_curves(
             preset["dgp1"], preset["dgp2"], family, args.grid
         )
-        _write_curves(
-            args.emit_curves,
-            {"p": spec.nodes(), "curve1": curve1, "curve2": curve2, "diff": diff},
-        )
-    _emit(
-        {
-            "preset": args.preset,
-            "family": family.kind.value,
-            "m": family.degree,
-            "direction": family.direction.value,
-            "scheme": args.scheme,
-            "n1": args.n1,
-            "n2": args.n2,
-            "reps": args.reps,
-            "boot": args.boot,
-            "seed": args.seed,
-            "true_c": true_c,
-            "Mean": report.mean,
-            "Bias": report.bias,
-            "SE": report.se,
-            "RMSE": report.rmse,
-            "t_n": cfg.t_n,
-            "CR": report.cr,
-            "CR_se": report.cr_se,
-            "failed": report.n_failed,
-            "runtime_ms": runtime_ms,
-        },
-        args.format,
-        args.output,
-    )
-    return 0
+        return {"p": spec.nodes(), "curve1": curve1, "curve2": curve2, "diff": diff}
+
+    return record, curves, 0
 
 
-def _cmd_tune(args) -> int:
+def _cmd_tune(args):
     family = _family_from_args(args)
-    start = time.perf_counter()
     data, d1, d2, pairs, scheme, spec = _load_data(args, family)
     cfg = InferenceConfig(t_n=1.0, seed=args.seed, xi0=args.xi0, alpha=args.alpha)
     candidates = _parse_floats(args.candidates, "--candidates")
@@ -522,11 +501,6 @@ def _cmd_tune(args) -> int:
         data, family, scheme, spec, cfg, candidates, args.cal_reps, args.cal_boot,
         n_jobs=_threads(args),
     )
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.emit_curves:
-        diff = difference_curve(family, d1, d2, spec)
-        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
-        _emit_fit_curves(args.emit_curves, family, d1, d2, spec, diff, std)
     rows = [
         {
             "t_n": t,
@@ -534,16 +508,13 @@ def _cmd_tune(args) -> int:
             "selected": t == table.selected,
             "pseudo_true": table.pseudo_true,
             "cal_failed": table.n_failed,
-            "runtime_ms": runtime_ms,
         }
         for t, cov in zip(table.candidates, table.coverage)
     ]
-    _emit(rows, args.format, args.output)
-    return 0
+    return rows, partial(_fit_curves, family, d1, d2, pairs, scheme, spec), 0
 
 
-def _cmd_measures(args) -> int:
-    start = time.perf_counter()
+def _cmd_measures(args):
     (values,) = _read_table(args.input, None, require_nonnegative=True)
     dist = EmpiricalDistribution(values)
     spec = GridSpec(args.grid, (0.0, 1.0))
@@ -551,32 +522,25 @@ def _cmd_measures(args) -> int:
         raise InvalidConfigError(f"unknown preference {args.preference!r}")
     pref = cubic_preference()
     result = rank_measures(dist, pref, spec)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.emit_curves:
+    record = {
+        "n": dist.n,
+        "mean": result.mean,
+        "welfare": result.welfare,
+        "inequality": result.inequality,
+        "preference": pref.name,
+        "grid_points": spec.n_points,
+    }
+
+    def curves():
         nodes = spec.nodes()
-        _write_curves(
-            args.emit_curves,
-            {
-                "p": nodes,
-                "quantile": dist.quantile(nodes),
-                "lorenz": dist.lorenz(nodes),
-                "weight": pref.weight(nodes),
-            },
-        )
-    _emit(
-        {
-            "n": dist.n,
-            "mean": result.mean,
-            "welfare": result.welfare,
-            "inequality": result.inequality,
-            "preference": pref.name,
-            "grid_points": spec.n_points,
-            "runtime_ms": runtime_ms,
-        },
-        args.format,
-        args.output,
-    )
-    return 0
+        return {
+            "p": nodes,
+            "quantile": dist.quantile(nodes),
+            "lorenz": dist.lorenz(nodes),
+            "weight": pref.weight(nodes),
+        }
+
+    return record, curves, 0
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +667,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        start = time.perf_counter()
+        report, curves, code = args.func(args)
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        for record in report if isinstance(report, list) else [report]:
+            record["runtime_ms"] = runtime_ms
+        if args.emit_curves:
+            _write_curves(args.emit_curves, curves())
+        _emit(report, args.format, args.output)
+        return code
     except (OSError, AlmostDomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DegenerateCurvesError) else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -36,7 +36,12 @@ from .calculus import (
     positive_area,
 )
 from .empirical import EmpiricalDistribution
-from .errors import InvalidConfigError, InvalidFamilyDegreeError, ZeroMeanError
+from .errors import (
+    InvalidConfigError,
+    InvalidFamilyDegreeError,
+    NumericOverflowError,
+    ZeroMeanError,
+)
 
 __all__ = [
     "Family",
@@ -295,13 +300,20 @@ def rank_measures(
     Welfare is the weight-averaged quantile ``sum of weight(p) * Q(p)``
     over the grid; the inequality index is ``1 - welfare / mean``, so the
     identity ``welfare = mean * (1 - inequality)`` holds exactly in the
-    same quadrature. A constant sample has inequality 0.
+    same quadrature. A constant sample has inequality 0. Raises
+    ``NumericOverflowError`` when the sample sum or the welfare sum
+    overflows the float range.
     """
     if spec.domain != (0.0, 1.0):
         raise InvalidConfigError("rank measures need a grid on [0, 1]")
+    if not np.isfinite(dist.mean):
+        raise NumericOverflowError("the sample sum overflows the float range")
     if dist.mean <= 0.0:
         raise ZeroMeanError("rank measures need a positive sample mean")
     nodes = spec.nodes()
-    welfare = float(np.sum(pref.weight(nodes) * dist.quantile(nodes)) * spec.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        welfare = float(np.sum(pref.weight(nodes) * dist.quantile(nodes)) * spec.step)
+    if not np.isfinite(welfare):
+        raise NumericOverflowError("the welfare sum overflows the float range")
     inequality = 1.0 - welfare / dist.mean
     return RankMeasures(inequality=inequality, welfare=welfare, mean=dist.mean)

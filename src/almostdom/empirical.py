@@ -59,7 +59,6 @@ class Sample:
     """
 
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_clean_array(self.values, "sample"))

@@ -179,9 +179,6 @@ class DiscreteLaw:
     def mean(self) -> float:
         return float(np.sum(self.values * self.probs))
 
-    def support(self) -> tuple[float, float]:
-        return float(self.values[0]), float(self.values[-1])
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.values, size=n, p=self.probs)
 
@@ -190,7 +187,7 @@ def sample_dgp(dgp, n: int, rng: np.random.Generator) -> Sample:
     """Draw n iid values from a DGP (inverse-CDF for continuous laws)."""
     if n < 1:
         raise InvalidConfigError(f"sample size must be >= 1, got {n}")
-    return Sample(dgp.sample(n, rng), label=repr(dgp))
+    return Sample(dgp.sample(n, rng))
 
 
 def _iterate(values: np.ndarray, step: float, passes: int, downward: bool) -> np.ndarray:

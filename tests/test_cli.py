@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import almostdom.cli
@@ -486,6 +486,46 @@ def test_any_input_gives_a_result_or_one_error_line(case):
     assert [str(w.message) for w in caught] == []
 
 
+
+@st.composite
+def measures_and_simulate_cases(draw):
+    """A single-column file and ``measures`` flags, or ``simulate`` flags alone."""
+    if draw(st.booleans()):
+        rows = [draw(cells) for _ in range(draw(st.integers(1, 6)))]
+        grid = draw(st.sampled_from(["2", "3", "10", "1000"]))
+        return "\n".join(rows) + "\n", ["measures", "--grid", grid]
+
+    def pick(*values):
+        return str(draw(st.sampled_from(values)))
+
+    return None, [
+        "simulate", "--preset", pick(*sorted(PRESETS)), "--scheme", pick("matched", "ind"),
+        "--n1", pick(0, 1, 2, 3, 7), "--n2", pick(0, 1, 2, 3, 7),
+        "--reps", pick(0, 1, 2), "--boot", pick(0, 1, 3),
+        "--tn", pick(0, -1, 1e-300, 1, 1e300, "nan"), "--grid", pick(1, 2, 3, 10),
+        "--alpha", pick(0, 0.05, 0.49, "nan"), "--seed", pick(-1, 0, 5, 2**64),
+        "--threads", "1",
+    ]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(measures_and_simulate_cases())
+@example(("value\n1e308\n1e308\n1\n", ["measures", "--grid", "2"]))
+def test_measures_and_simulate_give_a_result_or_one_error_line(case):
+    text, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            args = args + ["--input", write(Path(tmp) / "data.csv", text)]
+        code, out, err, caught = run_quietly(args)
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    assert err == "" or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
+    if args[0] == "measures" and code == 0:
+        record = json.loads(out)
+        assert np.isfinite([record["mean"], record["welfare"], record["inequality"]]).all()
+
+
 class TestCiCommand:
     def args(self, matched_file, out, seed=3):
         return [
@@ -833,3 +873,78 @@ class TestMeasuresCommand:
         path = write(tmp_path / "vals.csv", "1\n2\n")
         code = run_cli(["measures", "--input", path, "--preference", "linear"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [("value\n1e308\n1e308\n1\n", "2"), ("value\n1.7e308\n0\n0\n0\n", "1000")],
+        ids=["sample-sum", "welfare-sum"],
+    )
+    def test_overflow_is_one_error_line(self, text, grid, tmp_path):
+        path = write(tmp_path / "vals.csv", text)
+        code, out, err, caught = run_quietly(["measures", "--input", path, "--grid", grid])
+        assert code == 1 and out == "" and caught == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
+
+FIT_CURVES = ["p", "curve1", "curve2", "diff", "std"]
+# each command's flags (beyond --input), record keys in order, and curve columns
+LAYOUTS = {
+    "estimate": (
+        ["--family", "lorenz", "--scheme", "matched"],
+        ["family", "m", "direction", "n1", "n2", "c_hat", "pos_area", "neg_area",
+         "effective_n", "size_share", "grid_points", "domain_lo", "domain_hi", "runtime_ms"],
+        FIT_CURVES,
+    ),
+    "ci": (
+        ["--family", "lorenz", "--scheme", "matched", "--tn", "0.01", "--boot", "20"],
+        ["family", "m", "direction", "n1", "n2", "c_hat", "ci_lo", "ci_hi", "t_n", "xi0",
+         "n_boot", "n_boot_effective", "seed", "boundary_flag", "runtime_ms"],
+        FIT_CURVES,
+    ),
+    "simulate": (
+        ["--preset", "sdc-b", "--n1", "20", "--n2", "20", "--reps", "2", "--boot", "10",
+         "--tn", "0.001"],
+        ["preset", "family", "m", "direction", "scheme", "n1", "n2", "reps", "boot", "seed",
+         "true_c", "Mean", "Bias", "SE", "RMSE", "t_n", "CR", "CR_se", "failed", "runtime_ms"],
+        ["p", "curve1", "curve2", "diff"],
+    ),
+    "tune": (
+        ["--family", "isd", "--m", "3", "--scheme", "matched", "--candidates", "0.01,1",
+         "--cal-reps", "2", "--cal-boot", "5"],
+        ["t_n", "coverage", "selected", "pseudo_true", "cal_failed", "runtime_ms"],
+        FIT_CURVES,
+    ),
+    "measures": (
+        [],
+        ["n", "mean", "welfare", "inequality", "preference", "grid_points", "runtime_ms"],
+        ["p", "quantile", "lorenz", "weight"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", list(LAYOUTS))
+def test_record_layout(command, fmt, matched_file, tmp_path):
+    flags, keys, columns = LAYOUTS[command]
+    if command == "measures":
+        flags = ["--input", write(tmp_path / "vals.csv", "value\n1\n2\n5\n")]
+    elif command != "simulate":
+        flags = flags + ["--input", matched_file]
+    out, curves = tmp_path / "report", tmp_path / "curves.csv"
+    code = run_cli([command, *flags, "--grid", "20", "--threads", "1", "--format", fmt,
+                    "--output", out, "--emit-curves", curves])
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out.read_text())
+        assert isinstance(payload, list) == (command == "tune")
+        rows = payload if command == "tune" else [payload]
+        assert [list(row) for row in rows] == [keys] * len(rows)
+        times = [row["runtime_ms"] for row in rows]
+    else:
+        header, *rows = list(csv.reader(out.read_text().splitlines()))
+        assert header == keys
+        times = [float(row[-1]) for row in rows]
+    assert len(times) == (2 if command == "tune" else 1)
+    assert len(set(times)) == 1 and times[0] >= 0.0
+    assert next(csv.reader(curves.read_text().splitlines())) == columns
