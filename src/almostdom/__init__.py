@@ -13,8 +13,6 @@ from .calculus import (
     GridFunction,
     GridSpec,
     area_ratio,
-    integrate_down,
-    integrate_up,
     negative_area,
     positive_area,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "GridFunction",
     "GridSpec",
     "area_ratio",
-    "integrate_down",
-    "integrate_up",
     "negative_area",
     "positive_area",
     "CoefficientEstimate",

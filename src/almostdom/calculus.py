@@ -8,8 +8,10 @@ plain rectangle rule second-order accurate for smooth integrands.
 
 Integrals are rectangle sums over the node set. Cumulative (prefix or
 suffix) sums include the current node, so a single pass of
-:func:`integrate_up` carries an O(step) bias that is shared by every
-curve entering a ratio and cancels to first order there.
+:func:`iterated_cumsum` carries an O(step) bias that is shared by every
+curve entering a ratio and cancels to first order there. A dominance
+family's degree-raising operator is a number of such passes
+(:meth:`~almostdom.coefficients.DominanceFamily.integrate`).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .errors import (
 __all__ = [
     "GridSpec",
     "GridFunction",
-    "integrate_up",
-    "integrate_down",
     "positive_area",
     "negative_area",
     "area_ratio",
@@ -127,34 +127,6 @@ def iterated_cumsum(
         np.cumsum(view, axis=axis, out=view)
         view *= step
     return out
-
-
-def integrate_up(f: GridFunction, m: int) -> GridFunction:
-    """Iterated integral from the lower endpoint, of operator degree ``m``.
-
-    Degree 1 is the identity; degree ``m >= 2`` applies ``m - 1``
-    cumulative-integral passes, so degree 2 of ``f == 1`` on [0, 1] is
-    approximately ``p`` and degree 3 of ``f(p) == p`` is approximately
-    ``p**3 / 6``.
-    """
-    return _integrated(f, m, downward=False)
-
-
-def integrate_down(f: GridFunction, m: int) -> GridFunction:
-    """Iterated integral toward the upper endpoint; mirror of :func:`integrate_up`."""
-    return _integrated(f, m, downward=True)
-
-
-def _integrated(f: GridFunction, m: int, downward: bool) -> GridFunction:
-    if m < 1:
-        raise InvalidConfigError(f"operator degree must be >= 1, got {m}")
-    if m == 1:
-        return f
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = iterated_cumsum(f.values, f.spec.step, m - 1, downward)
-    if not np.all(np.isfinite(values)):
-        raise NumericOverflowError(f"degree-{m} integral overflows the float range")
-    return GridFunction(f.spec, values)
 
 
 def _area(values: np.ndarray, step: float) -> float:

@@ -30,8 +30,7 @@ from .calculus import (
     GridFunction,
     GridSpec,
     area_ratio,
-    integrate_down,
-    integrate_up,
+    iterated_cumsum,
     negative_area,
     positive_area,
 )
@@ -121,6 +120,21 @@ class DominanceFamily:
         family degree.
         """
         return self.degree - 1 if self.kind is Family.INVERSE_SD else self.degree
+
+    def integrate(self, values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
+        """The family's iterated-integration operator along ``axis``.
+
+        Applies ``operator_degree - 1`` cumulative-integral passes, from the
+        lower end (upward) or toward the upper end (downward), to a copy of
+        ``values``; at operator degree 1 it returns ``values`` itself. This
+        is the only map from a family's degree and direction to passes used
+        by the estimator, the bootstrap replicates and the studentization.
+        """
+        passes = self.operator_degree - 1
+        if not passes:
+            return values
+        downward = self.direction is Direction.DOWN
+        return iterated_cumsum(values, step, passes, downward, axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +227,13 @@ def _check_grid(family: DominanceFamily, d1, d2, spec: GridSpec) -> None:
 
 
 def _raise_degree(family: DominanceFamily, base: GridFunction) -> GridFunction:
-    if family.direction is Direction.DOWN:
-        return integrate_down(base, family.operator_degree)
-    return integrate_up(base, family.operator_degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = family.integrate(base.values, base.spec.step)
+    if not np.all(np.isfinite(values)):
+        raise NumericOverflowError(
+            f"degree-{family.operator_degree} integral overflows the float range"
+        )
+    return GridFunction(base.spec, values)
 
 
 def family_curves(
@@ -300,7 +318,9 @@ def rank_measures(
     Welfare is the weight-averaged quantile ``sum of weight(p) * Q(p)``
     over the grid; the inequality index is ``1 - welfare / mean``, so the
     identity ``welfare = mean * (1 - inequality)`` holds exactly in the
-    same quadrature. A constant sample has inequality 0. Raises
+    same quadrature. Under the cubic preference a constant sample has
+    inequality ``1/(4 G**2)`` on G nodes, not 0, because the midpoint sum
+    of the cubic weights is ``1 - 1/(4 G**2)``. Raises
     ``NumericOverflowError`` when the sample sum or the welfare sum
     overflows the float range.
     """

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, iterated_cumsum
-from .coefficients import Direction, DominanceFamily, Family
+from .calculus import GridFunction, GridSpec
+from .coefficients import DominanceFamily, Family
 from .empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from .errors import (
     DomainError,
@@ -116,11 +116,11 @@ def _row_squares(centered: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", centered, centered)
 
 
-def _chunked_cov(make_block, n_obs, spec, square, passes, downward) -> np.ndarray:
+def _chunked_cov(make_block, n_obs, spec, square, family) -> np.ndarray:
     """Sample covariance of the blocks ``make_block(lo, hi)`` (nodes by
-    observations [lo, hi)), each integrated ``passes`` times along the node
-    axis and reduced by ``square``. Chan et al.'s pairwise update merges each
-    chunk's mean and scatter into the running ones."""
+    observations [lo, hi)), each raised by ``family``'s integration operator
+    along the node axis and reduced by ``square``. Chan et al.'s pairwise
+    update merges each chunk's mean and scatter into the running ones."""
     n_points = spec.n_points
     chunk = max(1, _CHUNK_BUDGET // n_points)
     count = 0
@@ -128,8 +128,7 @@ def _chunked_cov(make_block, n_obs, spec, square, passes, downward) -> np.ndarra
     scatter = square(np.zeros((n_points, 0)))  # the scatter of no observations
     for lo in range(0, n_obs, chunk):
         block = make_block(lo, min(lo + chunk, n_obs))
-        if passes:
-            block = iterated_cumsum(block, spec.step, passes, downward, axis=0)
+        block = family.integrate(block, spec.step, axis=0)
         size = block.shape[1]
         block_mean = block.mean(axis=1)
         block -= block_mean[:, None]
@@ -143,16 +142,14 @@ def _chunked_cov(make_block, n_obs, spec, square, passes, downward) -> np.ndarra
     return scatter / (n_obs - 1)
 
 
-def _transform_cov(
-    kind, d1, d2, pairs, scheme, spec, square, passes=0, downward=False
-) -> np.ndarray:
-    """Covariance of the family's (integrated) transform under ``scheme``."""
-    transform = _lorenz_rows if kind is Family.LORENZ else _min_rows
+def _transform_cov(family, d1, d2, pairs, scheme, spec, square) -> np.ndarray:
+    """Covariance of the family's integrated transform under ``scheme``."""
+    transform = _lorenz_rows if family.kind is Family.LORENZ else _min_rows
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
 
     def cov(make_block, n_obs):
-        return _chunked_cov(make_block, n_obs, spec, square, passes, downward)
+        return _chunked_cov(make_block, n_obs, spec, square, family)
 
     if scheme is SamplingScheme.MATCHED:
         w2, w1 = np.sqrt(share1), np.sqrt(1.0 - share1)
@@ -179,7 +176,7 @@ def lorenz_kernel(
 ) -> CovKernel:
     """Covariance kernel of the Lorenz-difference fluctuation process."""
     _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_cov(Family.LORENZ, d1, d2, pairs, scheme, spec, _gram)
+    matrix = _transform_cov(DominanceFamily.lorenz(1), d1, d2, pairs, scheme, spec, _gram)
     return CovKernel(spec, matrix, Family.LORENZ, scheme)
 
 
@@ -192,7 +189,9 @@ def isd_kernel(
 ) -> CovKernel:
     """Covariance kernel of the integrated-quantile-difference process."""
     _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_cov(Family.INVERSE_SD, d1, d2, pairs, scheme, spec, _gram)
+    # degree 2 is operator degree 1: the kernel of the integrated quantile itself
+    family = DominanceFamily.inverse_sd(2)
+    matrix = _transform_cov(family, d1, d2, pairs, scheme, spec, _gram)
     return CovKernel(spec, matrix, Family.INVERSE_SD, scheme)
 
 
@@ -239,13 +238,8 @@ def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
             f"kernel estimates the {kernel.family_kind.value} process, "
             f"family is {family.kind.value}"
         )
-    passes = family.operator_degree - 1
-    matrix = kernel.matrix
-    if passes:
-        downward = family.direction is Direction.DOWN
-        step = kernel.spec.step
-        matrix = iterated_cumsum(matrix, step, passes, downward, axis=0)
-        matrix = iterated_cumsum(matrix, step, passes, downward, axis=1)
+    step = kernel.spec.step
+    matrix = family.integrate(family.integrate(kernel.matrix, step, axis=0), step, axis=1)
     return _std(kernel.spec, np.diagonal(matrix))
 
 
@@ -285,15 +279,11 @@ def std_curve_for(
     cost O(n * G), and integrates :func:`sd_kernel` above it.
     """
     _check_scheme(scheme, pairs, d1, d2)
-    passes = family.operator_degree - 1
     # a variance that overflows is not finite, and _std raises
     with np.errstate(over="ignore", invalid="ignore"):
         if family.kind is not Family.SD:
-            downward = family.direction is Direction.DOWN
-            var = _transform_cov(
-                family.kind, d1, d2, pairs, scheme, spec, _row_squares, passes, downward
-            )
-        elif passes:
+            var = _transform_cov(family, d1, d2, pairs, scheme, spec, _row_squares)
+        elif family.degree > 1:
             return std_curve(sd_kernel(d1, d2, pairs, scheme, spec), family)
         else:
             var = _sd_variance(d1, d2, pairs, scheme, spec)

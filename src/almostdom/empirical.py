@@ -36,7 +36,8 @@ class SamplingScheme(Enum):
     MATCHED = "matched"
 
 
-def _as_clean_array(values, what: str) -> np.ndarray:
+def _checked_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, which must be a nonempty, finite, 1-D sample."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError(f"{what} must be one-dimensional, got shape {arr.shape}")
@@ -44,7 +45,11 @@ def _as_clean_array(values, what: str) -> np.ndarray:
         raise EmptySampleError(f"{what} contains no observations")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} contains non-finite values")
-    arr = arr.copy()
+    return arr
+
+
+def _as_clean_array(values, what: str) -> np.ndarray:
+    arr = _checked_array(values, what).copy()
     arr.flags.writeable = False
     return arr
 
@@ -53,9 +58,11 @@ def _as_clean_array(values, what: str) -> np.ndarray:
 class Sample:
     """One sample of outcome values.
 
-    Values may be any finite reals; the Lorenz and inverse-dominance
-    families additionally expect nonnegative outcomes with a positive
-    mean, which is enforced where those curves are built.
+    Values may be any finite reals. The Lorenz and inverse-dominance
+    families are meant for nonnegative outcomes, but the library does not
+    check the sign: only the CLI reader rejects negative values for those
+    families, and the library requires only a positive mean, and only for
+    Lorenz curves.
     """
 
     values: np.ndarray
@@ -117,12 +124,7 @@ class EmpiricalDistribution:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise EmptySampleError("empirical distribution needs a nonempty 1-D sample")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample contains non-finite values")
-        sorted_values = np.sort(arr)
+        sorted_values = np.sort(_checked_array(values, "sample"))
         sorted_values.flags.writeable = False
         self.sorted_values = sorted_values
         self.n = int(sorted_values.size)

@@ -51,20 +51,8 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import (
-    GridFunction,
-    GridSpec,
-    iterated_cumsum,
-    negative_area,
-    positive_area,
-)
-from .coefficients import (
-    CoefficientEstimate,
-    Direction,
-    DominanceFamily,
-    Family,
-    coefficient,
-)
+from .calculus import GridFunction, GridSpec, negative_area, positive_area
+from .coefficients import CoefficientEstimate, DominanceFamily, Family, coefficient
 from .covariance import std_curve_for
 from .empirical import (
     EmpiricalDistribution,
@@ -446,10 +434,7 @@ def _replicate_rows(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.n
                 for cq, mean in ((cq1, mean1), (cq2, mean2)):
                     cq /= np.where((mean > 0.0) & (mean < np.inf), mean, np.nan)[:, None]
             rows = np.subtract(cq2, cq1, out=cq2)
-        passes = prep.family.operator_degree - 1
-        if passes:
-            down = prep.family.direction is Direction.DOWN
-            rows = iterated_cumsum(rows, prep.spec.step, passes, down, axis=1)
+        rows = prep.family.integrate(rows, prep.spec.step, axis=1)
         rows -= prep.diff.values
         rows *= prep.root_n
     return rows, np.isfinite(rows).all(axis=1)
@@ -635,6 +620,8 @@ def tuning_table(
         raise InvalidConfigError(f"n_cal_reps must be >= 1, got {n_cal_reps}")
     if n_cal_boot < 1:
         raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
+    for t_n in candidates:  # a bad candidate is a bad request, whatever the data
+        replace(cfg, t_n=t_n)
     estimate, base = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
     results = _coverage_study(
         partial(_resample, base), family, scheme, replace(cfg, n_boot=n_cal_boot),

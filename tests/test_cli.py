@@ -350,15 +350,23 @@ class TestBadInput:
               "--emit-curves", "DIR"], "DIR"),
             (["tune", "--family", "lorenz", "--scheme", "matched", "--input", "DATA",
               "--boot", "5"], "--boot"),
+            # at seeds 1 and 4 every calibration replicate of these two pairs
+            # fails, which must not hide the bad candidate
+            *((["tune", "--family", "lorenz", "--scheme", "matched", "--input", "TWO",
+                "--candidates=-1,1", "--cal-reps", "1", "--cal-boot", "5", "--grid", "4",
+                "--seed", seed, "--threads", "1"], "t_n must be positive")
+              for seed in ("1", "4")),
         ],
         ids=[
             "simulate-grid-1", "unknown-family", "boot-not-int", "missing-family",
             "output-directory", "curves-directory", "tune-boot",
+            "tune-bad-candidate-seed-1", "tune-bad-candidate-seed-4",
         ],
     )
     def test_one_named_error_line(self, argv, named, matched_file, tmp_path, capsys):
         # usage errors and write failures exit 1 with one line naming the cause
-        paths = {"DATA": matched_file, "DIR": str(tmp_path)}
+        two = write(tmp_path / "two.csv", "x1,x2\n1,1\n2,3\n")
+        paths = {"DATA": matched_file, "DIR": str(tmp_path), "TWO": two}
         code = run_cli([paths.get(a, a) for a in argv])
         err = capsys.readouterr().err
         assert code == 1
@@ -524,6 +532,62 @@ def test_measures_and_simulate_give_a_result_or_one_error_line(case):
     if args[0] == "measures" and code == 0:
         record = json.loads(out)
         assert np.isfinite([record["mean"], record["welfare"], record["inequality"]]).all()
+
+
+# rows a CSV file may hold besides clean data: blank or whitespace-only
+BLANK_ROWS = [b"", b"   ", b" \t ", b",", b" , "]
+LONG = 100_000  # characters in one field
+
+
+@st.composite
+def tuning_cases(draw):
+    """The bytes of an input file and the flags of ``ci --tune`` or ``tune``."""
+    scheme = draw(st.sampled_from(["matched", "ind"]))
+    if scheme == "matched":
+        header, rows = b"x1,x2", [b"1,2", b"2,1", b"1,3", b"3,3", b"0.5,4"]
+    else:
+        header, rows = b"group,value", [b"1,1", b"2,2", b"1,3", b"2,0.5", b"1,4", b"2,5"]
+    extra = draw(st.lists(st.sampled_from(rows + BLANK_ROWS), max_size=5))
+    body = list(draw(st.permutations(rows[:3] + extra)))
+    # every list of choices leads with a valid one, which hypothesis draws most
+    odd = draw(st.sampled_from([None, "long", "byte", "bom"]))
+    if odd == "bom":
+        header = b"\xef\xbb\xbf" + header
+    elif odd is not None:
+        field = b"\xff" if odd == "byte" else draw(st.sampled_from(
+            [b"1" * LONG, b"0." + b"0" * LONG + b"1", b"x" * LONG, b" " * LONG + b"2"]
+        ))
+        body.insert(draw(st.integers(0, len(body))), b"1," + field)
+    candidates = draw(st.lists(
+        st.sampled_from(["1", "20", "inf", "1e-300", "", "0", "-1", "nan"]),
+        min_size=1, max_size=3,
+    ))
+
+    def pick(*values):
+        return str(draw(st.sampled_from(values)))
+
+    family = pick("lorenz", "isd", "sd")
+    args = draw(st.sampled_from([["ci", "--tune", "--boot", "5"], ["tune"]])) + [
+        "--family", family, "--m", pick(2, 3) if family == "isd" else pick(1, 2, 3),
+        "--dir", pick("up", "down"), "--scheme", scheme, "--grid", pick(2, 3, 10),
+        f"--candidates={','.join(candidates)}", "--cal-reps", pick(1, 2, 3, 0),
+        "--cal-boot", pick(3, 1, 0), "--threads", "1",
+    ]
+    return b"\n".join([header] + body) + b"\n", args
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tuning_cases())
+def test_tuning_gives_a_result_or_one_error_line(case):
+    data, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        code, _, err, caught = run_quietly(args + ["--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    assert err == "" or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
 
 
 class TestCiCommand:

@@ -61,6 +61,26 @@ class TestDominanceFamily:
         assert DominanceFamily.inverse_sd(3).operator_degree == 2
         assert DominanceFamily.sd(2).operator_degree == 2
 
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            (DominanceFamily.lorenz(2), lambda p: p),
+            (DominanceFamily.lorenz(2, Direction.DOWN), lambda p: 1.0 - p),
+            (DominanceFamily.sd(3), lambda p: p**2 / 2.0),
+            (DominanceFamily.inverse_sd(4), lambda p: p**2 / 2.0),
+            (DominanceFamily.inverse_sd(4, Direction.DOWN), lambda p: (1.0 - p) ** 2 / 2.0),
+        ],
+        ids=["lorenz2", "lorenz2down", "sd3", "isd4", "isd4down"],
+    )
+    def test_integrate_follows_degree_and_direction(self, family, expected):
+        # operator_degree - 1 passes over the constant 1, along the given axis
+        spec = GridSpec(1000)
+        ones = np.ones((spec.n_points, 2))
+        ones[:, 1] = 2.0
+        result = family.integrate(ones, spec.step, axis=0)
+        assert np.max(np.abs(result[:, 0] - expected(spec.nodes()))) <= spec.step
+        np.testing.assert_array_equal(result[:, 1], 2.0 * result[:, 0])
+
 
 class TestDifferenceCurve:
     def test_identical_samples_vanish(self):
@@ -224,6 +244,14 @@ class TestRankMeasures:
         assert abs(result.welfare - 7.0) < 1e-3
         assert abs(result.inequality) < 1e-3
         assert result.mean == 7.0
+
+    @pytest.mark.parametrize("n_points", [2, 10, 1000])
+    def test_constant_sample_inequality_is_quadrature_error(self, n_points):
+        # the cubic weights' midpoint sum is 1 - 1/(4 G**2), not 1
+        dist = EmpiricalDistribution(np.full(5, 3.0))
+        result = rank_measures(dist, cubic_preference(), GridSpec(n_points))
+        eps = np.finfo(float).eps
+        assert abs(result.inequality - 1.0 / (4 * n_points**2)) <= 4 * eps
 
     def test_flat_weight_gives_mean(self):
         from almostdom.coefficients import PreferenceFunction

@@ -47,6 +47,16 @@ class TestBuildEmpirical:
         with pytest.raises(EmptySampleError):
             Sample(np.array([]))
 
+    @pytest.mark.parametrize(
+        "make",
+        [EmpiricalDistribution, Sample, lambda v: PairedSample(v, np.ones(2))],
+        ids=["empirical", "sample", "paired"],
+    )
+    def test_two_dimensional_raises(self, make):
+        # one check for every sample class: the same error for the same fault
+        with pytest.raises(DomainError, match="one-dimensional"):
+            make(np.ones((2, 2)))
+
     def test_mean_matches_average(self):
         rng = child_rng(1, 0)
         values = rng.lognormal(size=500)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from almostdom.calculus import GridFunction, GridSpec, integrate_down, integrate_up
+from almostdom.calculus import GridFunction, GridSpec
 from almostdom.coefficients import Family
 from almostdom.covariance import CovKernel
 from almostdom.empirical import SamplingScheme
@@ -13,7 +13,6 @@ from almostdom.rng import child_rng
 from almostdom.simulation import DiscreteLaw, DoublePareto, sample_dgp
 
 SPEC = GridSpec(4)
-ONES = GridFunction(SPEC, np.ones(4))
 MASK = np.array([True, False, False, False])
 
 CASES = {
@@ -21,8 +20,6 @@ CASES = {
     "grid_function_finite": (
         DomainError, lambda: GridFunction(SPEC, np.array([1.0, np.inf, 0.0, 0.0]))
     ),
-    "integrate_up_degree": (InvalidConfigError, lambda: integrate_up(ONES, 0)),
-    "integrate_down_degree": (InvalidConfigError, lambda: integrate_down(ONES, 0)),
     "contact_sets_shape": (
         DomainError, lambda: ContactSets(MASK, ~MASK, np.zeros(3, dtype=bool))
     ),

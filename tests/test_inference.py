@@ -382,6 +382,14 @@ class TestSelectTuning:
             tuning_table(
                 single, DominanceFamily.lorenz(1), IND, GridSpec(10), cfg_with(), [1.0], 3, 5
             )
+        # every replicate of this two-pair sample fails before it reaches the
+        # candidates; the bad candidate is still the reported error
+        two = PairedSample([1.0, 2.0], [1.0, 3.0])
+        with pytest.raises(InvalidConfigError, match="t_n"):
+            tuning_table(
+                two, DominanceFamily.lorenz(1), MP, GridSpec(4), cfg_with(t_n=1.0, seed=1),
+                [-1.0, 1.0], 1, 5,
+            )
 
     def test_parallel_matches_serial(self):
         pairs, fam, spec = self.small_setup()
