@@ -104,7 +104,8 @@ def _read_table(
     file order is reported, with 1-based row numbers that count the header.
     """
     try:
-        with open(path, newline="") as handle:
+        # utf-8-sig drops the byte-order mark that spreadsheet programs write
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except FileNotFoundError:
         raise

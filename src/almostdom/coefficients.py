@@ -127,8 +127,10 @@ class DominanceFamily:
         Applies ``operator_degree - 1`` cumulative-integral passes, from the
         lower end (upward) or toward the upper end (downward), to a copy of
         ``values``; at operator degree 1 it returns ``values`` itself. This
-        is the only map from a family's degree and direction to passes used
-        by the estimator, the bootstrap replicates and the studentization.
+        is the map from a family's degree and direction to passes used by
+        the estimator, the bootstrap replicates and the SD studentization
+        kernel; the rank-bin studentization of the Lorenz and inverse-SD
+        families runs the same passes through its sums.
         """
         passes = self.operator_degree - 1
         if not passes:

@@ -261,6 +261,26 @@ class TestEstimateCommand:
             payload["pos_area"] / (payload["pos_area"] + payload["neg_area"])
         )
 
+    def test_byte_order_mark(self, matched_file, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(matched_file).read_bytes())
+        payloads = []
+        for name, source in (("plain", matched_file), ("marked", marked)):
+            out = tmp_path / f"{name}.json"
+            code = run_cli(
+                [
+                    "estimate", "--family", "lorenz", "--m", "1",
+                    "--scheme", "matched", "--input", source,
+                    "--grid", "200", "--output", out,
+                ]
+            )
+            assert code == 0
+            payload = json.loads(out.read_text())
+            payload.pop("runtime_ms")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
     def test_degenerate_exit_code(self, tmp_path):
         lines = ["x1,x2"] + [f"{v},{v}" for v in (1.0, 2.0, 3.0, 4.0)]
         path = write(tmp_path / "same.csv", "\n".join(lines) + "\n")

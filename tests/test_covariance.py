@@ -1,5 +1,7 @@
 """Covariance kernels: brute-force equality, PSD, and studentization curves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -451,3 +453,111 @@ def test_iterated_cumsum_leaves_input_unchanged(downward, axis):
     out = iterated_cumsum(values, 0.1, 3, downward, axis=axis)
     np.testing.assert_array_equal(values, original)
     assert not np.shares_memory(out, values)
+
+
+def integrated_variances(downward, d1, d2, pairs, spec, checked, passes=3, chunk=100):
+    """Per-node variances of the Lorenz and the inverse-SD integrated
+    transforms after 0..``passes`` integration passes, at the ``checked``
+    nodes, in plain numpy, node chunk by node chunk (the running integrals
+    carried from one chunk to the next): for each family kind, the
+    independent mixture of the two samples (of equal size) and the matched
+    combination. The Lorenz transform integrates as its two parts,
+    ``I(lorenz) x`` and ``I(min(quantile, x))``."""
+    nodes = spec.nodes()
+    order = np.arange(spec.n_points)[::-1] if downward else np.arange(spec.n_points)
+    samples = ((d1, pairs.x1), (d2, pairs.x2))
+    carried = {}
+    out = {
+        kind: (np.full((passes + 1, spec.n_points), np.nan), np.full((passes + 1, spec.n_points), np.nan))
+        for kind in (Family.LORENZ, Family.INVERSE_SD)
+    }
+    for lo in range(0, spec.n_points, chunk):
+        at = order[lo : lo + chunk]
+        keep = checked[at]
+        mins = [min_transform(dist, x, nodes[at]) for dist, x in samples]
+        lors = [dist.lorenz(nodes[at]) for dist, _ in samples]
+        for level in range(passes + 1):
+            if level:
+                for s, part in enumerate(mins + lors):
+                    np.cumsum(part, axis=0, out=part)
+                    part *= spec.step
+                    part += carried.get((s, level), 0.0)
+                    carried[s, level] = part[-1].copy()
+            kept = {
+                Family.INVERSE_SD: [block[keep] for block in mins],
+                Family.LORENZ: [
+                    (lor[keep, None] * x - block[keep]) / dist.mean
+                    for lor, block, (dist, x) in zip(lors, mins, samples)
+                ],
+            }
+            for kind, blocks in kept.items():
+                independent, matched = out[kind]
+                spread = [block.var(axis=1, ddof=1) for block in blocks]
+                independent[level, at[keep]] = 0.5 * spread[0] + 0.5 * spread[1]
+                matched[level, at[keep]] = 0.5 * (blocks[1] - blocks[0]).var(axis=1, ddof=1)
+    return out
+
+
+class TestLargeCase:
+    """The rank-bin route against the plain transform variance on heavy-tailed,
+    rounded (tied) data at a fine grid, where a one-sided expansion of the
+    sums loses digits at the top nodes."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = child_rng(40, 0)
+        x1 = np.round(rng.pareto(1.3, 5000) + 1.0, 1)
+        x2 = np.round(0.5 * x1 + rng.pareto(1.3, 5000) + 1.0, 1)
+        return EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_matches_transform_variance(self, data, direction):
+        d1, d2, pairs = data
+        spec = GridSpec(10_000)
+        # the 100 nodes at either end, where the sums cancel most, and every
+        # eighth node between them (the reference costs O(n) per checked node)
+        index = np.arange(spec.n_points)
+        checked = (index % 8 == 0) | (index < 100) | (index >= spec.n_points - 100)
+        down = direction is Direction.DOWN
+        variances = integrated_variances(down, d1, d2, pairs, spec, checked)
+        for kind, (independent, matched) in variances.items():
+            for passes in range(1 if down else 0, 4):
+                degree = passes + (1 if kind is Family.LORENZ else 2)
+                family = DominanceFamily(kind, degree, direction)
+                for scheme, pair_arg, var in ((IND, None, independent), (MP, pairs, matched)):
+                    expected = np.sqrt(var[passes, checked])
+                    fast = std_curve_for(family, d1, d2, pair_arg, scheme, spec).values[checked]
+                    np.testing.assert_allclose(
+                        fast, expected, rtol=0, atol=1e-12 * np.max(expected),
+                        err_msg=f"{family} {scheme}",
+                    )
+
+
+def test_memory_is_linear_in_n_plus_g():
+    # Lorenz and inverse SD at every degree up to 3 build nothing of size
+    # n * G or G * G. SD above degree 1 is left out: it still integrates the
+    # G-by-G sd_kernel, 800 MB at this grid.
+    n, n_points = 50_000, 10_000
+    rng = child_rng(42, 0)
+    x1 = rng.pareto(1.3, n) + 1.0
+    x2 = 0.5 * x1 + rng.pareto(1.3, n) + 1.0
+    data = (EmpiricalDistribution(x1), EmpiricalDistribution(x2))
+    pairs = PairedSample(x1, x2)
+    # about sixty float64 arrays of either length at once; one n-by-G block
+    # of the transform route would be 4 GB
+    cap = 64 * 8 * (n + n_points)
+    families = [DominanceFamily.lorenz(m) for m in (1, 2, 3)]
+    families += [DominanceFamily.inverse_sd(2), DominanceFamily.inverse_sd(3)]
+    families += [DominanceFamily.lorenz(3, Direction.DOWN), DominanceFamily.inverse_sd(3, Direction.DOWN)]
+    families += [DominanceFamily.sd(1)]
+    for family in families:
+        domain = (1.0, float(max(x1.max(), x2.max()))) if family.kind is Family.SD else (0.0, 1.0)
+        spec = GridSpec(n_points, domain)
+        for scheme, pair_arg in ((IND, None), (MP, pairs)):
+            tracemalloc.start()
+            try:
+                std_curve_for(family, *data, pair_arg, scheme, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cap, f"{family} {scheme}: peak {peak} bytes, cap {cap}"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from almostdom.calculus import GridFunction, GridSpec, negative_area, positive_area
-from almostdom.coefficients import DominanceFamily, default_grid
+from almostdom.coefficients import Direction, DominanceFamily, default_grid
 from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     GridMismatchError,
@@ -438,3 +438,31 @@ class TestSelectTuning:
         table = tuning_table(pairs, fam, MP, spec, cfg, [0.5, 0.5001], 4, 25)
         if table.coverage[0] == table.coverage[1]:
             assert selected == 0.5
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        DominanceFamily.lorenz(1),
+        DominanceFamily.lorenz(2),
+        DominanceFamily.lorenz(2, Direction.DOWN),
+        DominanceFamily.inverse_sd(3),
+        DominanceFamily.inverse_sd(3, Direction.DOWN),
+    ],
+    ids=["lorenz1", "lorenz2", "lorenz2-down", "isd3", "isd3-down"],
+)
+def test_swapped_pairs_complement(family):
+    # Swapping the coordinates negates the difference curve, so it maps the
+    # coefficient to its complement, keeps the studentization and, with the
+    # same resampled pairs, negates every draw.
+    rng = child_rng(47, 0)
+    x1 = rng.lognormal(0.0, 0.6, 300)
+    # more equal below 1 and less equal above it: the curves cross
+    x2 = 0.8 * np.where(x1 < 1.0, x1**0.5, x1**1.5) * rng.lognormal(0.0, 0.2, 300)
+    spec = GridSpec(400)
+    cfg = InferenceConfig(t_n=1.0, seed=3, n_boot=60)
+    base = bootstrap_ci(PairedSample(x1, x2), family, MP, spec, cfg)
+    swapped = bootstrap_ci(PairedSample(x2, x1), family, MP, spec, cfg)
+    assert abs(swapped.estimate.c_hat - (1.0 - base.estimate.c_hat)) <= 1e-12
+    np.testing.assert_allclose(swapped.std.values, base.std.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(swapped.draws, -base.draws, rtol=0, atol=1e-12)
