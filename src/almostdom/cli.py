@@ -326,9 +326,9 @@ def _threads(args) -> int:
             value = int(os.environ.get("ALMOSTDOM_THREADS", "0"))
         except ValueError:
             raise InvalidConfigError("ALMOSTDOM_THREADS must be an integer") from None
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
+    if value < 0:
+        raise InvalidConfigError(f"thread count must be >= 0, got {value}")
+    return value or os.cpu_count() or 1
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

@@ -128,9 +128,8 @@ class DominanceFamily:
         lower end (upward) or toward the upper end (downward), to a copy of
         ``values``; at operator degree 1 it returns ``values`` itself. This
         is the map from a family's degree and direction to passes used by
-        the estimator, the bootstrap replicates and the SD studentization
-        kernel; the rank-bin studentization of the Lorenz and inverse-SD
-        families runs the same passes through its sums.
+        the estimator and the bootstrap replicates; the rank-bin
+        studentization runs the same passes through its sums.
         """
         passes = self.operator_degree - 1
         if not passes:

@@ -22,18 +22,21 @@ The stochastic-dominance kernel is assembled directly from the empirical
 
 Kernels are dense G-by-G matrices over the G grid nodes, and
 :func:`lorenz_kernel` and :func:`isd_kernel` build them from n-by-G
-transform blocks; they are reference implementations. Studentization
-needs only the diagonal of the integrated kernel, and
-:func:`std_curve_for` computes it without any n-by-G or G-by-G array.
-For the rank-based families a transform depends on x only through its
-rank bin r (the number of nodes whose quantile is at most x) and is
-linear in x inside a bin (the integrated-CDF representation of Davidson
-and Duclos, 2000). Per-bin sums carried through the integration passes by
-recursions give the variance in O(n log n + p**2 G) time and
-O(n + p**2 G) memory, p being the number of passes. The sums are taken in
-double-double arithmetic: under matched pairs the variance is the two
-samples' variances less twice their covariance, which nearly cancel where
-the pairs nearly coincide.
+transform blocks; they and :func:`sd_kernel` with :func:`std_curve` are
+reference implementations. Studentization needs only the diagonal of the
+integrated kernel, and :func:`std_curve_for` computes it without any
+n-by-G or G-by-G array. For the rank-based families a transform depends
+on x only through its rank bin r (the number of nodes whose quantile is
+at most x) and is linear in x inside a bin (the integrated-CDF
+representation of Davidson and Duclos, 2000). The SD transform after
+p >= 1 passes depends on x through its bin alone: it is the same hinge
+in node-index coordinates. Per-bin sums carried through the integration
+passes by recursions give the variance in O(n log n + p**2 G) time and
+O(n + p**2 G) memory, p being the number of passes; SD at degree 1 (no
+pass) keeps the closed form from the CDFs, O(n + G). The sums are taken
+in double-double arithmetic: under matched pairs the variance is the two
+samples' variances less twice their covariance, which nearly cancel
+where the pairs nearly coincide.
 """
 
 from __future__ import annotations
@@ -534,30 +537,38 @@ def _scatter(a: _Hinge, b: _Hinge) -> tuple[_Wide, np.ndarray]:
 
 
 def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
-    """Per-node variance of the Lorenz or inverse-SD integrated transform
-    under ``scheme``, from rank-bin sums."""
+    """Per-node variance of the family's integrated transform under
+    ``scheme``, from rank-bin sums (SD from degree 2 up)."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
+    # the SD kernel is a population covariance, the rank families' a sample one
+    ddof = 0 if family.kind is Family.SD else 1
     # the weight of the scatter of samples (i, k) in the variance
-    weights = {(0, 0): (1.0 - share1) / (d1.n - 1), (1, 1): share1 / (d2.n - 1)}
+    weights = {(0, 0): (1.0 - share1) / (d1.n - ddof), (1, 1): share1 / (d2.n - ddof)}
     values = (d1.sorted_values, d2.sorted_values)
     if scheme is SamplingScheme.MATCHED:
-        weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - 1)
+        weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - ddof)
         values = (pairs.x1, pairs.x2)
     lorenz = family.kind is Family.LORENZ
     scales = (d1.mean, d2.mean) if lorenz else (1.0, 1.0)
     mirror = family.direction is Direction.DOWN
-    sides = [
-        _Hinge(
-            x,
-            dist.quantile(nodes),
-            dist.lorenz(nodes) if lorenz else np.zeros(spec.n_points),
-            spec.step,
-            family.operator_degree - 1,
-            mirror,
-        )
-        for x, dist in zip(values, (d1, d2))
-    ]
+    passes = family.operator_degree - 1
+    zero = np.zeros(spec.n_points)
+    if family.kind is Family.SD:
+        # p passes of 1{x <= node_k} give step**p C(k - r + p, p) from the
+        # first node r >= x on: step times the hinge (k - r + 1)+ in node-index
+        # coordinates (exact in floats at any offset of the grid), raised by
+        # p - 1 passes; the step goes into the weights, where it may underflow
+        index = np.arange(spec.n_points, dtype=float)
+        sides = [(np.searchsorted(nodes, x, side="left") - 1.0, index, zero) for x in values]
+        passes -= 1
+        weights = {key: weight * spec.step * spec.step for key, weight in weights.items()}
+    else:
+        sides = [
+            (x, dist.quantile(nodes), dist.lorenz(nodes) if lorenz else zero)
+            for x, dist in zip(values, (d1, d2))
+        ]
+    sides = [_Hinge(*side, spec.step, passes, mirror) for side in sides]
     var, size = _Wide(0.0), 0.0
     for (i, k), weight in weights.items():
         scatter, magnitude = _scatter(sides[i], sides[k])
@@ -579,21 +590,18 @@ def std_curve_for(
 ) -> GridFunction:
     """Studentization curve for a family: ``std_curve`` of its kernel.
 
-    The Lorenz and inverse-SD families take the per-node variance of the
+    Every family above SD degree 1 takes the per-node variance of the
     integrated transform from rank-bin sums, at every degree, in both
     directions and under both schemes: O(n log n + p**2 G) time and
     O(n + p**2 G) memory for p = ``operator_degree - 1`` integration
-    passes, with no kernel and no n-by-G block. The SD family keeps its CDF
-    closed form at degree 1, O(n + G), and integrates the G-by-G
-    :func:`sd_kernel` above it.
+    passes, with no kernel and no n-by-G block. SD at degree 1 takes the
+    diagonal of :func:`sd_kernel` from the CDFs in O(n + G).
     """
     _check_scheme(scheme, pairs, d1, d2)
     # a variance that overflows is not finite, and _std raises
     with np.errstate(over="ignore", invalid="ignore"):
-        if family.kind is not Family.SD:
-            var = _rank_variance(family, d1, d2, pairs, scheme, spec)
-        elif family.degree > 1:
-            return std_curve(sd_kernel(d1, d2, pairs, scheme, spec), family)
-        else:
+        if family.kind is Family.SD and family.degree == 1:
             var = _sd_variance(d1, d2, pairs, scheme, spec)
+        else:
+            var = _rank_variance(family, d1, d2, pairs, scheme, spec)
     return _std(spec, var)

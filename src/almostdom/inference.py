@@ -45,6 +45,7 @@ pool, with identical results either way.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -369,15 +370,17 @@ def _resample(prep: _Prepared, rng: np.random.Generator):
 def _ordered_map(fn, items, n_jobs: int):
     """Yield ``fn(item)`` for each item, in item order.
 
-    With ``n_jobs > 1`` the items run in a process pool in contiguous
-    chunks; ``fn`` should be a module-level function (or a
-    ``functools.partial`` of one) so it pickles once per chunk.
+    With ``n_jobs > 1`` the items run in contiguous chunks in a process
+    pool of at most one worker per item and per core; ``fn`` should be a
+    module-level function (or a ``functools.partial`` of one) so it
+    pickles once per chunk.
     """
-    if n_jobs <= 1:
+    workers = min(n_jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(fn, items)
         return
-    chunksize = max(1, len(items) // (4 * n_jobs))
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
 
 

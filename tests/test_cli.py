@@ -610,6 +610,58 @@ def test_tuning_gives_a_result_or_one_error_line(case):
     assert [str(w.message) for w in caught] == []
 
 
+@st.composite
+def large_files(draw):
+    """The text of a file of 10**3 to 10**4 rows per sample, each column heavy
+    tailed, tied or near constant, and its scheme."""
+    scheme = draw(st.sampled_from(["matched", "ind"]))
+    n_rows = draw(st.integers(1000, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        kind = draw(st.sampled_from(["tail", "ties", "near-constant"]))
+        if kind == "tail":
+            return rng.pareto(draw(st.sampled_from([0.5, 1.3, 3.0])), n_rows) + 1.0
+        if kind == "ties":
+            return np.round(rng.lognormal(0.0, 1.0, n_rows), draw(st.sampled_from([0, 1])))
+        return 5.0 + draw(st.sampled_from([0.0, 1e-12, 1e-6])) * rng.random(n_rows)
+
+    x1, x2 = column().tolist(), column().tolist()
+    if scheme == "matched":
+        rows = ["x1,x2"] + [f"{a!r},{b!r}" for a, b in zip(x1, x2)]
+    else:
+        rows = ["group,value"] + [f"1,{a!r}" for a in x1] + [f"2,{b!r}" for b in x2]
+    return "\n".join(rows) + "\n", scheme
+
+
+@pytest.mark.parametrize(
+    "family, degrees",
+    [("sd", ["2"]), ("sd", ["3"]), ("lorenz", ["1", "2"]), ("isd", ["3", "4"])],
+    ids=["sd-2", "sd-3", "lorenz", "isd"],
+)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_large_files_give_a_result_or_one_error_line(family, degrees, data):
+    text, scheme = data.draw(large_files())
+    command = data.draw(st.sampled_from([
+        ["estimate"],
+        ["ci", "--tn", "1", "--boot", "20"],
+        ["tune", "--cal-reps", "2", "--cal-boot", "5"],
+    ]))
+    args = command + [
+        "--family", family, "--m", data.draw(st.sampled_from(degrees)),
+        "--dir", data.draw(st.sampled_from(["up", "down"])), "--scheme", scheme,
+        "--threads", "1",
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "data.csv", text)
+        code, _, err, caught = run_quietly(args + ["--input", path])
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    assert err == "" or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
+
+
 class TestCiCommand:
     def args(self, matched_file, out, seed=3):
         return [
@@ -655,6 +707,35 @@ class TestCiCommand:
         args = self.args(matched_file, out)
         assert "--threads" not in args
         assert run_cli(args) == 0
+
+    @staticmethod
+    def threads(value, from_env, monkeypatch):
+        """The flags asking for ``value`` workers, or none with the request in
+        the environment."""
+        if from_env:
+            monkeypatch.setenv("ALMOSTDOM_THREADS", value)
+            return []
+        return ["--threads", value]
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_thread_count_is_bounded(self, from_env, matched_file, tmp_path, monkeypatch,
+                                     pool_requests):
+        threads = self.threads("5000", from_env, monkeypatch)
+        # 60 replicates make one chunk: no pool, however many workers are asked for
+        assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 0
+        # three study replicates: three workers
+        simulate = ["simulate", "--preset", "sdc-a", "--n1", "20", "--n2", "20", "--reps", "3",
+                    "--boot", "5", "--tn", "1", "--grid", "20", "--output", tmp_path / "s.json"]
+        assert run_cli(simulate + threads) == 0
+        assert pool_requests == [3]
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_negative_thread_count(self, from_env, matched_file, tmp_path, monkeypatch, capsys,
+                                   pool_requests):
+        threads = self.threads("-2", from_env, monkeypatch)
+        assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: thread count must be >= 0, got -2"]
+        assert pool_requests == []
 
     def test_csv_format(self, matched_file, tmp_path):
         out = tmp_path / "r.csv"

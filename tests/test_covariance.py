@@ -276,7 +276,7 @@ def studentization_cases(draw):
                 for d in Direction
                 if (m, d) != (2, Direction.DOWN)
             ]
-            + [(Family.SD, m, Direction.UP) for m in (1, 2, 3)]
+            + [(Family.SD, m, Direction.UP) for m in (1, 2, 3, 4)]
         )
     )
     family = DominanceFamily(kind, degree, direction)
@@ -313,11 +313,19 @@ def _small_variance_case():
     return DominanceFamily.lorenz(2), data, GridSpec(4, (0.0, 1.0))
 
 
+def _tiny_step_case():
+    """SD 2 on a grid whose squared step underflows: the variance is 0."""
+    x1, x2 = np.array([1e-300, 3e-300]), np.array([2e-300, 1e-300])
+    data = (EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2), MP)
+    return DominanceFamily.sd(2), data, GridSpec(4, (0.0, 4e-300))
+
+
 class TestStdCurveFor:
     @settings(max_examples=300, deadline=None)
     @given(studentization_cases())
     @example(_cancelling_case())
     @example(_small_variance_case())
+    @example(_tiny_step_case())
     def test_matches_kernel_path(self, case):
         family, data, spec = case
         fast = std_curve_for(family, *data, spec).values
@@ -533,10 +541,34 @@ class TestLargeCase:
                     )
 
 
+class TestLargeSdCase:
+    """The rank-bin route for SD against the integrated sd_kernel on
+    heavy-tailed, rounded (tied) data far from the origin. There the nodes
+    are up to 6e-8 off their exact values, so a hinge in node values instead
+    of node indices misses the kernel path by about 1e-9 of the largest std."""
+
+    OFFSET = 1e9
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_matches_kernel_path(self, degree):
+        rng = child_rng(41, 0)
+        tail1, tail2 = rng.pareto(1.3, 3000), rng.pareto(1.3, 3000)
+        x1 = np.round(tail1 + self.OFFSET, 1)
+        x2 = np.round(0.5 * tail1 + tail2 + self.OFFSET, 1)
+        d1, d2, pairs = EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2)
+        spec = GridSpec(2000, (self.OFFSET, float(max(x1.max(), x2.max()))))
+        family = DominanceFamily.sd(degree)
+        for scheme, pair_arg in ((IND, None), (MP, pairs)):
+            fast = std_curve_for(family, d1, d2, pair_arg, scheme, spec).values
+            slow = std_curve(sd_kernel(d1, d2, pair_arg, scheme, spec), family).values
+            np.testing.assert_allclose(
+                fast, slow, rtol=0, atol=1e-12 * np.max(slow), err_msg=f"{family} {scheme}"
+            )
+
+
 def test_memory_is_linear_in_n_plus_g():
-    # Lorenz and inverse SD at every degree up to 3 build nothing of size
-    # n * G or G * G. SD above degree 1 is left out: it still integrates the
-    # G-by-G sd_kernel, 800 MB at this grid.
+    # every family at every degree up to 3 builds nothing of size n * G or
+    # G * G
     n, n_points = 50_000, 10_000
     rng = child_rng(42, 0)
     x1 = rng.pareto(1.3, n) + 1.0
@@ -549,7 +581,7 @@ def test_memory_is_linear_in_n_plus_g():
     families = [DominanceFamily.lorenz(m) for m in (1, 2, 3)]
     families += [DominanceFamily.inverse_sd(2), DominanceFamily.inverse_sd(3)]
     families += [DominanceFamily.lorenz(3, Direction.DOWN), DominanceFamily.inverse_sd(3, Direction.DOWN)]
-    families += [DominanceFamily.sd(1)]
+    families += [DominanceFamily.sd(m) for m in (1, 2, 3)]
     for family in families:
         domain = (1.0, float(max(x1.max(), x2.max()))) if family.kind is Family.SD else (0.0, 1.0)
         spec = GridSpec(n_points, domain)

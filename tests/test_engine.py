@@ -164,6 +164,16 @@ def test_parallel_matches_serial_across_chunks(monkeypatch, scheme):
     assert tuning_table(*args, n_jobs=1) == tuning_table(*args, n_jobs=2)
 
 
+@pytest.mark.parametrize(
+    "n_jobs, n_items, workers",
+    [(5000, 3, [3]), (5000, 10, [4]), (2, 10, [2]), (5000, 1, []), (-3, 10, [])],
+)
+def test_pool_is_bounded_by_items_and_cores(pool_requests, n_jobs, n_items, workers):
+    out = list(inference._ordered_map(abs, range(-n_items, 0), n_jobs))
+    assert out == list(range(n_items, 0, -1))
+    assert pool_requests == workers
+
+
 @pytest.mark.parametrize("scheme", [MP, IND])
 def test_prefix_stability_across_chunks(monkeypatch, scheme):
     data = lorenz_data(scheme)

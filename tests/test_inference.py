@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from almostdom.calculus import GridFunction, GridSpec, negative_area, positive_area
+from almostdom.calculus import GridFunction, GridSpec, area_ratio, negative_area, positive_area
 from almostdom.coefficients import Direction, DominanceFamily, default_grid
 from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
@@ -175,6 +176,45 @@ class TestDerivative:
             h2 = GridFunction(self.spec, rng.normal(size=1000))
             gap = abs(derivative(h1, sets, self.diff) - derivative(h2, sets, self.diff))
             assert gap <= bound * np.max(np.abs(h1.values - h2.values)) + 1e-12
+
+
+@st.composite
+def curves_with_zeros(draw):
+    """A difference curve with exact-zero nodes, its true sign sets and a
+    direction, supported on the zero set alone in half the draws. No
+    nonzero node changes sign under a step of up to 1e-3 along it."""
+    n = draw(st.integers(2, 200))
+    signs = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    assume(np.any(signs))
+    sizes = draw(hnp.arrays(float, n, elements=st.floats(0.01, 100.0)))
+    h = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    if draw(st.booleans()):
+        h = np.where(signs == 0.0, h, 0.0)
+    spec = GridSpec(n, (0.0, draw(st.sampled_from([1.0, 1e-3, 50.0]))))
+    sets = ContactSets(plus=signs > 0, minus=signs < 0, zero=signs == 0)
+    return GridFunction(spec, signs * sizes), GridFunction(spec, h), sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves_with_zeros())
+def test_derivative_is_the_limit_of_difference_quotients(case):
+    # Along h the areas move linearly, P + eps a and T + eps s with |a|, |s|
+    # at most S = step * sum|h|, so the map is (P + eps a) / (T + eps s). Its
+    # difference quotient misses the derivative (aT - Ps) / T**2 by
+    # eps |aT - Ps| |s| / (T**2 T_eps) <= 2 eps S**2 / (T T_eps), T_eps being
+    # the total area at eps; rounding adds a few n ulps of the ratio over eps.
+    diff, h, sets = case
+    n, step = diff.spec.n_points, diff.spec.step
+    value = derivative(h, sets, diff)
+    total = positive_area(diff) + negative_area(diff)
+    spread = np.abs(h.values).sum() * step
+    for eps in (1e-4, 1e-6):
+        moved = diff + h * eps
+        quotient = (area_ratio(moved) - area_ratio(diff)) / eps
+        moved_total = positive_area(moved) + negative_area(moved)
+        bound = 2 * eps * spread**2 / (total * moved_total)
+        rounding = 8 * n * np.finfo(float).eps * (1 / eps + spread / total)
+        assert abs(quotient - value) <= bound + rounding, (eps, quotient, value)
 
 
 class TestInfQuantile:
