@@ -31,8 +31,8 @@ at most x) and is linear in x inside a bin (the integrated-CDF
 representation of Davidson and Duclos, 2000). The SD transform after
 p >= 1 passes depends on x through its bin alone: it is the same hinge
 in node-index coordinates. Per-bin sums carried through the integration
-passes by recursions give the variance in O(n log n + p**2 G) time and
-O(n + p**2 G) memory, p being the number of passes; SD at degree 1 (no
+passes by recursions give the variance in O(n log n + p**2 (n + G)) time
+and O(n + p**2 G) memory, p being the number of passes; SD at degree 1 (no
 pass) keeps the closed form from the CDFs, O(n + G). The sums are taken
 in double-double arithmetic: under matched pairs the variance is the two
 samples' variances less twice their covariance, which nearly cancel
@@ -413,7 +413,10 @@ class _Hinge:
     (``x -> -x``, nodes backward, ``a -> 1 - a``), the same sweep integrates
     downward. Sums over the observations of H, of ``w H`` for weights w and
     of products of two samples' H are carried from node to node by
-    recursions whose inputs are per-bin sums.
+    recursions whose inputs are per-bin sums. A pass is ``cumsum * step``
+    and a state is zero before its bin, so the level-i state of every
+    observation has ``S_i(j) = S_i(j-1) + step S_{i-1}(j)`` at every node j
+    for i >= 1: the product sums of levels i, k >= 1 need sums at j alone.
     """
 
     def __init__(self, x, quant, lorenz, step, passes, mirror):
@@ -505,15 +508,10 @@ class _Hinge:
             prod[0, i] = (a.rise * seen_b[i].before() + enter_b[i] + prod[0, i - 1] * h).cumsum()
         for i in range(1, passes + 1):
             for k in range(1, passes + 1):
-                # the state before the node times the other's state of level
-                # k - 1 (i - 1) at the node
-                lead_a = prod[i, 0].before() + b.rise * seen_a[i].before() + enter_a[i]
-                for m in range(1, k):
-                    lead_a = prod[i, m].before() + lead_a * h
-                lead_b = prod[0, k].before() + a.rise * seen_b[k].before() + enter_b[k]
-                for m in range(1, i):
-                    lead_b = prod[m, k].before() + lead_b * h
-                prod[i, k] = ((lead_a + lead_b + prod[i - 1, k - 1] * h) * h).cumsum()
+                # P_ik(j) - P_ik(j-1) = h (P_i-1,k + P_i,k-1 - h P_i-1,k-1)(j), at
+                # least the subtracted term, as every state is nonnegative
+                growth = prod[i - 1, k] + prod[i, k - 1] - prod[i - 1, k - 1] * h
+                prod[i, k] = (growth * h).cumsum()
         return prod[passes, passes]
 
 
@@ -592,7 +590,7 @@ def std_curve_for(
 
     Every family above SD degree 1 takes the per-node variance of the
     integrated transform from rank-bin sums, at every degree, in both
-    directions and under both schemes: O(n log n + p**2 G) time and
+    directions and under both schemes: O(n log n + p**2 (n + G)) time and
     O(n + p**2 G) memory for p = ``operator_degree - 1`` integration
     passes, with no kernel and no n-by-G block. SD at degree 1 takes the
     diagonal of :func:`sd_kernel` from the CDFs in O(n + G).

@@ -121,7 +121,7 @@ LOAD_CASES = [
 
 
 def write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -498,7 +498,9 @@ def cli_cases(draw):
         args += ["--tn", "1", "--boot", "5"]
     if args[0] == "tune":
         args += ["--cal-reps", "2", "--cal-boot", "3"]
-    return "\n".join(rows) + "\n", args
+    # spreadsheet programs lead a "CSV UTF-8" file with a byte-order mark
+    mark = draw(st.sampled_from(["", "\ufeff"]))
+    return mark + "\n".join(rows) + "\n", args
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -269,14 +269,14 @@ VALUES = st.one_of(st.integers(1, 4).map(float), st.floats(0.1, 10.0))
 def studentization_cases(draw):
     kind, degree, direction = draw(
         st.sampled_from(
-            [(Family.LORENZ, m, d) for m in (1, 2, 3) for d in Direction]
+            [(Family.LORENZ, m, d) for m in (1, 2, 3, 4) for d in Direction]
             + [
                 (Family.INVERSE_SD, m, d)
-                for m in (2, 3, 4)
+                for m in (2, 3, 4, 5)
                 for d in Direction
                 if (m, d) != (2, Direction.DOWN)
             ]
-            + [(Family.SD, m, Direction.UP) for m in (1, 2, 3, 4)]
+            + [(Family.SD, m, Direction.UP) for m in (1, 2, 3, 4, 5)]
         )
     )
     family = DominanceFamily(kind, degree, direction)
@@ -320,12 +320,22 @@ def _tiny_step_case():
     return DominanceFamily.sd(2), data, GridSpec(4, (0.0, 4e-300))
 
 
+def _high_degree_case(direction):
+    """Inverse SD 12 (ten passes) on tied matched pairs."""
+    x1 = np.array([1.0, 2.0, 2.0, 3.5, 4.0, 4.0, 6.0, 9.5])
+    x2 = np.array([1.5, 2.0, 3.0, 3.0, 5.0, 4.5, 6.0, 7.0])
+    data = (EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2), MP)
+    return DominanceFamily.inverse_sd(12, direction), data, GridSpec(7, (0.0, 1.0))
+
+
 class TestStdCurveFor:
     @settings(max_examples=300, deadline=None)
     @given(studentization_cases())
     @example(_cancelling_case())
     @example(_small_variance_case())
     @example(_tiny_step_case())
+    @example(_high_degree_case(Direction.UP))
+    @example(_high_degree_case(Direction.DOWN))
     def test_matches_kernel_path(self, case):
         family, data, spec = case
         fast = std_curve_for(family, *data, spec).values

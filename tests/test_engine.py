@@ -6,6 +6,8 @@ The engine must give the same rows, the same draws for any chunk size and
 ``n_jobs``, and drop the same replicates the reference cannot evaluate.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -183,6 +185,27 @@ def test_prefix_stability_across_chunks(monkeypatch, scheme):
     short = bootstrap_ci(data, family, scheme, spec, InferenceConfig(t_n=1, seed=4, n_boot=30))
     long = bootstrap_ci(data, family, scheme, spec, InferenceConfig(t_n=1, seed=4, n_boot=60))
     np.testing.assert_array_equal(short.draws, long.draws[:30])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_memory_is_bounded_by_the_chunk_budget(degree):
+    # at G = 1e4 one chunk holds 52 replicates; all 300 in one block would
+    # be 24 MB per array, several times the cap
+    n, n_points = 200, 10_000
+    rng = child_rng(43, 0)
+    x1 = rng.pareto(3.0, n) + 1.0
+    pairs = PairedSample(x1, 0.5 * x1 + rng.pareto(3.0, n) + 1.0)
+    cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=300)
+    # a few per-chunk arrays of _CHUNK_BUDGET float64 values at once, plus
+    # the studentization and curves, linear in n + G
+    cap = 4 * 8 * inference._CHUNK_BUDGET + 64 * 8 * (n + n_points)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(pairs, DominanceFamily.lorenz(degree), MP, GridSpec(n_points), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap, f"peak {peak / 1e6:.1f} MB, cap {cap / 1e6:.1f} MB"
 
 
 def zero_heavy_pairs():
