@@ -12,6 +12,10 @@ suffix) sums include the current node, so a single pass of
 curve entering a ratio and cancels to first order there. A dominance
 family's degree-raising operator is a number of such passes
 (:meth:`~almostdom.coefficients.DominanceFamily.integrate`).
+
+The area ratio and its directional derivative are homogeneous of degree
+0 in the step, so both read the unscaled node sums of :func:`_node_sums`
+and stay defined where the scaled areas underflow to 0.
 """
 
 from __future__ import annotations
@@ -129,20 +133,22 @@ def iterated_cumsum(
     return out
 
 
-def _area(values: np.ndarray, step: float) -> float:
-    # an area beyond the float range is inf, which area_ratio rejects
+def _node_sums(values: np.ndarray) -> tuple[float, float]:
+    """Unscaled sums ``(sum max(v, 0), sum max(-v, 0))``, inf past the float range."""
     with np.errstate(over="ignore"):
-        return float(np.maximum(values, 0.0).sum() * step)
+        pos = float(np.maximum(values, 0.0).sum())
+        neg = float(np.maximum(-values, 0.0).sum())
+    return pos, neg
 
 
 def positive_area(f: GridFunction) -> float:
     """Rectangle-rule integral of ``max(f, 0)`` over the domain."""
-    return _area(f.values, f.spec.step)
+    return _node_sums(f.values)[0] * f.spec.step
 
 
 def negative_area(f: GridFunction) -> float:
     """Rectangle-rule integral of ``max(-f, 0)`` over the domain."""
-    return _area(-f.values, f.spec.step)
+    return _node_sums(f.values)[1] * f.spec.step
 
 
 def area_ratio(f: GridFunction) -> float:
@@ -150,22 +156,20 @@ def area_ratio(f: GridFunction) -> float:
 
     This is the almost-dominance coefficient of a difference curve: 0
     means the curve is nowhere positive (clean dominance), 1 means it is
-    nowhere negative (clean reverse dominance). Raises
-    :class:`~almostdom.errors.DegenerateCurvesError` when the curve is
-    identically zero on the grid, i.e. the two underlying distributions
-    are indistinguishable at this resolution.
+    nowhere negative (clean reverse dominance). The step cancels, so the
+    ratio is taken from the unscaled node sums and stays defined where the
+    scaled areas underflow to 0. Raises
+    :class:`~almostdom.errors.NumericOverflowError` when the scaled total
+    overflows and :class:`~almostdom.errors.DegenerateCurvesError` when the
+    curve is identically zero on the grid, i.e. the two underlying
+    distributions are indistinguishable at this resolution.
     """
-    pos = positive_area(f)
-    neg = negative_area(f)
-    if pos + neg == np.inf:
+    pos, neg = _node_sums(f.values)
+    if (pos + neg) * f.spec.step == np.inf:
         raise NumericOverflowError("curve area overflows the float range")
     if pos + neg == 0.0:
-        if not np.any(f.values):
-            raise DegenerateCurvesError(
-                "difference curve is identically zero on the grid; "
-                "coefficient undefined, distributions indistinguishable"
-            )
-        # the scaled areas underflowed; the step cancels from the ratio
-        pos = float(np.maximum(f.values, 0.0).sum())
-        neg = float(np.maximum(-f.values, 0.0).sum())
+        raise DegenerateCurvesError(
+            "difference curve is identically zero on the grid; "
+            "coefficient undefined, distributions indistinguishable"
+        )
     return pos / (pos + neg)

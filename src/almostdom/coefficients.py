@@ -142,8 +142,9 @@ class DominanceFamily:
 class CoefficientEstimate:
     """Point estimate of an almost-dominance coefficient.
 
-    ``c_hat = pos_area / (pos_area + neg_area)`` where the areas are those
-    of the estimated difference curve. ``effective_n`` is
+    ``c_hat`` is the positive share of the difference curve's unsigned area,
+    from its unscaled node sums; ``pos_area`` and ``neg_area`` are the scaled
+    areas and may read 0 while ``c_hat`` is defined. ``effective_n`` is
     ``n1 * n2 / (n1 + n2)``, the rate factor of the two-sample limit
     theory; ``size_share`` is ``n1 / (n1 + n2)``.
     """

@@ -52,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, negative_area, positive_area
+from .calculus import GridFunction, GridSpec, _node_sums
 from .coefficients import CoefficientEstimate, DominanceFamily, Family, coefficient
 from .covariance import std_curve_for
 from .empirical import (
@@ -198,21 +198,16 @@ def contact_sets(
 def _derivative_rows(
     h_rows: np.ndarray, sets: ContactSets, diff: GridFunction
 ) -> np.ndarray:
-    """Directional derivative of the area ratio for each row of ``h_rows``."""
-    pos = positive_area(diff)
-    neg = negative_area(diff)
+    """Directional derivative of the area ratio for each row of ``h_rows``,
+    from the unscaled node sums like :func:`~almostdom.calculus.area_ratio`."""
+    pos, neg = _node_sums(diff.values)
     total = pos + neg
     if total == 0.0:
         raise DegenerateCurvesError("cannot differentiate at a vanishing curve")
-    step = diff.spec.step
     zero_part = h_rows[:, sets.zero]
-    d_pos = (
-        h_rows[:, sets.plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
-    ) * step
-    d_neg = (
-        -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
-    ) * step
-    # total**2 would turn subnormal once the area falls below about 1.5e-154
+    d_pos = h_rows[:, sets.plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
+    d_neg = -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
+    # total**2 would turn subnormal once the sums fall below about 1.5e-154
     return (d_pos * (neg / total) - (pos / total) * d_neg) / total
 
 

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import GridSpec
+from .calculus import GridFunction, GridSpec, area_ratio
 from .coefficients import Direction, DominanceFamily, Family, default_grid
 from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from .errors import (
@@ -199,14 +199,6 @@ def _iterate(values: np.ndarray, step: float, passes: int, downward: bool) -> np
     return values
 
 
-def _ratio(diff: np.ndarray, step: float) -> float:
-    pos = np.maximum(diff, 0.0).sum() * step
-    neg = np.maximum(-diff, 0.0).sum() * step
-    if pos + neg == 0.0:
-        raise DegenerateCurvesError("population difference curve is identically zero")
-    return float(pos / (pos + neg))
-
-
 def _pooled_support(dgp1, dgp2) -> tuple[float, float]:
     if not (isinstance(dgp1, DiscreteLaw) and isinstance(dgp2, DiscreteLaw)):
         raise InvalidConfigError(
@@ -281,7 +273,7 @@ def population_coefficient(
     if family.kind is Family.SD and family.degree == 1:
         return _exact_step_sdc(dgp1, dgp2)
     spec, _, _, diff = population_curves(dgp1, dgp2, family, resolution)
-    return _ratio(diff, spec.step)
+    return area_ratio(GridFunction(spec, diff))
 
 
 @dataclass(frozen=True)

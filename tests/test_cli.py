@@ -21,6 +21,7 @@ from almostdom.coefficients import DominanceFamily, difference_curve
 from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import CsvParseError, DomainError, NegativeValueError
+from almostdom.rng import child_rng
 from almostdom.simulation import DiscreteLaw
 
 IND = SamplingScheme.INDEPENDENT
@@ -318,6 +319,51 @@ class TestEstimateCommand:
         assert payload["domain_lo"] == 0.0 and payload["domain_hi"] == 60.0
 
 
+    def test_sd_curves(self, matched_file, tmp_path):
+        out, curves = tmp_path / "sd.json", tmp_path / "curves.csv"
+        code = run_cli(
+            [
+                "estimate", "--family", "sd", "--m", "2", "--scheme", "matched",
+                "--input", matched_file, "--grid", "60", "--output", out,
+                "--emit-curves", curves,
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        spec = GridSpec(60, (payload["domain_lo"], payload["domain_hi"]))
+        with open(curves) as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["p", "curve1", "curve2", "diff", "std"]
+        p, curve1, curve2, diff, _ = np.array(rows[1:], dtype=float).T
+        pairs = load_csv(matched_file, MP)
+        family = DominanceFamily.sd(2)
+        np.testing.assert_array_equal(p, spec.nodes())
+        for curve, sample in ((curve1, pairs.x1), (curve2, pairs.x2)):
+            cdf = EmpiricalDistribution(sample).cdf(spec.nodes())
+            np.testing.assert_array_equal(curve, family.integrate(cdf, spec.step))
+        scale = np.abs(np.concatenate((curve1, curve2))).max()
+        np.testing.assert_allclose(diff, curve1 - curve2, rtol=0.0, atol=1e-13 * scale)
+
+    def test_interval_where_the_scaled_areas_underflow(self, tmp_path):
+        # at SD 2 the scaled areas of 40 pairs on [0, 4e-300] read 0, yet the
+        # coefficient and its interval come from the node sums
+        rng = child_rng(0, 0)
+        rows = np.column_stack((rng.uniform(0.0, 4e-300, 40), rng.uniform(0.0, 4e-300, 40)))
+        path = write(tmp_path / "tiny.csv", "x1,x2\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rows.tolist()
+        ))
+        common = ["--family", "sd", "--m", "2", "--scheme", "matched", "--input", path,
+                  "--grid", "50"]
+        assert run_cli(["estimate", *common, "--output", tmp_path / "e.json"]) == 0
+        args = ["ci", *common, "--tn", "1", "--boot", "100", "--threads", "1"]
+        assert run_cli(args + ["--output", tmp_path / "c.json"]) == 0
+        estimate = json.loads((tmp_path / "e.json").read_text())
+        interval = json.loads((tmp_path / "c.json").read_text())
+        assert estimate["pos_area"] == estimate["neg_area"] == 0.0
+        assert interval["c_hat"] == estimate["c_hat"]
+        assert interval["ci_lo"] < interval["c_hat"] <= interval["ci_hi"]
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "extra",
@@ -413,6 +459,26 @@ class TestBadInput:
         assert code == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: sample sizes")
+
+
+    @pytest.mark.parametrize(
+        "argv, threads, named",
+        [
+            (["ci", "--tn", "1", "--boot", "5"], "abc", "ALMOSTDOM_THREADS must be an integer"),
+            (["tune", "--candidates", "a,b"], "1", "--candidates must be comma-separated"),
+            (["estimate", "--domain", "1,2,3"], "1", "--domain needs exactly two numbers"),
+        ],
+        ids=["threads-env-not-int", "candidates-not-numbers", "domain-three-numbers"],
+    )
+    def test_one_error_line_per_bad_setting(self, argv, threads, named, matched_file,
+                                            monkeypatch, capsys):
+        monkeypatch.setenv("ALMOSTDOM_THREADS", threads)
+        code = run_cli(argv + ["--family", "lorenz", "--scheme", "matched", "--input",
+                               matched_file, "--grid", "20"])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
 
 
 def run_quietly(args):

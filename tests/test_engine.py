@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from almostdom import calculus, empirical, inference
-from almostdom.calculus import GridSpec
+from almostdom.calculus import GridFunction, GridSpec, area_ratio
+from almostdom.cli import PRESETS
 from almostdom.coefficients import (
     Direction,
     DominanceFamily,
@@ -130,6 +131,70 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     want_draws = inference._derivative_rows(want[ok], sets, est.difference)
     scale = max(float(np.abs(want_draws).max(initial=0.0)), 1e-300)
     np.testing.assert_allclose(draws, want_draws, rtol=0.0, atol=1e-12 * scale)
+
+
+@st.composite
+def exact_contact_data(draw):
+    """``(family, pairs, domain)`` whose difference curve is exactly zero on
+    whole stretches: draws from the ``sdc`` laws at SD 1 and 2 on a domain
+    wider than their support, whose CDFs coincide below the lowest atom
+    and above the highest; or integer pairs sharing their lowest values,
+    with equal sums, at ISD 3 and Lorenz 2."""
+    n = draw(st.integers(6, 30))
+    rng = child_rng(draw(st.integers(0, 2**32)), 0)
+    if draw(st.booleans()):
+        law = PRESETS[draw(st.sampled_from(["sdc-a", "sdc-b", "sdc-c", "sdc-d"]))]
+        family = draw(st.sampled_from([DominanceFamily.sd(1), DominanceFamily.sd(2)]))
+        pairs = PairedSample(law["dgp1"].sample(n, rng), law["dgp2"].sample(n, rng))
+        return family, pairs, (0.0, 1.25)
+    family = draw(st.sampled_from([DominanceFamily.inverse_sd(3), DominanceFamily.lorenz(2)]))
+    shared = draw(st.integers(1, n - 2))
+    low = rng.integers(1, 6, shared).astype(float)
+    tail = rng.integers(16, 41, n - shared).astype(float)
+    moves = rng.integers(-5, 6, n - shared).astype(float)
+    # the moves sum to zero and keep the second tail above the shared values
+    x1 = np.concatenate((low, tail))
+    x2 = np.concatenate((low, tail + moves - np.roll(moves, 1)))
+    return family, PairedSample(x1[rng.permutation(n)], x2[rng.permutation(n)]), (0.0, 1.0)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(case=exact_contact_data(), points=st.integers(5, 40), seed=st.integers(0, 2**32))
+def test_draws_are_numerical_deltas(case, points, seed):
+    # With t_n = 1e-12 the contact set is the exact zero set of the curve,
+    # so each engine draw is the derivative of the area ratio along its own
+    # row and matches the difference quotient of area_ratio along that row,
+    # with the second-order miss and rounding bound of
+    # test_inference.py::test_derivative_is_the_limit_of_difference_quotients.
+    # The step eps keeps every nonzero node on its side of zero.
+    family, pairs, domain = case
+    cfg = InferenceConfig(t_n=1e-12, seed=seed, n_boot=8)
+    spec = GridSpec(points, domain)
+    try:
+        est, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
+    except DegenerateCurvesError:
+        assume(False)
+    diff = est.difference.values
+    std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, MP, spec)
+    sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
+    assume(np.array_equal(sets.zero, diff == 0.0))
+    rows, ok = inference._replicate_rows(prep, 0, cfg.n_boot)
+    (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
+    assert draws.size == ok.sum()
+    total = np.abs(diff).sum()
+    gap = np.abs(diff[diff != 0.0]).min()
+    for h, value in zip(rows[ok], draws):
+        spread = np.abs(h).sum()
+        eps = min(1e-6, 0.5 * gap / max(np.abs(h).max(), 1e-300))
+        moved = diff + eps * h
+        quotient = (area_ratio(GridFunction(spec, moved)) - est.c_hat) / eps
+        bound = 2 * eps * spread**2 / (total * np.abs(moved).sum())
+        rounding = 8 * points * np.finfo(float).eps * (1 / eps + spread / total)
+        assert abs(quotient - value) <= bound + rounding, (eps, quotient, value)
 
 
 @pytest.mark.parametrize("family", [DominanceFamily.lorenz(2), DominanceFamily.sd(1)])

@@ -1,14 +1,24 @@
 """Bad arguments raise the package's own error types, not plain ValueError."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from almostdom.calculus import GridFunction, GridSpec
-from almostdom.coefficients import Family
-from almostdom.covariance import CovKernel
-from almostdom.empirical import SamplingScheme
-from almostdom.errors import AlmostDomError, DomainError, InvalidConfigError
-from almostdom.inference import ContactSets
+from almostdom.cli import load_csv
+from almostdom.coefficients import DominanceFamily, Family, cubic_preference, rank_measures
+from almostdom.covariance import CovKernel, std_curve_for
+from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
+from almostdom.errors import (
+    AlmostDomError,
+    DomainError,
+    GridMismatchError,
+    InvalidConfigError,
+    NumericOverflowError,
+    SchemeMismatchError,
+)
+from almostdom.inference import ContactSets, InferenceConfig, _unpack, contact_sets, derivative
 from almostdom.rng import child_rng
 from almostdom.simulation import DiscreteLaw, DoublePareto, sample_dgp
 
@@ -47,3 +57,66 @@ def test_typed_error(name):
     with pytest.raises(AlmostDomError) as info:
         make()
     assert isinstance(info.value, kind) and isinstance(info.value, ValueError)
+
+
+DIFF = GridFunction(SPEC, np.array([1.0, -1.0, 0.5, 0.0]))
+SETS = ContactSets(MASK, ~MASK, np.zeros(4, dtype=bool))
+PAIRS = PairedSample(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 4.0]))
+DISTS = (EmpiricalDistribution(PAIRS.x1), EmpiricalDistribution(PAIRS.x2))
+# ISD 3 variances near (1e160)**2 overflow the float range
+HUGE = tuple(EmpiricalDistribution(d.sorted_values * 1e160) for d in DISTS)
+WIDE = np.ones(5, dtype=bool)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # alpha <= 2 warns of infinite variance
+    NO_MEAN = DoublePareto(1.0, 1.5)
+
+GUARDS = {
+    "contact_sets_effective_n": (
+        InvalidConfigError,
+        lambda: contact_sets(DIFF, DIFF, 0.0, InferenceConfig(t_n=1.0, seed=0)),
+    ),
+    "derivative_grid": (
+        GridMismatchError, lambda: derivative(GridFunction(GridSpec(5), np.ones(5)), SETS, DIFF)
+    ),
+    "derivative_sets_size": (
+        GridMismatchError, lambda: derivative(DIFF, ContactSets(WIDE, ~WIDE, ~WIDE), DIFF)
+    ),
+    "unpack_not_a_pair": (
+        SchemeMismatchError, lambda: _unpack(np.ones(3), SamplingScheme.INDEPENDENT)
+    ),
+    "std_matched_without_pairs": (
+        SchemeMismatchError,
+        lambda: std_curve_for(
+            DominanceFamily.inverse_sd(2), *DISTS, None, SamplingScheme.MATCHED, SPEC
+        ),
+    ),
+    "std_overflow": (
+        NumericOverflowError,
+        lambda: std_curve_for(
+            DominanceFamily.inverse_sd(3), *HUGE, None, SamplingScheme.INDEPENDENT, SPEC
+        ),
+    ),
+    "rank_measures_domain": (
+        InvalidConfigError,
+        lambda: rank_measures(DISTS[0], cubic_preference(), GridSpec(4, (0.0, 2.0))),
+    ),
+    "load_csv_matched_two_files": (
+        InvalidConfigError, lambda: load_csv("a.csv", SamplingScheme.MATCHED, "b.csv")
+    ),
+    "cum_quantile_range": (DomainError, lambda: DoublePareto(3.0, 1.5).cum_quantile(1.5)),
+    "cum_quantile_alpha": (DomainError, lambda: NO_MEAN.cum_quantile(0.5)),
+    "discrete_quantile_range": (
+        DomainError, lambda: DiscreteLaw([(0.0, 0.5), (1.0, 0.5)]).quantile(1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_guard_raises_its_type(name):
+    kind, make = GUARDS[name]
+    with pytest.raises(kind):
+        make()
+
+
+def test_double_pareto_mean_diverges():
+    assert NO_MEAN.mean() == np.inf

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from almostdom.calculus import GridFunction, GridSpec, area_ratio, negative_area, positive_area
-from almostdom.coefficients import Direction, DominanceFamily, default_grid
+from almostdom.coefficients import Direction, DominanceFamily, coefficient, default_grid
 from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     GridMismatchError,
     InvalidConfigError,
     NonFiniteDrawError,
+    NumericOverflowError,
     SchemeMismatchError,
 )
 from almostdom.inference import (
@@ -215,6 +216,55 @@ def test_derivative_is_the_limit_of_difference_quotients(case):
         bound = 2 * eps * spread**2 / (total * moved_total)
         rounding = 8 * n * np.finfo(float).eps * (1 / eps + spread / total)
         assert abs(quotient - value) <= bound + rounding, (eps, quotient, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(float, st.integers(2, 64), elements=st.floats(-1e60, 1e60)),
+    hnp.arrays(float, 64, elements=st.floats(-10.0, 10.0)),
+)
+@example(np.array([0.0, 5e-324]), np.linspace(-1.0, 2.0, 64))
+def test_ratio_and_derivative_are_scale_free(values, h):
+    # both maps read unscaled node sums, so the grid step, and with it the
+    # domain width, leaves them bit for bit; the ratio still refuses a
+    # curve whose scaled total area overflows
+    assume(np.any(values))
+    n = values.size
+    h = h[:n]
+    sets = ContactSets(plus=values > 0, minus=values < 0, zero=values == 0)
+    results = []
+    for width in (1.0, 2.0**-1000, 2.0**900):
+        spec = GridSpec(n, (0.0, width))
+        diff = GridFunction(spec, values)
+        try:
+            ratio = area_ratio(diff)
+        except NumericOverflowError:
+            assert width > 1.0
+            assert positive_area(diff) + negative_area(diff) > np.finfo(float).max / 2
+            ratio = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = derivative(GridFunction(spec, h), sets, diff)
+        results.append((ratio, np.float64(value).tobytes()))
+    (ratio, value), *others = results
+    for other_ratio, other_value in others:
+        assert other_ratio in (ratio, None) and other_value == value
+
+
+def test_interval_where_the_scaled_areas_underflow():
+    # 40 matched pairs on [0, 4e-300]: at SD 2 both scaled areas read 0, but
+    # the node sums are near 1e-299 and the draws of order 1-10
+    rng = child_rng(0, 0)
+    pairs = PairedSample(rng.uniform(0.0, 4e-300, 40), rng.uniform(0.0, 4e-300, 40))
+    fam = DominanceFamily.sd(2)
+    d1, d2 = EmpiricalDistribution(pairs.x1), EmpiricalDistribution(pairs.x2)
+    spec = default_grid(fam, d1, d2, 50)
+    est = coefficient(fam, d1, d2, spec)
+    assert est.pos_area == est.neg_area == 0.0 and 0.0 < est.c_hat < 1.0
+    result = bootstrap_ci(pairs, fam, MP, spec, cfg_with(t_n=1.0, n_boot=200))
+    assert result.estimate.c_hat == est.c_hat
+    assert result.n_boot_effective == 200 and np.all(np.isfinite(result.draws))
+    lo, hi = result.ci
+    assert 0.0 < lo < est.c_hat <= hi
 
 
 class TestInfQuantile:
