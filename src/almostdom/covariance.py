@@ -31,12 +31,15 @@ at most x) and is linear in x inside a bin (the integrated-CDF
 representation of Davidson and Duclos, 2000). The SD transform after
 p >= 1 passes depends on x through its bin alone: it is the same hinge
 in node-index coordinates. Per-bin sums carried through the integration
-passes by recursions give the variance in O(n log n + p**2 (n + G)) time
-and O(n + p**2 G) memory, p being the number of passes; SD at degree 1 (no
-pass) keeps the closed form from the CDFs, O(n + G). The sums are taken
-in double-double arithmetic: under matched pairs the variance is the two
-samples' variances less twice their covariance, which nearly cancel
-where the pairs nearly coincide.
+passes by recursions give the variance in O(n log G + p**2 G) time, plus
+O(p**2 n) for the cross terms of matched pairs, and O(block + p**2 G) memory
+beyond the inputs, p being the number of passes; SD at degree 1 (no pass)
+keeps the closed form from the CDFs, O(n + G). The observations are read
+once, in blocks of ``_BLOCK``, and each per-bin sum is exact (error-free
+extraction, summed by ``np.bincount``) until it is rounded to double-double.
+The recursions run in double-double arithmetic: under matched pairs the
+variance is the two samples' variances less twice their covariance, which
+nearly cancel where the pairs nearly coincide.
 """
 
 from __future__ import annotations
@@ -376,19 +379,77 @@ def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
     return var
 
 
-class _Bins:
-    """Per-node sums over the observations of each rank in 0..n_points - 1;
-    rank n_points (above every node) is dropped."""
+# Observations are read in blocks of at most this many. A block's float64
+# temporaries are 64 KB each, half of glibc's default mmap threshold: they
+# reuse heap memory instead of faulting in fresh pages, and stay in L2.
+_BLOCK = 8192
 
-    def __init__(self, ranks: np.ndarray, n_points: int):
-        self.order = np.argsort(ranks, kind="stable")
-        # the number of observations of rank at most k, for k = -1..n_points - 1
-        self.ends = np.searchsorted(ranks[self.order], np.arange(-1, n_points), side="right")
 
-    def sums(self, weights) -> _Wide:
-        prefix = _Wide.of(weights)[self.order].cumsum()
-        at = prefix[np.maximum(self.ends - 1, 0)].where(self.ends > 0, 0.0)
-        return at[1:] - at[:-1]
+def _exact_sums(values: np.ndarray, ranks: np.ndarray, size: int) -> _Wide:
+    """Sums of ``values`` by ``ranks`` (bins 0..size-1), exact until their
+    slices are added up in double-double, smallest first.
+
+    Error-free extraction (Rump, Ogita and Oishi 2008): with sigma a power
+    of two above twice the count times the largest magnitude,
+    ``(sigma + v) - sigma`` is v's leading part on a grid so coarse that every
+    sum of the slice is exact, and v less its slice is exact too. Slices are
+    cut until nothing is left, about three for values of one magnitude. Values
+    near the top of the float range are scaled down by a power of two while
+    their slice is cut.
+    """
+    spread = 1 + int(values.size).bit_length()
+    slices = []
+    rest = values
+    while True:
+        top = np.max(np.abs(rest), initial=0.0)
+        if top == 0.0:
+            break
+        if not np.isfinite(top):  # an overflow upstream: let it show in the sums
+            slices.append(np.bincount(ranks, rest, size))
+            break
+        exponent = int(np.frexp(top)[1]) + spread
+        scale = max(exponent - 1023, 0)  # keeps sigma finite
+        sigma = np.ldexp(1.0, exponent - scale)
+        cut = (sigma + (np.ldexp(rest, -scale) if scale else rest)) - sigma
+        part = np.bincount(ranks, cut, size)
+        if scale:
+            cut, part = np.ldexp(cut, scale), np.ldexp(part, scale)
+        slices.append(part)
+        rest = rest - cut
+    out = _Wide(np.zeros(size))
+    for part in reversed(slices):  # the rounding stays relative to the sum
+        out = out + part
+    return out
+
+
+class _Tally:
+    """Per-rank sums of block weights, accumulated block by block in
+    double-double. A rank runs from 0 to ``n_points``; the top rank, above
+    every node, counts in totals only. Each key is summed once per block."""
+
+    def __init__(self, n_points: int):
+        self.size = n_points + 1
+        self.sums: dict = {}
+
+    def add(self, key, ranks: np.ndarray | None, weights=None) -> None:
+        """Add the block's sums of ``weights`` (ones when None) by ``ranks``,
+        or their total when ``ranks`` is None."""
+        if weights is None:
+            part = _Wide(np.bincount(ranks, minlength=self.size).astype(float))
+        else:
+            weights = _Wide.of(weights)
+            size = self.size
+            if ranks is None:
+                ranks, size = np.zeros(weights.hi.size, dtype=np.intp), 1
+            part = _exact_sums(weights.hi, ranks, size) + _exact_sums(weights.lo, ranks, size)
+        self.sums[key] = self.sums[key] + part if key in self.sums else part
+
+    def bins(self, key) -> _Wide:
+        """The sums of ranks 0..n_points - 1."""
+        return self.sums[key][:-1]
+
+    def total(self, key) -> _Wide:
+        return self.sums[key].total()
 
 
 def _binom(top: np.ndarray, k: int) -> np.ndarray:
@@ -400,9 +461,21 @@ def _binom(top: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """One block of a sample's observations, in the sweep coordinates of its
+    :class:`_Hinge`: x, its rank bin, ``q_r - x`` at the rank (the top node
+    for the top rank), and x less the shift when the slope is not zero."""
+
+    x: np.ndarray
+    ranks: np.ndarray
+    gap: _Wide
+    centered: _Wide | None
+
+
 class _Hinge:
-    """One sample's observations for the rank-bin route, in the coordinates
-    of an upward sweep over the nodes.
+    """One sample's side of the rank-bin route, in the coordinates of an
+    upward sweep over the nodes.
 
     Up to a per-node constant, which leaves every variance unchanged, the
     transform at node k, ``a_k x - min(q_k, x)`` (Lorenz: a = lorenz; inverse
@@ -413,28 +486,32 @@ class _Hinge:
     (``x -> -x``, nodes backward, ``a -> 1 - a``), the same sweep integrates
     downward. Sums over the observations of H, of ``w H`` for weights w and
     of products of two samples' H are carried from node to node by
-    recursions whose inputs are per-bin sums. A pass is ``cumsum * step``
-    and a state is zero before its bin, so the level-i state of every
-    observation has ``S_i(j) = S_i(j-1) + step S_{i-1}(j)`` at every node j
-    for i >= 1: the product sums of levels i, k >= 1 need sums at j alone.
+    recursions whose inputs are per-bin sums, taken in one pass over the
+    observations (:func:`_tally`). A pass is ``cumsum * step`` and a state is
+    zero before its bin, so the level-i state of every observation has
+    ``S_i(j) = S_i(j-1) + step S_{i-1}(j)`` at every node j for i >= 1: the
+    product sums of levels i, k >= 1 need sums at j alone.
+
+    ``snap`` (SD) maps x to the index of the last node below it first;
+    ``shift`` is subtracted from x where the integrated slope ``I(a)`` is
+    not zero, to keep the slope terms small.
     """
 
-    def __init__(self, x, quant, lorenz, step, passes, mirror):
+    def __init__(self, quant, lorenz, step, passes, mirror, shift=0.0, snap=None):
         slope = _Wide(lorenz)
         if mirror:
-            x, quant, slope = -x, -quant[::-1], 1.0 - _Wide(lorenz[::-1])
-        self.x = x
+            quant, slope, shift = -quant[::-1], 1.0 - _Wide(lorenz[::-1]), -shift
         self.quant = quant
-        self.slope = slope
+        self.mirror = mirror
+        self.shift = shift
+        self.snap = snap
         self.step = step
         self.passes = passes
         self.n_points = quant.size
-        self.centered = x - _Wide(x).total() / x.size
-        self.ranks = np.searchsorted(quant, x, side="right")
-        self.bins = _Bins(self.ranks, self.n_points)
+        integrated = self.integrate(slope)
+        # the slope terms vanish where the integrated slope is zero
+        self.slope = integrated if np.any(integrated.hi) or np.any(integrated.lo) else None
         self.rise = _Wide(quant) - np.concatenate(([quant[0]], quant[:-1]))
-        # q_r - x > 0 for the observations below the top node
-        self.gap = _Wide(quant[np.minimum(self.ranks, self.n_points - 1)]) - x
         # integrals of q - q_0 of each level, and the powers of the step
         self.levels = [_Wide(quant) - quant[0]]
         self.powers = [_Wide(1.0)]
@@ -447,90 +524,158 @@ class _Hinge:
             values = values.cumsum() * self.step
         return values
 
-    def state(self, nodes: np.ndarray, level: int) -> _Wide:
+    def observe(self, x: np.ndarray) -> _Block:
+        if self.snap is not None:
+            x = np.searchsorted(self.snap, x, side="left") - 1.0
+        if self.mirror:
+            x = -x
+        ranks = np.searchsorted(self.quant, x, side="right")
+        gap = _Wide(self.quant[np.minimum(ranks, self.n_points - 1)]) - x
+        centered = None if self.slope is None else _Wide(x) - self.shift
+        return _Block(x, ranks, gap, centered)
+
+    def state(self, seen: _Block, nodes: np.ndarray, level: int) -> _Wide:
         """Each observation's integrated hinge of ``level`` at its node in
         ``nodes``: the rise of q past the bin, carried to the node by
         binomial weights, plus the gap times the integrated ones."""
-        lag = nodes - self.ranks
+        lag = nodes - seen.ranks
         on = lag >= 0
         lag = np.where(on, lag, 0)
-        start = np.where(on, self.ranks, 0)
+        start = np.where(on, seen.ranks, 0)
         out = self.levels[level][np.where(on, nodes, 0)] + (
-            _Wide(self.quant[start]) - self.x
+            _Wide(self.quant[start]) - seen.x
         ) * (self.powers[level] * _binom(lag + level, level))
         for s in range(level + 1):
             weight = self.powers[level - s] * _binom(lag - 1 + level - s, level - s)
             out = out - self.levels[s][start] * weight
         return out.where(on, 0.0)
 
-    def weighted(self, weights) -> _Wide:
-        """``sum_i weights_i H_j(x_i)`` at every node."""
-        inside = self.bins.sums(weights).cumsum()
-        base = self.rise * inside.before() + self.bins.sums(self.gap * weights)
+    def weighted(self, sums: _Wide, gap_sums: _Wide) -> _Wide:
+        """``sum_i w_i H_j(x_i)`` at every node, from the per-bin sums of the
+        weights w and of the gaps times w."""
+        base = self.rise * sums.cumsum().before() + gap_sums
         return self.integrate(base.cumsum())
 
-    def cross(self, other: _Hinge) -> _Wide:
-        """``sum_i H_j(x_i) H'_j(x'_i)`` at every node, for matched
-        observations (``other`` may be ``self``)."""
-        a, b, h, passes = self, other, self.step, self.passes
-        both = np.maximum(a.ranks, b.ranks)  # the first node where both are on
-        joint = _Bins(both, self.n_points)
-        top = np.minimum(both, self.n_points - 1)
-        gap_a = _Wide(a.quant[top]) - a.x
-        gap_b = _Wide(b.quant[top]) - b.x
-        count = joint.sums(np.ones(a.x.size)).cumsum()
-        # sums of each level's state over the observations on in the other
-        seen_a = [(a.rise * count.before() + joint.sums(gap_a)).cumsum()]
-        seen_b = [(b.rise * count.before() + joint.sums(gap_b)).cumsum()]
-        # per bin of the other sample: the state as the other turns on,
-        # alone and times the other's gap (nothing for the sample itself)
-        enter_a, enter_b = [None], [None]
-        for level in range(1, passes + 1):
-            if other is self:
-                state_a = state_b = _Wide(np.zeros(a.x.size))
-            else:
-                state_a, state_b = a.state(b.ranks - 1, level), b.state(a.ranks - 1, level)
-            enter_a.append(b.bins.sums(state_a * b.gap))
-            enter_b.append(a.bins.sums(state_b * a.gap))
-            seen_a.append((b.bins.sums(state_a) + seen_a[-1] * h).cumsum())
-            seen_b.append((a.bins.sums(state_b) + seen_b[-1] * h).cumsum())
-        # prod[i, k]: the sum of the level-i state times the other's level-k state
-        prod = {
-            (0, 0): (
-                b.rise * seen_a[0].before()
-                + a.rise * seen_b[0].before()
-                + a.rise * b.rise * count.before()
-                + joint.sums(gap_a * gap_b)
-            ).cumsum()
-        }
-        for i in range(1, passes + 1):
-            prod[i, 0] = (b.rise * seen_a[i].before() + enter_a[i] + prod[i - 1, 0] * h).cumsum()
-            prod[0, i] = (a.rise * seen_b[i].before() + enter_b[i] + prod[0, i - 1] * h).cumsum()
-        for i in range(1, passes + 1):
-            for k in range(1, passes + 1):
-                # P_ik(j) - P_ik(j-1) = h (P_i-1,k + P_i,k-1 - h P_i-1,k-1)(j), at
-                # least the subtracted term, as every state is nonnegative
-                growth = prod[i - 1, k] + prod[i, k - 1] - prod[i - 1, k - 1] * h
-                prod[i, k] = (growth * h).cumsum()
-        return prod[passes, passes]
+
+def _tally(sides: list[_Hinge], columns: list[np.ndarray]) -> _Tally:
+    """Every per-bin sum the scatters of ``sides`` need, in one pass over
+    their observations ``columns`` (one sample, or the matched pairs).
+
+    Keys: ``(i, name)`` and ``(i, name, k)`` are sums by side i's ranks;
+    ``("joint", ...)`` sums by the rank where both sides of a pair are on;
+    ``("cc", i, k)`` totals of the products of the centered values.
+    """
+    tally = _Tally(sides[0].n_points)
+    for lo in range(0, columns[0].size, _BLOCK):
+        seen = [side.observe(x[lo : lo + _BLOCK]) for side, x in zip(sides, columns)]
+        for i, s in enumerate(seen):
+            tally.add((i, "count"), s.ranks)
+            tally.add((i, "gap"), s.ranks, s.gap)
+            tally.add((i, "gap gap"), s.ranks, s.gap * s.gap)
+            for k, t in enumerate(seen):
+                if t.centered is not None:
+                    tally.add((i, "centered", k), s.ranks, t.centered)
+                    tally.add((i, "gap centered", k), s.ranks, s.gap * t.centered)
+                    if k >= i and s.centered is not None:
+                        tally.add(("cc", i, k), None, s.centered * t.centered)
+        if len(sides) == 2:
+            (a, b), (sa, sb) = sides, seen
+            both = np.maximum(sa.ranks, sb.ranks)  # the first node where both are on
+            top = np.minimum(both, a.n_points - 1)
+            gap_a = _Wide(a.quant[top]) - sa.x
+            gap_b = _Wide(b.quant[top]) - sb.x
+            tally.add(("joint", "count"), both)
+            tally.add(("joint", "gap", 0), both, gap_a)
+            tally.add(("joint", "gap", 1), both, gap_b)
+            tally.add(("joint", "gap gap"), both, gap_a * gap_b)
+            # each side's state as the other turns on, by the other's rank,
+            # alone and times the other's gap
+            for level in range(1, a.passes + 1):
+                state_a = a.state(sa, sb.ranks - 1, level)
+                state_b = b.state(sb, sa.ranks - 1, level)
+                tally.add((1, "state", level), sb.ranks, state_a)
+                tally.add((1, "state gap", level), sb.ranks, state_a * sb.gap)
+                tally.add((0, "state", level), sa.ranks, state_b)
+                tally.add((0, "state gap", level), sa.ranks, state_b * sa.gap)
+    return tally
 
 
-def _scatter(a: _Hinge, b: _Hinge) -> tuple[_Wide, np.ndarray]:
-    """``n - 1`` times the sample covariance of two samples' integrated
-    transforms over matched observations (``b`` may be ``a``), at every
-    node, from ``T_j = I(slope)_j c + H_j`` up to a constant, with ``c`` the
-    centered x; and the sum of the magnitudes of its terms."""
-    slope_a, slope_b = a.integrate(a.slope), b.integrate(b.slope)
-    ones = np.ones(a.x.size)
-    mean_a = slope_a * a.centered.total() + a.weighted(ones)
-    mean_b = slope_b * b.centered.total() + b.weighted(ones)
-    terms = (
-        slope_a * slope_b * (a.centered * b.centered).total(),
-        slope_a * b.weighted(a.centered),
-        slope_b * a.weighted(b.centered),
-        a.cross(b),
-        -(mean_a * mean_b) / a.x.size,
-    )
+def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
+    """``sum_i H_j(x_i) H'_j(x'_i)`` at every node over the observations of
+    sides i and k (matched pairs, or k = i)."""
+    a, b, h, passes = sides[i], sides[k], sides[i].step, sides[i].passes
+    if i == k:
+        count = tally.bins((i, "count")).cumsum()
+        joint_a = joint_b = tally.bins((i, "gap"))
+        joint_ab = tally.bins((i, "gap gap"))
+    else:
+        count = tally.bins(("joint", "count")).cumsum()
+        joint_a, joint_b = tally.bins(("joint", "gap", i)), tally.bins(("joint", "gap", k))
+        joint_ab = tally.bins(("joint", "gap gap"))
+    # sums of each level's state over the observations on in the other
+    seen_a = [(a.rise * count.before() + joint_a).cumsum()]
+    seen_b = [(b.rise * count.before() + joint_b).cumsum()]
+    # per bin of the other sample: the state as the other turns on, alone
+    # and times the other's gap (nothing for the sample itself)
+    enter_a, enter_b = [None], [None]
+    for level in range(1, passes + 1):
+        if i == k:
+            state_a = state_b = 0.0
+            enter_a.append(0.0)
+            enter_b.append(0.0)
+        else:
+            state_a, state_b = tally.bins((k, "state", level)), tally.bins((i, "state", level))
+            enter_a.append(tally.bins((k, "state gap", level)))
+            enter_b.append(tally.bins((i, "state gap", level)))
+        seen_a.append((seen_a[-1] * h + state_a).cumsum())
+        seen_b.append((seen_b[-1] * h + state_b).cumsum())
+    # prod[i, k]: the sum of the level-i state times the other's level-k state
+    prod = {
+        (0, 0): (
+            b.rise * seen_a[0].before()
+            + a.rise * seen_b[0].before()
+            + a.rise * b.rise * count.before()
+            + joint_ab
+        ).cumsum()
+    }
+    for m in range(1, passes + 1):
+        prod[m, 0] = (b.rise * seen_a[m].before() + enter_a[m] + prod[m - 1, 0] * h).cumsum()
+        prod[0, m] = (a.rise * seen_b[m].before() + enter_b[m] + prod[0, m - 1] * h).cumsum()
+    for m in range(1, passes + 1):
+        for l in range(1, passes + 1):
+            # P_ml(j) - P_ml(j-1) = h (P_m-1,l + P_m,l-1 - h P_m-1,l-1)(j), at
+            # least the subtracted term, as every state is nonnegative
+            growth = prod[m - 1, l] + prod[m, l - 1] - prod[m - 1, l - 1] * h
+            prod[m, l] = (growth * h).cumsum()
+    return prod[passes, passes]
+
+
+def _scatter(
+    sides: list[_Hinge], tally: _Tally, i: int, k: int, n: int
+) -> tuple[_Wide, np.ndarray]:
+    """``n - 1`` times the sample covariance of sides i and k's integrated
+    transforms over matched observations (k may be i), at every node, from
+    ``T_j = I(slope)_j c + H_j`` up to a constant, with ``c`` the shifted
+    x; and the sum of the magnitudes of its terms. A slope that is zero drops
+    its terms."""
+    a, b = sides[i], sides[k]
+    mean_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
+    mean_b = b.weighted(tally.bins((k, "count")), tally.bins((k, "gap")))
+    terms = []
+    if a.slope is not None:
+        mean_a = mean_a + a.slope * tally.total((i, "centered", i))
+    if b.slope is not None:
+        mean_b = mean_b + b.slope * tally.total((k, "centered", k))
+    if a.slope is not None and b.slope is not None:
+        terms.append(a.slope * b.slope * tally.total(("cc", min(i, k), max(i, k))))
+    if a.slope is not None:
+        centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
+        terms.append(a.slope * b.weighted(*centered))
+    if b.slope is not None:
+        centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
+        terms.append(b.slope * a.weighted(*centered))
+    terms.append(_cross(sides, tally, i, k))
+    terms.append(-(mean_a * mean_b) / n)
     return sum(terms[1:], terms[0]), sum(np.abs(term.hi) for term in terms)
 
 
@@ -543,10 +688,11 @@ def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
     ddof = 0 if family.kind is Family.SD else 1
     # the weight of the scatter of samples (i, k) in the variance
     weights = {(0, 0): (1.0 - share1) / (d1.n - ddof), (1, 1): share1 / (d2.n - ddof)}
-    values = (d1.sorted_values, d2.sorted_values)
-    if scheme is SamplingScheme.MATCHED:
+    matched = scheme is SamplingScheme.MATCHED
+    columns = [d1.sorted_values, d2.sorted_values]
+    if matched:
         weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - ddof)
-        values = (pairs.x1, pairs.x2)
+        columns = [pairs.x1, pairs.x2]
     lorenz = family.kind is Family.LORENZ
     scales = (d1.mean, d2.mean) if lorenz else (1.0, 1.0)
     mirror = family.direction is Direction.DOWN
@@ -558,18 +704,27 @@ def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
         # coordinates (exact in floats at any offset of the grid), raised by
         # p - 1 passes; the step goes into the weights, where it may underflow
         index = np.arange(spec.n_points, dtype=float)
-        sides = [(np.searchsorted(nodes, x, side="left") - 1.0, index, zero) for x in values]
-        passes -= 1
+        sides = [_Hinge(index, zero, spec.step, passes - 1, mirror, snap=nodes) for _ in range(2)]
         weights = {key: weight * spec.step * spec.step for key, weight in weights.items()}
     else:
         sides = [
-            (x, dist.quantile(nodes), dist.lorenz(nodes) if lorenz else zero)
-            for x, dist in zip(values, (d1, d2))
+            _Hinge(
+                dist.quantile(nodes), dist.lorenz(nodes) if lorenz else zero,
+                spec.step, passes, mirror, shift=dist.mean,
+            )
+            for dist in (d1, d2)
         ]
-    sides = [_Hinge(*side, spec.step, passes, mirror) for side in sides]
+    if matched:
+        tally = _tally(sides, columns)
+        scatters = {key: _scatter(sides, tally, *key, pairs.n) for key in weights}
+    else:
+        scatters = {
+            (i, i): _scatter([side], _tally([side], [x]), 0, 0, x.size)
+            for i, (side, x) in enumerate(zip(sides, columns))
+        }
     var, size = _Wide(0.0), 0.0
     for (i, k), weight in weights.items():
-        scatter, magnitude = _scatter(sides[i], sides[k])
+        scatter, magnitude = scatters[i, k]
         weight = _Wide(weight) / (_Wide(scales[i]) * scales[k])
         var = var + scatter * weight
         size = size + magnitude * np.abs(weight.hi)
@@ -590,17 +745,19 @@ def std_curve_for(
 
     Every family above SD degree 1 takes the per-node variance of the
     integrated transform from rank-bin sums, at every degree, in both
-    directions and under both schemes: O(n log n + p**2 (n + G)) time and
-    O(n + p**2 G) memory for p = ``operator_degree - 1`` integration
-    passes, with no kernel and no n-by-G block. SD at degree 1 takes the
-    diagonal of :func:`sd_kernel` from the CDFs in O(n + G).
+    directions and under both schemes: O(n log G + p**2 G) time, plus
+    O(p**2 n) under matched pairs, and O(block + p**2 G) memory beyond the
+    inputs for p = ``operator_degree - 1`` integration passes, with no
+    kernel and no n-by-G block. The observations are read once, in blocks.
+    SD at degree 1 takes the diagonal of :func:`sd_kernel` from the CDFs in
+    O(n + G).
 
     Downward families lose precision where matched pairs nearly coincide:
     on n = 300 tied Pareto pairs with ``x2 = x1 * (1 + 1e-9 * N(0, 1))``
     (every third pair equal) at G = 10**3 the result differs from
-    ``std_curve(isd_kernel(...))`` by 2.1e-8 of the largest std for ISD 3
-    down (1.9e-7 at another seed) and 3.1e-12 for ISD 3 up; that std is
-    5e-10, far below the default ``xi0`` of 1e-3.
+    ``std_curve(isd_kernel(...))`` by 1e-9 to 1.9e-8 of the largest std
+    for ISD 3 down and by at most 2.9e-12 for ISD 3 up, over ten seeds;
+    that std is about 5e-10, far below the default ``xi0`` of 1e-3.
     """
     _check_scheme(scheme, pairs, d1, d2)
     # a variance that overflows is not finite, and _std raises

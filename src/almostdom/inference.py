@@ -202,6 +202,8 @@ def _derivative_rows(
     from the unscaled node sums like :func:`~almostdom.calculus.area_ratio`."""
     pos, neg = _node_sums(diff.values)
     total = pos + neg
+    if total == np.inf:
+        raise NumericOverflowError("curve area overflows the float range")
     if total == 0.0:
         raise DegenerateCurvesError("cannot differentiate at a vanishing curve")
     zero_part = h_rows[:, sets.zero]

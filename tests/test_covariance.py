@@ -1,6 +1,7 @@
 """Covariance kernels: brute-force equality, PSD, and studentization curves."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from almostdom.covariance import (
     std_curve_for,
 )
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from almostdom.errors import FamilyMismatchError, SchemeMismatchError
+from almostdom.errors import FamilyMismatchError, NumericOverflowError, SchemeMismatchError
 from almostdom.rng import child_rng
 from almostdom.simulation import DoublePareto
 
@@ -603,3 +604,136 @@ def test_memory_is_linear_in_n_plus_g():
             finally:
                 tracemalloc.stop()
             assert peak < cap, f"{family} {scheme}: peak {peak} bytes, cap {cap}"
+
+
+@st.composite
+def binned_weights(draw):
+    """Weights with ranks 0..n_points (the top rank is dropped from the
+    bins): mixed signs, magnitudes from 1e-300 to 1e300, zeros, pairs that
+    cancel exactly or nearly, and double-double weights with a low part."""
+    n_points = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 120))
+    magnitude = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 10.0),
+        st.integers(-300, 299),
+    )
+    hi = np.array(draw(st.lists(st.one_of(magnitude, st.just(0.0)), min_size=size, max_size=size)))
+    if draw(st.booleans()):  # every weight followed by its negative, nudged or not
+        nudge = draw(st.sampled_from([0.0, 2.0**-52, 1e-9]))
+        hi = np.concatenate((hi, -hi * (1.0 + nudge)))
+    lo = hi * draw(st.sampled_from([0.0, 2.0**-60, -(2.0**-80)]))
+    if draw(st.booleans()):
+        ranks = np.full(hi.size, draw(st.integers(0, n_points)))
+    else:
+        rank = st.integers(0, n_points)
+        ranks = np.array(draw(st.lists(rank, min_size=hi.size, max_size=hi.size)))
+    return n_points, ranks, hi, lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(binned_weights())
+# magnitudes near the top of the float range, and the smallest subnormal
+@example((1, np.zeros(4, dtype=int), np.array([1.7e308, -1.6e308, 1.0, 2.0**-1074]), np.zeros(4)))
+def test_bin_sums_are_exact(case):
+    n_points, ranks, hi, lo = case
+    tally = covariance._Tally(n_points)
+    tally.add("w", ranks, covariance._Wide(hi, lo))
+    got = tally.bins("w")
+    for rank in range(n_points):
+        inside = ranks == rank
+        weights = [Fraction(h) + Fraction(l) for h, l in zip(hi[inside], lo[inside])]
+        exact, size = sum(weights, Fraction(0)), sum(map(abs, weights), Fraction(0))
+        miss = abs(Fraction(got.hi[rank]) + Fraction(got.lo[rank]) - exact)
+        assert miss <= size * Fraction(2) ** -100, (rank, float(miss), float(size))
+
+
+TIED = np.round(child_rng(43, 0).pareto(1.3, 2 * 45) + 1.0, 1) + 50.0
+BLOCK_FAMILIES = (
+    [DominanceFamily.lorenz(m, d) for m in (1, 2, 3) for d in Direction]
+    + [DominanceFamily.inverse_sd(m) for m in (2, 3, 4)]
+    + [DominanceFamily.inverse_sd(m, Direction.DOWN) for m in (3, 4)]
+    + [DominanceFamily.sd(m) for m in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_size_does_not_matter(block, monkeypatch):
+    # tied data off the origin, read one observation, seven or all at a time
+    x1, x2 = TIED[:45], np.round(0.5 * TIED[:45] + TIED[45:], 1)
+    d1, d2, pairs = EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2)
+    cases = []
+    for family in BLOCK_FAMILIES:
+        domain = (50.0, float(max(x1.max(), x2.max()))) if family.kind is Family.SD else (0.0, 1.0)
+        for scheme, pair_arg in ((IND, None), (MP, pairs)):
+            data = (d1, d2, pair_arg, scheme, GridSpec(23, domain))
+            cases.append((family, data, std_curve_for(family, *data).values))
+    monkeypatch.setattr(covariance, "_BLOCK", block)
+    for family, data, expected in cases:
+        np.testing.assert_allclose(
+            std_curve_for(family, *data).values, expected, rtol=0,
+            atol=1e-13 * np.max(expected), err_msg=f"{family} {data[3]}",
+        )
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_overflowing_variance_raises(degree):
+    x1 = np.array([1e308, 1.5e308, 1.7e308, 1.0])
+    x2 = np.array([1.0, 2.0, 3.0, 4.0])
+    d1, d2 = EmpiricalDistribution(x1), EmpiricalDistribution(x2)
+    family = DominanceFamily.inverse_sd(degree)
+    for scheme, pair_arg in ((IND, None), (MP, PairedSample(x1, x2))):
+        with pytest.raises(NumericOverflowError):
+            std_curve_for(family, d1, d2, pair_arg, scheme, GridSpec(10))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_huge_value_above_every_node_quantile(degree):
+    # min(q, x) never reaches the 1e308 above every node quantile, so the
+    # upward inverse-SD variance is finite; its zero slope drops the terms in
+    # x itself, whose squares would overflow
+    x1 = np.array([1.0, 1.0, 1e308, 0.0, 1.0])
+    x2 = np.array([2.0, 1.0, 1e308, 0.0, 1.0])
+    d1, d2 = EmpiricalDistribution(x1), EmpiricalDistribution(x2)
+    family, spec = DominanceFamily.inverse_sd(degree), GridSpec(2)
+    for scheme, pair_arg in ((IND, None), (MP, PairedSample(x1, x2))):
+        fast = std_curve_for(family, d1, d2, pair_arg, scheme, spec).values
+        slow = std_curve(isd_kernel(d1, d2, pair_arg, scheme, spec), family).values
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-15 * np.max(slow))
+
+
+def test_downward_precision_where_pairs_nearly_coincide():
+    # ISD 3 down on matched pairs that agree to about 1e-9 (every third pair
+    # exactly), against the exact variance of the integrated transform
+    # step * sum_{k >= j} min(q_k, x). The rank-bin route misses it by up to
+    # about 2e-8 of the largest std here (see std_curve_for); the bound pins
+    # that loss.
+    rng = child_rng(2, 0)
+    x1 = np.round(rng.pareto(1.3, 300) + 1.0, 1)
+    x2 = x1 * (1.0 + 1e-9 * rng.normal(size=300))
+    x2[::3] = x1[::3]
+    d1, d2, pairs = EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2)
+    spec = GridSpec(1000)
+    family = DominanceFamily.inverse_sd(3, Direction.DOWN)
+    std = std_curve_for(family, d1, d2, pairs, MP, spec).values
+    sides = []
+    for dist, x in ((d1, x1), (d2, x2)):
+        quant = [Fraction(q) for q in dist.quantile(spec.nodes())]
+        suffix = [Fraction(0)] * (spec.n_points + 1)
+        for k in range(spec.n_points - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + quant[k]
+        ranks = np.searchsorted(dist.quantile(spec.nodes()), x, side="right")
+        sides.append((suffix, ranks, [Fraction(v) for v in x]))
+    step = Fraction(spec.step)
+    for node in (0, 1, 2, 5, 10, 20, 50, *range(100, 1000, 100), 999):
+        diffs = []
+        for i in range(pairs.n):
+            sums = []
+            for suffix, ranks, x in sides:
+                last = max(node, int(ranks[i]))  # min(q_k, x) is x from here on
+                sums.append(suffix[node] - suffix[last] + x[i] * (spec.n_points - last))
+            diffs.append(sums[1] - sums[0])
+        mean = sum(diffs) / pairs.n
+        var = step * step * sum((d - mean) ** 2 for d in diffs) / (2 * (pairs.n - 1))
+        assert abs(std[node] - np.sqrt(float(var))) <= 1e-6 * np.max(std), node

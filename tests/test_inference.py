@@ -166,6 +166,16 @@ class TestDerivative:
                 c * base, abs=1e-12 * max(1, c)
             )
 
+    def test_overflowing_curve_raises(self):
+        # the node sums of the curve overflow, as they do in area_ratio
+        spec = GridSpec(2)
+        diff = GridFunction(spec, np.array([1e308, 1e308]))
+        sets = ContactSets(plus=np.ones(2, bool), minus=np.zeros(2, bool), zero=np.zeros(2, bool))
+        with pytest.raises(NumericOverflowError):
+            area_ratio(diff)
+        with pytest.raises(NumericOverflowError):
+            derivative(GridFunction(spec, np.ones(2)), sets, diff)
+
     def test_lipschitz_bound(self):
         rng = child_rng(43, 0)
         pos, neg = 0.3, 0.1
