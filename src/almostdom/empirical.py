@@ -178,8 +178,7 @@ class EmpiricalDistribution:
         # an overflowed partial sum stays infinite, so the mean shows any overflow
         if not np.isfinite(self.mean):
             raise NumericOverflowError("the sample sum overflows the float range")
-        k, frac = quantile_positions(self.n, p)
-        out = cum_quantile_at(self.sorted_values, self._prefix, k, frac)
+        out = cum_quantile_at(self.sorted_values, self._prefix, *quantile_positions(self.n, p))
         return out if out.ndim else float(out)
 
     def lorenz(self, p):
@@ -194,19 +193,25 @@ class EmpiricalDistribution:
         return out / self.mean
 
 
-def quantile_positions(n: int, p) -> tuple[np.ndarray, np.ndarray]:
+def quantile_positions(n: int, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the integrated quantile of an ``n``-point sample is read at
-    ``p``: ``k = floor(n*p)`` (at most ``n``) and the fractional part
-    ``n*p - k``."""
+    ``p``: ``k = floor(n*p)`` (at most ``n``); ``at = min(k, n - 1)``, the
+    order statistic after the ``k`` smallest; and its weight ``frac``, the
+    fractional part ``n*p - k`` (0 where ``k = n``)."""
     t = n * p
     k = np.minimum(np.floor(t).astype(np.int64), n)
-    return k, np.maximum(t - k, 0.0)
+    frac = np.where(k < n, np.maximum(t - k, 0.0), 0.0)
+    return k, np.minimum(k, n - 1), frac
 
 
 def cum_quantile_at(
-    ordered: np.ndarray, prefix: np.ndarray, k: np.ndarray, frac: np.ndarray
+    ordered: np.ndarray,
+    prefix: np.ndarray,
+    k: np.ndarray,
+    at: np.ndarray,
+    frac: np.ndarray,
 ) -> np.ndarray:
-    """Integrated quantile at positions ``k``, ``frac`` (see
+    """Integrated quantile at positions ``k``, ``at``, ``frac`` (see
     :func:`quantile_positions`) of the order statistics ``ordered``, whose
     prefix sums (led by a zero) are ``prefix``.
 
@@ -214,9 +219,9 @@ def cum_quantile_at(
     sample or a stack of them, one per row.
     """
     n = ordered.shape[-1]
-    out = np.take(ordered, np.minimum(k, n - 1), axis=-1)
-    out *= np.where(k < n, frac, 0.0)
-    out += prefix[..., k]
+    out = np.take(ordered, at, axis=-1)
+    out *= frac
+    out += np.take(prefix, k, axis=-1)
     out /= n
     return out
 

@@ -16,6 +16,8 @@ estimate of the map's directional derivative:
 The studentization curve and the contact sets come from the original
 sample and are held fixed across replicates. Replicate b draws from the
 stream keyed (seed, b), so runs are reproducible and order-independent.
+A bootstrap derives the states of all its streams at once and draws
+each resample from its stream's raw words (see :mod:`almostdom.rng`).
 
 Replicates are drawn and folded in chunks. A resample is a row of
 positions among the order statistics of each sample. For a chunk of
@@ -23,8 +25,9 @@ replicates the rows are sorted and their values summed cumulatively;
 read at node positions that do not change between replicates, the sums
 give the Lorenz and integrated-quantile curves, and cumulative counts of
 the positions give the empirical CDFs. Each chunk is turned into
-derivative draws at once, so memory is bounded by the chunk (a few MB)
-and no longer grows with the number of replicates. A replicate whose
+derivative draws at once, so memory is bounded by the chunk (arrays of
+64 KB, or about 512 KB where n or G exceeds 4096) and does not grow with
+the number of replicates. A replicate whose
 Lorenz resample has no positive mean, or whose curve or draw is not
 finite, gives no draw: it is dropped, and ``n_boot_effective`` counts
 the rest.
@@ -45,6 +48,7 @@ pool, with identical results either way.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -73,7 +77,7 @@ from .errors import (
     SchemeMismatchError,
     ZeroMeanError,
 )
-from .rng import child_rng, child_seed
+from .rng import child_rng, child_seed, draw_integers, stream_states
 
 __all__ = [
     "InferenceConfig",
@@ -87,9 +91,14 @@ __all__ = [
     "select_tuning",
 ]
 
-# replicates per chunk are sized so that each per-chunk array holds about
-# this many values (4 MB of float64)
-_CHUNK_BUDGET = 1 << 19
+# replicates per chunk are sized so that each per-chunk array holds at most
+# this many values: 64 KB of float64, below glibc's default 128 KB mmap
+# threshold, so the temporaries reuse heap memory instead of faulting in
+# fresh pages, and a chunk's working set stays in a 2 MB L2 cache. Where
+# two rows, the fewest a chunk takes, already exceed it, the arrays fault in
+# fresh pages whatever the chunk size; such a chunk holds 8 budgets, which
+# spreads its fixed cost (allocator calls, numpy dispatch) over more rows.
+_CHUNK_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,14 @@ class InferenceConfig:
             raise InvalidConfigError(f"n_boot must be >= 1, got {self.n_boot}")
         if not 0.0 < self.alpha < 0.5:
             raise InvalidConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidConfigError("seed must fit in 64 unsigned bits")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or isinstance(self.seed, bool):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= seed < 2**64:
+            raise InvalidConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +210,25 @@ def contact_sets(
     return ContactSets(plus=plus, minus=minus, zero=zero, t_n=cfg.t_n, xi0=cfg.xi0)
 
 
-def _derivative_rows(
-    h_rows: np.ndarray, sets: ContactSets, diff: GridFunction
-) -> np.ndarray:
-    """Directional derivative of the area ratio for each row of ``h_rows``,
-    from the unscaled node sums like :func:`~almostdom.calculus.area_ratio`."""
+def _area_sums(diff: GridFunction) -> tuple[float, float, float]:
+    """Unscaled node sums ``(pos, neg, pos + neg)`` of ``diff`` (see
+    :func:`~almostdom.calculus.area_ratio`), at which the ratio is
+    differentiated."""
     pos, neg = _node_sums(diff.values)
     total = pos + neg
     if total == np.inf:
         raise NumericOverflowError("curve area overflows the float range")
     if total == 0.0:
         raise DegenerateCurvesError("cannot differentiate at a vanishing curve")
+    return pos, neg, total
+
+
+def _derivative_rows(
+    h_rows: np.ndarray, sets: ContactSets, sums: tuple[float, float, float]
+) -> np.ndarray:
+    """Directional derivative of the area ratio for each row of ``h_rows``,
+    at the curve whose :func:`_area_sums` are ``sums``."""
+    pos, neg, total = sums
     zero_part = h_rows[:, sets.zero]
     d_pos = h_rows[:, sets.plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
     d_neg = -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
@@ -225,7 +248,7 @@ def derivative(h: GridFunction, sets: ContactSets, diff: GridFunction) -> float:
         raise GridMismatchError("direction and difference curves differ in grid")
     if sets.n_points != diff.spec.n_points:
         raise GridMismatchError("contact sets sized for a different grid")
-    return float(_derivative_rows(h.values[None, :], sets, diff)[0])
+    return float(_derivative_rows(h.values[None, :], sets, _area_sums(diff))[0])
 
 
 def _inf_quantile(values: np.ndarray, beta: float) -> float:
@@ -264,16 +287,18 @@ class _Side:
 
     A resample is a row of positions among ``sorted_values``. Under the
     independent scheme the drawn indices already are positions; matched
-    pairs draw pair indices, which ``rank`` maps to positions. ``k`` and
-    ``frac`` fix where the base curve is read at the grid nodes: the
-    integrated quantile's order position and fractional part (see
+    pairs draw pair indices, which ``rank`` maps to positions. ``k``,
+    ``at`` and ``frac`` fix where the base curve is read at the grid nodes:
+    the integrated quantile's positions (see
     :func:`~almostdom.empirical.quantile_positions`), or for the SD family
-    the number of order statistics at or below each node (``frac`` None).
+    ``k`` alone, the number of order statistics at or below each node
+    (``at`` and ``frac`` None).
     """
 
     sorted_values: np.ndarray
     rank: np.ndarray | None
     k: np.ndarray
+    at: np.ndarray | None
     frac: np.ndarray | None
 
 
@@ -292,7 +317,7 @@ def _side(
     nodes = spec.nodes()
     if family.kind is Family.SD:
         cut = np.searchsorted(dist.sorted_values, nodes, side="right")
-        return _Side(dist.sorted_values, rank, cut, None)
+        return _Side(dist.sorted_values, rank, cut, None, None)
     return _Side(dist.sorted_values, rank, *quantile_positions(dist.n, nodes))
 
 
@@ -309,6 +334,7 @@ class _Prepared:
     side1: _Side
     side2: _Side
     diff: GridFunction
+    sums: tuple[float, float, float]
     root_n: float
     seed: int
 
@@ -335,22 +361,28 @@ def _prepare(
         side1=_side(family, d1, spec, None if pairs is None else pairs.x1),
         side2=_side(family, d2, spec, None if pairs is None else pairs.x2),
         diff=est.difference,
+        sums=_area_sums(est.difference),
         root_n=float(np.sqrt(est.effective_n)),
         seed=cfg.seed,
     )
     return est, prep
 
 
+def _draw_sizes(prep: _Prepared) -> tuple[tuple[int, int], ...]:
+    """``(high, size)`` of each ``integers(0, high, size)`` draw that makes
+    one resample: pair indices when matched, else indices into each
+    sample's order statistics (first, then second)."""
+    n1, n2 = prep.d1.n, prep.d2.n
+    return ((n1, n1),) if prep.scheme is SamplingScheme.MATCHED else ((n1, n1), (n2, n2))
+
+
 def _draw_indices(
     prep: _Prepared, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of one resample: one draw of pair indices when matched, else
-    one draw into each sample's order statistics (first, then second)."""
-    if prep.scheme is SamplingScheme.MATCHED:
-        n = prep.pairs.n
-        idx = rng.integers(0, n, n)
-        return idx, idx
-    return rng.integers(0, prep.d1.n, prep.d1.n), rng.integers(0, prep.d2.n, prep.d2.n)
+    """Indices of one resample into the first and second sample (matched
+    pairs share one draw)."""
+    idx = [rng.integers(0, high, size) for high, size in _draw_sizes(prep)]
+    return idx[0], idx[-1]
 
 
 def _resample(prep: _Prepared, rng: np.random.Generator):
@@ -381,15 +413,14 @@ def _ordered_map(fn, items, n_jobs: int):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
-def _positions(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order positions of replicates ``lo`` to ``hi - 1``, one row each per
-    sample, drawn from the streams keyed (seed, replicate)."""
-    pos1 = np.empty((hi - lo, prep.d1.n), dtype=np.int64)
-    pos2 = np.empty((hi - lo, prep.d2.n), dtype=np.int64)
-    for row, index in enumerate(range(lo, hi)):
-        idx1, idx2 = _draw_indices(prep, child_rng(prep.seed, index))
-        pos1[row] = idx1 if prep.side1.rank is None else prep.side1.rank[idx1]
-        pos2[row] = idx2 if prep.side2.rank is None else prep.side2.rank[idx2]
+def _positions(prep: _Prepared, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order positions of the replicates whose streams are at ``states``
+    (see :func:`~almostdom.rng.stream_states`), one row each per sample:
+    the indices :func:`_draw_indices` draws from those streams."""
+    idx = draw_integers(states, _draw_sizes(prep))
+    idx1, idx2 = idx[0], idx[-1]
+    pos1 = idx1 if prep.side1.rank is None else prep.side1.rank[idx1]
+    pos2 = idx2 if prep.side2.rank is None else prep.side2.rank[idx2]
     return pos1, pos2
 
 
@@ -401,7 +432,7 @@ def _cdf_rows(side: _Side, pos: np.ndarray) -> np.ndarray:
     cdf = np.zeros((rows, n + 1))
     np.cumsum(counts, axis=1, out=cdf[:, 1:])
     cdf /= n
-    return cdf[:, side.k]
+    return np.take(cdf, side.k, axis=1)
 
 
 def _cum_quantile_rows(side: _Side, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,17 +443,23 @@ def _cum_quantile_rows(side: _Side, pos: np.ndarray) -> tuple[np.ndarray, np.nda
     rows, n = pos.shape
     prefix = np.zeros((rows, n + 1))
     np.cumsum(ordered, axis=1, out=prefix[:, 1:])
-    return cum_quantile_at(ordered, prefix, side.k, side.frac), prefix[:, -1] / n
+    return cum_quantile_at(ordered, prefix, side.k, side.at, side.frac), prefix[:, -1] / n
 
 
-def _replicate_rows(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _replicate_rows(
+    prep: _Prepared, lo: int, hi: int, states: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` of replicates
     ``lo`` to ``hi - 1``, one row each, and a mask of the usable rows.
 
+    Replicate b draws from the stream keyed (seed, b); ``states`` holds
+    those streams' states when the caller has derived them already.
     A row is usable when it is finite: a row whose sums overflow is not, and
     a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
     """
-    pos1, pos2 = _positions(prep, lo, hi)
+    if states is None:
+        states = stream_states(prep.seed, lo, hi)
+    pos1, pos2 = _positions(prep, states)
     kind = prep.family.kind
     with np.errstate(all="ignore"):
         if kind is Family.SD:
@@ -441,13 +478,18 @@ def _replicate_rows(prep: _Prepared, lo: int, hi: int) -> tuple[np.ndarray, np.n
 
 
 def _chunk_draws(
-    prep: _Prepared, sets: tuple[ContactSets, ...], bounds: tuple[int, int]
+    prep: _Prepared,
+    sets: tuple[ContactSets, ...],
+    states: np.ndarray,
+    bounds: tuple[int, int],
 ) -> list[np.ndarray]:
     """Derivative draws of the usable replicates in ``bounds`` under each
-    contact-set estimate in ``sets``; a draw that overflows is dropped too."""
-    rows, ok = _replicate_rows(prep, *bounds)
+    contact-set estimate in ``sets``; a draw that overflows is dropped too.
+    ``states`` holds the stream states of every replicate."""
+    lo, hi = bounds
+    rows, ok = _replicate_rows(prep, lo, hi, states[lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
-        draws = [_derivative_rows(rows, s, prep.diff) for s in sets]
+        draws = [_derivative_rows(rows, s, prep.sums) for s in sets]
     return [d[ok & np.isfinite(d)] for d in draws]
 
 
@@ -457,10 +499,14 @@ def _bootstrap_draws(
     """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
     contact-set estimate in ``sets``, in replicate order.
 
-    Replicates run in chunks of about ``_CHUNK_BUDGET / max(n1, n2, G)``
-    rows, each folded into draws as soon as it is built.
+    Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows, or
+    where that is under 2, of 8 budgets and at least 2 rows; each chunk is
+    folded into draws as soon as it is built.
     """
-    size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
+    width = max(prep.d1.n, prep.d2.n, prep.spec.n_points)
+    size = _CHUNK_BUDGET // width
+    if size < 2:
+        size = max(2, 8 * _CHUNK_BUDGET // width)
     starts = list(range(0, n_boot, size))
     # numpy sums the masked columns of a single row pairwise but those of
     # several rows one column at a time, so a lone last row joins the chunk
@@ -468,7 +514,10 @@ def _bootstrap_draws(
     if len(starts) > 1 and n_boot - starts[-1] == 1:
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n_boot]))
-    chunks = list(_ordered_map(partial(_chunk_draws, prep, sets), bounds, n_jobs))
+    # the streams are derived once for all chunks: the derivation's fixed
+    # cost would exceed the draws of a chunk of a few rows
+    states = stream_states(prep.seed, 0, n_boot)
+    chunks = list(_ordered_map(partial(_chunk_draws, prep, sets, states), bounds, n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 

@@ -1,15 +1,43 @@
 """Derivation of reproducible, independent random streams.
 
 All stochastic code in the package draws from streams keyed by
-``(seed, *key)``. The mapping is stable: the same key always yields the
-same stream no matter how many other streams exist or in which order they
-are created, so parallel and sequential execution produce identical
-results.
+``(seed, *key)``: the stream of ``child_rng(seed, *key)``, numpy's PCG64
+seeded by ``SeedSequence(seed, spawn_key=key)``. The mapping is stable:
+the same key always yields the same stream no matter how many other
+streams exist or in which order they are created, so parallel and
+sequential execution produce identical results.
+
+The bootstrap reads many streams keyed ``(seed, b)``, a few hundred to
+a few thousand values from each, where building one ``Generator`` per
+stream would cost more than its draws. :func:`stream_states` derives the PCG64 states of a
+whole range of such keys at once, running numpy's documented algorithms
+on arrays: the ``SeedSequence`` hash mixes (O'Neill's ``seed_seq``
+design, adopted under NEP 19) on uint32 words, then the PCG64
+set-sequence seeding (O'Neill 2014, "PCG: A family of simple fast
+space-efficient statistically good algorithms for random number
+generation"), two steps of its 128-bit LCG, on Python ints.
+:func:`draw_integers` then draws from those states what
+``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
+the streams' raw 64-bit words. Both are checked against numpy itself in
+the tests.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -25,3 +53,137 @@ def child_seed(seed: int, *key: int) -> int:
     """
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as SeedSequence reads an int: little-endian uint32 words."""
+    out = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        out.append(value & _M32)
+    return out
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words, as ints or uint64 arrays."""
+    out = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _M32
+    return out ^ (out >> 16)
+
+
+class _Hash:
+    """SeedSequence's running hash of 32-bit words, as ints or uint64
+    arrays; its constant depends only on how many words it has hashed."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        old, self.const = self.const, self.const * self.mult & _M32
+        value = (value ^ old) * self.const & _M32
+        return value ^ (value >> 16)
+
+
+def _states_of_width(seed_words: list[int], lo: int, hi: int, width: int) -> np.ndarray:
+    """:func:`stream_states` of keys ``(seed, b)`` whose ``b`` all have
+    ``width`` uint32 words."""
+    b = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
+    key = [((b >> (32 * i)) & _M32).astype(np.uint64) for i in range(width)]
+    # mix_entropy: hash the first pool-size words in and mix them together
+    # (on ints: they are the seed's alone), then fold each further word into
+    # every pool word
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in seed_words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in seed_words[_POOL_SIZE:] + key:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words cycled from the pool,
+    # paired low word first
+    hashgen = _Hash(_INIT_B, _MULT_B)
+    out = [hashgen(pool[i % _POOL_SIZE]) for i in range(8)]
+    seeds = [(out[2 * i] | (out[2 * i + 1] << 32)).tolist() for i in range(4)]
+    # PCG64's set-sequence seeding on (state, sequence) = (s0:s1, s2:s3)
+    states = []
+    for s0, s1, s2, s3 in zip(*seeds):
+        inc = ((s2 << 65) | (s3 << 1) | 1) & _M128
+        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
+        states.append((state >> 64, state & _M64, inc >> 64, inc & _M64))
+    return np.array(states, dtype=np.uint64)
+
+
+def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """PCG64 states of the streams keyed ``(seed, b)``, ``lo <= b < hi``.
+
+    Row ``b - lo`` holds four uint64 words, the high and low halves of
+    ``state`` and then of ``inc``, such that
+    ``PCG64(SeedSequence(seed, spawn_key=(b,))).state["state"]`` is
+    ``{"state": w0 << 64 | w1, "inc": w2 << 64 | w3}``.
+    """
+    seed_words = _words(operator.index(seed))
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    parts = [np.empty((0, 4), dtype=np.uint64)]
+    start = lo
+    while start < hi:
+        width = len(_words(start))
+        stop = min(hi, 1 << (32 * width))
+        parts.append(_states_of_width(seed_words, start, stop, width))
+        start = stop
+    return np.concatenate(parts)
+
+
+def draw_integers(
+    states: np.ndarray, sizes: tuple[tuple[int, int], ...]
+) -> list[np.ndarray]:
+    """``[g.integers(0, high, size) for high, size in sizes]`` for a fresh
+    ``g`` on each stream of ``states`` (rows of :func:`stream_states`),
+    stacked: entry ``i`` holds one row of ``sizes[i][1]`` draws per stream.
+    Every ``high`` is at most 2**32.
+
+    One bit generator takes each stream's state and reads its raw 64-bit
+    words. numpy draws below such a ``high`` from 32-bit words, the low half
+    of a raw word and then its high half, one per value: word ``w`` gives
+    ``(w * high) >> 32`` unless ``(w * high) mod 2**32`` falls below
+    ``2**32 mod high``, where it is rejected and the next word tried
+    (Lemire 2019, "Fast random integer generation in an interval"). A bound
+    of 1 takes no word. The rare streams with a rejected word are drawn
+    again through ``Generator.integers``.
+    """
+    bits = np.random.PCG64(0)
+    spans = [size if high > 1 else 0 for high, size in sizes]
+    rows, total = len(states), sum(spans)
+    raw = np.empty((rows, (total + 1) // 2), dtype=np.uint64)
+    keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
+    for row, key in enumerate(keys):
+        bits.state = _pcg64_state(*key)
+        raw[row] = bits.random_raw(raw.shape[1])
+    # little-endian words split low half first on any machine (a copy only
+    # where the native order is big-endian)
+    words = raw.astype("<u8", copy=False).view("<u4")
+    out, redo, start = [], np.zeros(rows, dtype=bool), 0
+    for (high, size), span in zip(sizes, spans):
+        scaled = words[:, start : start + span] * np.uint64(high)
+        start += span
+        threshold = 2**32 % high
+        if threshold:
+            redo |= ((scaled & _M32) < threshold).any(axis=1)
+        scaled >>= np.uint64(32)
+        out.append(scaled.view(np.int64) if span else np.zeros((rows, size), np.int64))
+    gen = np.random.Generator(bits)
+    for row in np.flatnonzero(redo):
+        bits.state = _pcg64_state(*keys[row])
+        for draws, (high, size) in zip(out, sizes):
+            draws[row] = gen.integers(0, high, size)
+    return out
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    """``PCG64.state`` of a freshly seeded generator at ``(state, inc)``."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

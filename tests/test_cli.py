@@ -789,13 +789,14 @@ class TestCiCommand:
     def test_thread_count_is_bounded(self, from_env, matched_file, tmp_path, monkeypatch,
                                      pool_requests):
         threads = self.threads("5000", from_env, monkeypatch)
-        # 60 replicates make one chunk: no pool, however many workers are asked for
+        # 60 replicates on 150 nodes make two chunks (of 8192 // 150 = 54 and
+        # 6 rows): two workers, however many are asked for
         assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 0
         # three study replicates: three workers
         simulate = ["simulate", "--preset", "sdc-a", "--n1", "20", "--n2", "20", "--reps", "3",
                     "--boot", "5", "--tn", "1", "--grid", "20", "--output", tmp_path / "s.json"]
         assert run_cli(simulate + threads) == 0
-        assert pool_requests == [3]
+        assert pool_requests == [2, 3]
 
     @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
     def test_negative_thread_count(self, from_env, matched_file, tmp_path, monkeypatch, capsys,

@@ -69,6 +69,18 @@ class TestInferenceConfig:
         with pytest.raises(InvalidConfigError):
             InferenceConfig(t_n=1.0, seed=0, alpha=0.6)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None, -1, 2**64])
+    def test_bad_seed(self, seed):
+        with pytest.raises(InvalidConfigError):
+            InferenceConfig(t_n=1.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        pairs, fam, spec = lorenz_pairs(1, n=30), DominanceFamily.lorenz(1), GridSpec(20)
+        got = bootstrap_ci(pairs, fam, MP, spec, cfg_with(seed=seed, n_boot=10))
+        want = bootstrap_ci(pairs, fam, MP, spec, cfg_with(seed=int(seed), n_boot=10))
+        np.testing.assert_array_equal(got.draws, want.draws)
+
 
 class TestContactSets:
     def test_zero_curve_all_in_contact_set(self):
