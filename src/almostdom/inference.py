@@ -25,12 +25,13 @@ replicates the rows are sorted and their values summed cumulatively;
 read at node positions that do not change between replicates, the sums
 give the Lorenz and integrated-quantile curves, and cumulative counts of
 the positions give the empirical CDFs. Each chunk is turned into
-derivative draws at once, so memory is bounded by the chunk (arrays of
-64 KB, or about 512 KB where n or G exceeds 4096) and does not grow with
-the number of replicates. A replicate whose
-Lorenz resample has no positive mean, or whose curve or draw is not
-finite, gives no draw: it is dropped, and ``n_boot_effective`` counts
-the rest.
+derivative draws at once, so memory is bounded by the chunk and does not
+grow with the number of replicates. A chunk holds ``2**13 // max(n, G)``
+rows, so that each of its arrays stays within 64 KB, but at least 2 rows:
+above n or G = 4096 each array takes at least ``16 * max(n, G)`` bytes.
+A replicate whose Lorenz resample has no positive mean, or whose curve or
+draw is not finite, gives no draw: it is dropped, and ``n_boot_effective``
+counts the rest.
 
 Stages 1-3 are one interval step (:func:`_intervals`), shared by
 :func:`bootstrap_ci` and the coverage studies: threshold calibration
@@ -94,10 +95,9 @@ __all__ = [
 # replicates per chunk are sized so that each per-chunk array holds at most
 # this many values: 64 KB of float64, below glibc's default 128 KB mmap
 # threshold, so the temporaries reuse heap memory instead of faulting in
-# fresh pages, and a chunk's working set stays in a 2 MB L2 cache. Where
-# two rows, the fewest a chunk takes, already exceed it, the arrays fault in
-# fresh pages whatever the chunk size; such a chunk holds 8 budgets, which
-# spreads its fixed cost (allocator calls, numpy dispatch) over more rows.
+# fresh pages, and a chunk's working set stays in a 2 MB L2 cache. A chunk
+# holds at least 2 rows, so where two rows already exceed the budget the
+# arrays fault in fresh pages whatever the chunk size.
 _CHUNK_BUDGET = 1 << 13
 
 
@@ -446,19 +446,16 @@ def _cum_quantile_rows(side: _Side, pos: np.ndarray) -> tuple[np.ndarray, np.nda
     return cum_quantile_at(ordered, prefix, side.k, side.at, side.frac), prefix[:, -1] / n
 
 
-def _replicate_rows(
-    prep: _Prepared, lo: int, hi: int, states: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled fluctuation curves ``root_n * (resampled - diff)`` of replicates
-    ``lo`` to ``hi - 1``, one row each, and a mask of the usable rows.
+def _replicate_rows(prep: _Prepared, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled fluctuation curves ``root_n * (resampled - diff)`` of the
+    replicates whose streams are at ``states``, one row each, and a mask of
+    the usable rows.
 
-    Replicate b draws from the stream keyed (seed, b); ``states`` holds
-    those streams' states when the caller has derived them already.
+    Replicate b draws from the stream keyed (seed, b), whose state is row b
+    of ``stream_states(prep.seed, 0, n_boot)``.
     A row is usable when it is finite: a row whose sums overflow is not, and
     a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
     """
-    if states is None:
-        states = stream_states(prep.seed, lo, hi)
     pos1, pos2 = _positions(prep, states)
     kind = prep.family.kind
     with np.errstate(all="ignore"):
@@ -487,7 +484,7 @@ def _chunk_draws(
     contact-set estimate in ``sets``; a draw that overflows is dropped too.
     ``states`` holds the stream states of every replicate."""
     lo, hi = bounds
-    rows, ok = _replicate_rows(prep, lo, hi, states[lo:hi])
+    rows, ok = _replicate_rows(prep, states[lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
         draws = [_derivative_rows(rows, s, prep.sums) for s in sets]
     return [d[ok & np.isfinite(d)] for d in draws]
@@ -499,14 +496,10 @@ def _bootstrap_draws(
     """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
     contact-set estimate in ``sets``, in replicate order.
 
-    Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows, or
-    where that is under 2, of 8 budgets and at least 2 rows; each chunk is
-    folded into draws as soon as it is built.
+    Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
+    and at least 2; each chunk is folded into draws as soon as it is built.
     """
-    width = max(prep.d1.n, prep.d2.n, prep.spec.n_points)
-    size = _CHUNK_BUDGET // width
-    if size < 2:
-        size = max(2, 8 * _CHUNK_BUDGET // width)
+    size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
     starts = list(range(0, n_boot, size))
     # numpy sums the masked columns of a single row pairwise but those of
     # several rows one column at a time, so a lone last row joins the chunk

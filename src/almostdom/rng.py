@@ -25,6 +25,7 @@ the tests.
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 
@@ -38,6 +39,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+# the generator that draw_integers points at each stream in turn, one per
+# thread: seeding a PCG64 (about 15 us) costs more than a small chunk's draws
+_scratch = threading.local()
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -151,7 +157,10 @@ def draw_integers(
     of 1 takes no word. The rare streams with a rejected word are drawn
     again through ``Generator.integers``.
     """
-    bits = np.random.PCG64(0)
+    gen = getattr(_scratch, "gen", None)
+    if gen is None:
+        gen = _scratch.gen = np.random.Generator(np.random.PCG64(0))
+    bits = gen.bit_generator
     spans = [size if high > 1 else 0 for high, size in sizes]
     rows, total = len(states), sum(spans)
     raw = np.empty((rows, (total + 1) // 2), dtype=np.uint64)
@@ -171,7 +180,6 @@ def draw_integers(
             redo |= ((scaled & _M32) < threshold).any(axis=1)
         scaled >>= np.uint64(32)
         out.append(scaled.view(np.int64) if span else np.zeros((rows, size), np.int64))
-    gen = np.random.Generator(bits)
     for row in np.flatnonzero(redo):
         bits.state = _pcg64_state(*keys[row])
         for draws, (high, size) in zip(out, sizes):

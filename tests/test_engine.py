@@ -121,7 +121,7 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     except (DegenerateCurvesError, ZeroMeanError, ValueError):
         assume(False)
     want = reference_rows(prep, cfg.n_boot)
-    rows, ok = inference._replicate_rows(prep, 0, cfg.n_boot)
+    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     np.testing.assert_array_equal(ok, ~np.isnan(want).any(axis=1))
     scale = max(float(np.abs(want[ok]).max(initial=0.0)), 1e-300)
     np.testing.assert_allclose(rows[ok], want[ok], rtol=0.0, atol=1e-12 * scale)
@@ -182,7 +182,7 @@ def test_draws_are_numerical_deltas(case, points, seed):
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, MP, spec)
     sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
     assume(np.array_equal(sets.zero, diff == 0.0))
-    rows, ok = inference._replicate_rows(prep, 0, cfg.n_boot)
+    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
     assert draws.size == ok.sum()
     total = np.abs(diff).sum()
@@ -323,7 +323,7 @@ def test_non_finite_replicate():
     skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
     _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, skipping)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, ok = inference._replicate_rows(prep, 0, 30)
+        rows, ok = inference._replicate_rows(prep, stream_states(skipping.seed, 0, 30))
     assert 0 < ok.sum() < 30 and np.all(np.isfinite(rows[ok]))
 
 

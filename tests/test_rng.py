@@ -1,5 +1,7 @@
 """Batch-derived stream states and raw-word draws against numpy's own."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,15 @@ def test_draws_match_generator(sizes):
             want = gen.integers(0, high, size)
             assert draws.dtype == want.dtype
             np.testing.assert_array_equal(draws[row], want)
+
+
+def test_draws_in_threads_match_serial():
+    # each thread keeps its own scratch generator, so concurrent calls do not
+    # read each other's streams
+    states, sizes = stream_states(11, 0, 200), ((2000, 2000), (3, 3))
+    want = draw_integers(states, sizes)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda _: draw_integers(states, sizes), range(8)))
+    for got in results:
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
