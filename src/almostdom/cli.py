@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -102,7 +103,65 @@ def _read_table(
     ``group`` column must hold 1 or 2; every other column must be
     nonnegative under ``require_nonnegative``. The first faulty cell in
     file order is reported, with 1-based row numbers that count the header.
+
+    A well-formed file is parsed in one C call (:func:`_parse_table`); any
+    other file, or one that call cannot parse, is read cell by cell
+    (:func:`_scan_table`), which finds the fault. Both give the same table.
     """
+    try:
+        table = _parse_table(path, header, require_nonnegative)
+    except Exception:  # whatever the fault, the scan reports it
+        table = None
+    return _scan_table(path, header, require_nonnegative) if table is None else table
+
+
+def _parse_table(
+    path: str, header: str | None, require_nonnegative: bool
+) -> np.ndarray | None:
+    """:func:`_read_table` of a well-formed file, whose body ``np.loadtxt``
+    parses; None where a check fails.
+
+    The first row is read as :func:`_scan_table` reads it. numpy takes no
+    cell that ``float`` refuses: it splits each line at its commas (without
+    quoting, so a quoted cell fails to convert) and converts only ASCII
+    cells, without underscores. Nor does it read a cell past ``csv``'s
+    field size limit, which no line here exceeds.
+    """
+    names = header.split(",") if header else ["value"]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        first = next(csv.reader(handle), None)
+        lines = handle.readlines()
+    if first is None or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    if header:
+        if [cell.strip().lower() for cell in first] != names:
+            return None
+    elif len(first) > 1:
+        return None
+    elif first and _is_number(first[0]):
+        lines.insert(0, first[0] + "\n")  # a first row that is a number is data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a body without rows warns; the scan reports it
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if not rows.shape[0] or rows.shape[1] != len(names):
+        return None
+    table = rows.T
+    if header == "group,value":
+        group, checked = table[0], table[1:]
+        ones, twos = group == 1.0, group == 2.0
+        if not ((ones | twos).all() and ones.any() and twos.any()):
+            return None
+    else:
+        checked = table
+    if require_nonnegative and (checked < 0.0).any():
+        return None
+    return table
+
+
+def _scan_table(
+    path: str, header: str | None, require_nonnegative: bool
+) -> np.ndarray:
+    """:func:`_read_table`, reading each row and cell in turn."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet programs write
         with open(path, newline="", encoding="utf-8-sig") as handle:

@@ -27,8 +27,12 @@ give the Lorenz and integrated-quantile curves, and cumulative counts of
 the positions give the empirical CDFs. Each chunk is turned into
 derivative draws at once, so memory is bounded by the chunk and does not
 grow with the number of replicates. A chunk holds ``2**13 // max(n, G)``
-rows, so that each of its arrays stays within 64 KB, but at least 2 rows:
-above n or G = 4096 each array takes at least ``16 * max(n, G)`` bytes.
+rows, so that each of its arrays stays within 64 KB, but at least 2 rows.
+The n-long rows (the streams' words, the drawn indices, the positions,
+the order statistics and their prefix sums) are written into one
+workspace per bootstrap (:class:`_Workspace`), allocated once and reused
+by every chunk, so the chunks of a large sample reuse the same pages
+(a stream with a rejected word is still redrawn into a fresh array).
 A replicate whose Lorenz resample has no positive mean, or whose curve or
 draw is not finite, gives no draw: it is dropped, and ``n_boot_effective``
 counts the rest.
@@ -78,7 +82,7 @@ from .errors import (
     SchemeMismatchError,
     ZeroMeanError,
 )
-from .rng import child_rng, child_seed, draw_integers, stream_states
+from .rng import DrawBuffers, child_rng, child_seed, draw_integers, stream_states
 
 __all__ = [
     "InferenceConfig",
@@ -96,9 +100,29 @@ __all__ = [
 # this many values: 64 KB of float64, below glibc's default 128 KB mmap
 # threshold, so the temporaries reuse heap memory instead of faulting in
 # fresh pages, and a chunk's working set stays in a 2 MB L2 cache. A chunk
-# holds at least 2 rows, so where two rows already exceed the budget the
-# arrays fault in fresh pages whatever the chunk size.
+# holds at least 2 rows; where two n-long rows exceed the budget they live
+# in the bootstrap's workspace (_Workspace), allocated once, and only
+# G-long rows, from 2**13 nodes on, still fault in fresh pages per chunk.
 _CHUNK_BUDGET = 1 << 13
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: any integer type but ``bool``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1 (see :func:`_integer`)."""
+    number = _integer(name, value)
+    if number < 1:
+        raise InvalidConfigError(f"{name} must be >= 1, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -127,16 +151,10 @@ class InferenceConfig:
             raise InvalidConfigError(f"t_n must be positive, got {self.t_n}")
         if not self.xi0 > 0:
             raise InvalidConfigError(f"xi0 must be positive, got {self.xi0}")
-        if self.n_boot < 1:
-            raise InvalidConfigError(f"n_boot must be >= 1, got {self.n_boot}")
+        _count("n_boot", self.n_boot)
         if not 0.0 < self.alpha < 0.5:
             raise InvalidConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or isinstance(self.seed, bool):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        seed = _integer("seed", self.seed)
         if not 0 <= seed < 2**64:
             raise InvalidConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
 
@@ -413,15 +431,56 @@ def _ordered_map(fn, items, n_jobs: int):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
-def _positions(prep: _Prepared, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """Row buffers for chunks of at most ``rows`` replicates of ``prep``,
+    which every chunk writes into: the drawn indices (see
+    :class:`~almostdom.rng.DrawBuffers`), the positions that matched pairs'
+    draws map to, and, per sample size, the gathered order statistics and
+    their prefix sums (column 0 zero).
+
+    A workspace pickles without its buffers, so each batch of chunks that a
+    pool worker runs allocates its own; they go with the last reference to
+    the workspace, at the end of the bootstrap that made it.
+    """
+
+    def __init__(self, prep: _Prepared, rows: int):
+        self.prep, self.rows = prep, rows
+        sides = (prep.side1, prep.side2)
+        self.sizes = _draw_sizes(prep)
+        self.indices = DrawBuffers(rows, self.sizes)
+        self.pos = [
+            None if side.rank is None else np.empty((rows, side.rank.size), np.int64)
+            for side in sides
+        ]
+        blocks = {}
+        if prep.family.kind is not Family.SD:
+            for n in {side.sorted_values.size for side in sides}:
+                prefix = np.empty((rows, n + 1))
+                prefix[:, 0] = 0.0
+                blocks[n] = np.empty((rows, n)), prefix
+        self.blocks = [blocks.get(side.sorted_values.size) for side in sides]
+
+    def __reduce__(self):
+        return _Workspace, (self.prep, self.rows)
+
+
+def _positions(
+    prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Order positions of the replicates whose streams are at ``states``
     (see :func:`~almostdom.rng.stream_states`), one row each per sample:
-    the indices :func:`_draw_indices` draws from those streams."""
-    idx = draw_integers(states, _draw_sizes(prep))
-    idx1, idx2 = idx[0], idx[-1]
-    pos1 = idx1 if prep.side1.rank is None else prep.side1.rank[idx1]
-    pos2 = idx2 if prep.side2.rank is None else prep.side2.rank[idx2]
-    return pos1, pos2
+    the indices :func:`_draw_indices` draws from those streams. They are
+    written into ``space``, a fresh one when None."""
+    if space is None:
+        space = _Workspace(prep, len(states))
+    rows = len(states)
+    idx = draw_integers(states, space.sizes, space.indices)
+    # the indices are in range by construction; a mode other than "raise"
+    # lets np.take write straight into ``out`` instead of a buffer
+    return tuple(
+        i if side.rank is None else np.take(side.rank, i, out=pos[:rows], mode="clip")
+        for side, i, pos in zip((prep.side1, prep.side2), (idx[0], idx[-1]), space.pos)
+    )
 
 
 def _cdf_rows(side: _Side, pos: np.ndarray) -> np.ndarray:
@@ -435,35 +494,44 @@ def _cdf_rows(side: _Side, pos: np.ndarray) -> np.ndarray:
     return np.take(cdf, side.k, axis=1)
 
 
-def _cum_quantile_rows(side: _Side, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cum_quantile_rows(
+    side: _Side, pos: np.ndarray, block: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrated quantile at the nodes of each resample in ``pos`` (sorted
-    in place), and each resample's mean."""
+    in place), and each resample's mean. The order statistics and their
+    prefix sums are written into the leading rows of ``block`` (see
+    :class:`_Workspace`)."""
     pos.sort(axis=1)
-    ordered = side.sorted_values[pos]
     rows, n = pos.shape
-    prefix = np.zeros((rows, n + 1))
+    ordered, prefix = block[0][:rows], block[1][:rows]
+    np.take(side.sorted_values, pos, out=ordered, mode="clip")
     np.cumsum(ordered, axis=1, out=prefix[:, 1:])
     return cum_quantile_at(ordered, prefix, side.k, side.at, side.frac), prefix[:, -1] / n
 
 
-def _replicate_rows(prep: _Prepared, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _replicate_rows(
+    prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` of the
     replicates whose streams are at ``states``, one row each, and a mask of
-    the usable rows.
+    the usable rows. The resamples are built in ``space`` (see
+    :func:`_positions`).
 
     Replicate b draws from the stream keyed (seed, b), whose state is row b
     of ``stream_states(prep.seed, 0, n_boot)``.
     A row is usable when it is finite: a row whose sums overflow is not, and
     a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
     """
-    pos1, pos2 = _positions(prep, states)
+    if space is None:
+        space = _Workspace(prep, len(states))
+    pos1, pos2 = _positions(prep, states, space)
     kind = prep.family.kind
     with np.errstate(all="ignore"):
         if kind is Family.SD:
             rows = _cdf_rows(prep.side1, pos1) - _cdf_rows(prep.side2, pos2)
         else:
-            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1)
-            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2)
+            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1, space.blocks[0])
+            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2, space.blocks[1])
             if kind is Family.LORENZ:
                 for cq, mean in ((cq1, mean1), (cq2, mean2)):
                     cq /= np.where((mean > 0.0) & (mean < np.inf), mean, np.nan)[:, None]
@@ -478,13 +546,15 @@ def _chunk_draws(
     prep: _Prepared,
     sets: tuple[ContactSets, ...],
     states: np.ndarray,
+    space: _Workspace,
     bounds: tuple[int, int],
 ) -> list[np.ndarray]:
     """Derivative draws of the usable replicates in ``bounds`` under each
-    contact-set estimate in ``sets``; a draw that overflows is dropped too.
-    ``states`` holds the stream states of every replicate."""
+    contact-set estimate in ``sets``, built in ``space``; a draw that
+    overflows is dropped too. ``states`` holds the stream states of every
+    replicate."""
     lo, hi = bounds
-    rows, ok = _replicate_rows(prep, states[lo:hi])
+    rows, ok = _replicate_rows(prep, states[lo:hi], space)
     with np.errstate(over="ignore", invalid="ignore"):
         draws = [_derivative_rows(rows, s, prep.sums) for s in sets]
     return [d[ok & np.isfinite(d)] for d in draws]
@@ -498,6 +568,7 @@ def _bootstrap_draws(
 
     Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
     and at least 2; each chunk is folded into draws as soon as it is built.
+    Every chunk builds its resamples in one workspace, allocated once.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
     starts = list(range(0, n_boot, size))
@@ -510,7 +581,9 @@ def _bootstrap_draws(
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
-    chunks = list(_ordered_map(partial(_chunk_draws, prep, sets, states), bounds, n_jobs))
+    space = _Workspace(prep, max(hi - lo for lo, hi in bounds))
+    chunk_fn = partial(_chunk_draws, prep, sets, states, space)
+    chunks = list(_ordered_map(chunk_fn, bounds, n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
@@ -658,10 +731,8 @@ def tuning_table(
     candidates = tuple(sorted({float(t) for t in candidates}))
     if not candidates:
         raise InvalidConfigError("need at least one candidate threshold")
-    if n_cal_reps < 1:
-        raise InvalidConfigError(f"n_cal_reps must be >= 1, got {n_cal_reps}")
-    if n_cal_boot < 1:
-        raise InvalidConfigError(f"n_cal_boot must be >= 1, got {n_cal_boot}")
+    n_cal_reps = _count("n_cal_reps", n_cal_reps)
+    n_cal_boot = _count("n_cal_boot", n_cal_boot)
     for t_n in candidates:  # a bad candidate is a bad request, whatever the data
         replace(cfg, t_n=t_n)
     estimate, base = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)

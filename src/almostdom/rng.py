@@ -18,8 +18,9 @@ space-efficient statistically good algorithms for random number
 generation"), two steps of its 128-bit LCG, on Python ints.
 :func:`draw_integers` then draws from those states what
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
-the streams' raw 64-bit words. Both are checked against numpy itself in
-the tests.
+the streams' raw 64-bit words, into buffers (:class:`DrawBuffers`) that
+a caller drawing chunk after chunk reuses. Both are checked against numpy
+itself in the tests.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# raw words read per random_raw call: 64 KB, below glibc's default 128 KB
+# mmap threshold
+_PIECE = 1 << 13
 
 
 # the generator that draw_integers points at each stream in turn, one per
@@ -140,13 +144,37 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+class DrawBuffers:
+    """Row buffers that :func:`draw_integers` writes the draws ``sizes`` of
+    at most ``rows`` streams into: the streams' raw words, the draws, and
+    the scratch of the rejection test. A caller that draws chunk after chunk
+    passes the same buffers to every call, so no call allocates arrays that
+    grow with the draws."""
+
+    def __init__(self, rows: int, sizes: tuple[tuple[int, int], ...]):
+        spans = _spans(sizes)
+        self.raw = np.empty((rows, (sum(spans) + 1) // 2), dtype=np.uint64)
+        self.scaled = [np.empty((rows, size), dtype=np.uint64) for _, size in sizes]
+        self.draws = [scaled.view(np.int64) for scaled in self.scaled]
+        self.mask = np.empty((rows, max(spans, default=0)), dtype=np.uint64)
+
+
+def _spans(sizes: tuple[tuple[int, int], ...]) -> list[int]:
+    """32-bit words each draw of ``sizes`` reads: one per value, none below 1."""
+    return [size if high > 1 else 0 for high, size in sizes]
+
+
 def draw_integers(
-    states: np.ndarray, sizes: tuple[tuple[int, int], ...]
+    states: np.ndarray,
+    sizes: tuple[tuple[int, int], ...],
+    buffers: DrawBuffers | None = None,
 ) -> list[np.ndarray]:
     """``[g.integers(0, high, size) for high, size in sizes]`` for a fresh
     ``g`` on each stream of ``states`` (rows of :func:`stream_states`),
     stacked: entry ``i`` holds one row of ``sizes[i][1]`` draws per stream.
-    Every ``high`` is at most 2**32.
+    Every ``high`` is at most 2**32. With ``buffers`` (made for these
+    ``sizes`` and at least as many rows) the entries are leading-row views of
+    ``buffers.draws``, valid until the next call that is given them.
 
     One bit generator takes each stream's state and reads its raw 64-bit
     words. numpy draws below such a ``high`` from 32-bit words, the low half
@@ -161,25 +189,37 @@ def draw_integers(
     if gen is None:
         gen = _scratch.gen = np.random.Generator(np.random.PCG64(0))
     bits = gen.bit_generator
-    spans = [size if high > 1 else 0 for high, size in sizes]
-    rows, total = len(states), sum(spans)
-    raw = np.empty((rows, (total + 1) // 2), dtype=np.uint64)
+    rows = len(states)
+    if buffers is None:
+        buffers = DrawBuffers(rows, sizes)
+    raw = buffers.raw[:rows]
+    width = raw.shape[1]
     keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
     for row, key in enumerate(keys):
         bits.state = _pcg64_state(*key)
-        raw[row] = bits.random_raw(raw.shape[1])
+        # in pieces whose arrays stay below glibc's mmap threshold, so that
+        # they reuse heap memory instead of faulting in fresh pages
+        for start in range(0, width, _PIECE):
+            raw[row, start : start + _PIECE] = bits.random_raw(min(_PIECE, width - start))
     # little-endian words split low half first on any machine (a copy only
     # where the native order is big-endian)
     words = raw.astype("<u8", copy=False).view("<u4")
     out, redo, start = [], np.zeros(rows, dtype=bool), 0
-    for (high, size), span in zip(sizes, spans):
-        scaled = words[:, start : start + span] * np.uint64(high)
+    for (high, _), span, scaled, draws in zip(
+        sizes, _spans(sizes), buffers.scaled, buffers.draws
+    ):
+        scaled, draws = scaled[:rows], draws[:rows]
+        out.append(draws)
+        if not span:
+            draws.fill(0)
+            continue
+        np.multiply(words[:, start : start + span], np.uint64(high), out=scaled)
         start += span
         threshold = 2**32 % high
         if threshold:
-            redo |= ((scaled & _M32) < threshold).any(axis=1)
+            low = np.bitwise_and(scaled, _M32, out=buffers.mask[:rows, :span])
+            redo |= low.min(axis=1) < threshold
         scaled >>= np.uint64(32)
-        out.append(scaled.view(np.int64) if span else np.zeros((rows, size), np.int64))
     for row in np.flatnonzero(redo):
         bits.state = _pcg64_state(*keys[row])
         for draws, (high, size) in zip(out, sizes):

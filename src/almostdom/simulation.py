@@ -30,7 +30,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteDrawError,
 )
-from .inference import InferenceConfig, _coverage_study
+from .inference import InferenceConfig, _count, _coverage_study
 
 __all__ = [
     "DoublePareto",
@@ -296,8 +296,7 @@ class MonteCarloStudy:
             raise InvalidConfigError(f"sample sizes must be >= 2, got {n1} and {n2}")
         if self.scheme is SamplingScheme.MATCHED and n1 != n2:
             raise InvalidConfigError("matched pairs need equal sample sizes")
-        if self.n_reps < 1:
-            raise InvalidConfigError("n_reps must be >= 1")
+        _count("n_reps", self.n_reps)
         if self.grid_points < 2:
             raise InvalidConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 

@@ -207,6 +207,135 @@ class TestLoadCsv:
             load_csv("/nonexistent/nope.csv", MP)
 
 
+# cells of a table, in forms that float and numpy's parser both take, and
+# in forms on which they could part: underscores and non-ASCII digits (which
+# only float takes), quoting, blanks, and what neither takes
+PLAIN_CELLS = [
+    "1", "2", "0", "-0", "1.0", "3.5", "-2.5", "1e5", "1E-3", ".5", "5.", "+7", "1e400",
+    "1e-400", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", " 4 ", "\t4", "4\xa0",
+]
+ODD_CELLS = [
+    "1_000", "\uff11", "\u0661", "", "  ", '"6"', '"1,5"', '" 8 "', '""', '"7"9', "x", "0x10",
+    "1d5", "\x00",
+]
+GROUP_CELLS = ["1", "2", "1.0", "2e0", " 2 "]
+plain_cells = st.one_of(
+    st.sampled_from(PLAIN_CELLS), st.floats().map(repr), st.integers(-3, 3).map(str)
+)
+# one cell in ten odd (one_of would draw each of its strategies alike)
+table_cells = st.sampled_from([plain_cells] * 9 + [st.sampled_from(ODD_CELLS)]).flatmap(
+    lambda cells: cells
+)
+group_cells = st.sampled_from(
+    [st.sampled_from(GROUP_CELLS)] * 6 + [st.sampled_from(["3", "0", "1.5", "nan"]), table_cells]
+).flatmap(lambda cells: cells)
+# the first rows of each layout's files: well-formed ones, then bad ones
+TABLE_HEADERS = {
+    "x1,x2": (["x1,x2", "X1, x2 ", '"x1","X2"'], ["x1,x2,", "x1", "a,b", ""]),
+    "group,value": (["group,value", " Group ,VALUE"], ["group,value,", "value"]),
+    None: (["value", " Value ", '"value"', "1", ""], ["x,y", "1,2"]),
+}
+
+
+@st.composite
+def table_files(draw):
+    """The bytes of a CSV file, its header as ``_read_table`` takes it, and
+    ``require_nonnegative``: mostly well-formed, with a blank or ragged row,
+    an odd header, cell, line end or byte now and then."""
+    header = draw(st.sampled_from(sorted(TABLE_HEADERS, key=str)))
+    width = len(header.split(",")) if header else 1
+
+    def row():
+        kind = draw(st.sampled_from(["data"] * 12 + ["blank", "ragged"]))
+        if kind == "blank":
+            return draw(st.sampled_from(["", " ", ",", " , ", "\t"]))
+        cells = [draw(group_cells if header == "group,value" and i == 0 else table_cells)
+                 for i in range(width)]
+        if kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + [draw(table_cells)]
+        return ",".join(cells)
+
+    good, bad = TABLE_HEADERS[header]
+    lines = [draw(st.sampled_from(draw(st.sampled_from([good] * 4 + [bad]))))]
+    lines += [row() for _ in range(draw(st.integers(0, 8)))]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not draw(st.integers(0, 3)):
+        text = text.rstrip("\r\n")
+    data = draw(st.sampled_from(["", "\ufeff"])).encode() + text.encode()
+    odd = draw(st.sampled_from([None] * 8 + ["byte", "long"]))
+    if odd == "byte":
+        data += b"\xff\n"
+    elif odd == "long":
+        # past csv's field size limit: a cell the scan refuses and numpy reads
+        data += b"1" * (csv.field_size_limit() + 1) + b"\n"
+    return data, header, draw(st.sampled_from([False, False, True]))
+
+
+def read_outcome(reader, path, header, nonneg):
+    """A reader's table, to the bit, or its error: class, message and place."""
+    try:
+        table = reader(path, header, nonneg)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return table.shape, table.strides, table.dtype, table.tobytes()
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_files())
+def test_table_parse_matches_the_scan(case):
+    data, header, nonneg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        got = read_outcome(almostdom.cli._read_table, str(path), header, nonneg)
+        want = read_outcome(almostdom.cli._scan_table, str(path), header, nonneg)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, header",
+    [
+        ("x1,x2\n1,2\n3.5,4e1\n", "x1,x2"),
+        ("\ufeff X1 ,x2\r\n1,2\r\n\r\n3,-4\r\n", "x1,x2"),
+        ("group,value\n1,5\n2,nan\n1.0,inf\n", "group,value"),
+        ("value\n1\n\n2", None),
+    ],
+)
+def test_well_formed_tables_parse_in_one_call(text, header, tmp_path):
+    path = write(tmp_path / "data.csv", text)
+    table = almostdom.cli._parse_table(path, header, False)
+    assert table is not None
+    assert read_outcome(lambda *args: table, path, header, False) == read_outcome(
+        almostdom.cli._scan_table, path, header, False
+    )
+
+
+@pytest.mark.parametrize(
+    "text, header, nonneg",
+    [
+        ("group,value\n1,5\n2,7\n3,6\n", "group,value", False),
+        ("group,value\n1,5\n1,7\n", "group,value", False),
+        ("x1,x2\n1,2\n3,-4\n", "x1,x2", True),
+        ("value\n\n", None, False),
+        ("x1,x2,x3\n1,2,3\n", "x1,x2", False),
+        ("value\n1,2\n", None, False),
+        ("x1,x2\n1,2\n\"3\",4\n", "x1,x2", False),
+        ("x1,x2\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n", "x1,x2", False),
+    ],
+    ids=["group-3", "one-group", "negative", "no-rows", "header", "width", "quoted", "long"],
+)
+def test_faulty_tables_go_to_the_scan(text, header, nonneg, tmp_path):
+    # each file fails one check of the one-call parse and must reach the
+    # scan; the quoted file is well-formed, but only the scan reads quotes
+    path = write(tmp_path / "data.csv", text)
+    try:
+        table = almostdom.cli._parse_table(path, header, nonneg)
+    except ValueError:
+        table = None
+    assert table is None
+
+
 class TestReportRecord:
     def test_json_round_trip(self):
         record = ReportRecord(

@@ -6,6 +6,7 @@ The engine must give the same rows, the same draws for any chunk size and
 ``n_jobs``, and drop the same replicates the reference cannot evaluate.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -271,8 +272,7 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_memory_is_bounded_by_the_chunk_budget(degree):
     # at G = 1e4 two rows already exceed the chunk budget, so a chunk holds
-    # 8 budgets, 6 replicates; all 300 in one block would be 24 MB per
-    # array, twice the cap
+    # 2 rows; all 300 in one block would be 24 MB per array, twice the cap
     n, n_points = 200, 10_000
     rng = child_rng(43, 0)
     x1 = rng.pareto(3.0, n) + 1.0
@@ -288,6 +288,76 @@ def test_memory_is_bounded_by_the_chunk_budget(degree):
     finally:
         tracemalloc.stop()
     assert peak < cap, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "family", [DominanceFamily.lorenz(2), DominanceFamily.inverse_sd(3), DominanceFamily.sd(1)]
+)
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, scheme):
+    # above n = 4096 a chunk holds 2 rows; the odd n_boot leaves a lone row
+    # that joins the last chunk, so the workspace holds 3 rows and the
+    # earlier chunks write into its leading rows
+    rng = child_rng(46, 0)
+    x1 = DoublePareto(3.0, 1.5).sample(5000, rng)
+    x2 = DoublePareto(2.1, 3.0).sample(5000 if scheme is MP else 4700, rng)
+    data = make_data(scheme, x1, x2)
+    spec = grid_for(family, data, scheme, 50)
+    cfg = InferenceConfig(t_n=0.5, seed=12, n_boot=9)
+    est, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
+    std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
+    sets = (inference.contact_sets(est.difference, std, est.effective_n, cfg),)
+    seen = []
+    positions = inference._positions
+
+    def record(prep, states, space=None):
+        pos = positions(prep, states, space)
+        seen.append((space, [p.copy() for p in pos], tuple(p.ctypes.data for p in pos)))
+        return pos
+
+    monkeypatch.setattr(inference, "_positions", record)
+    (draws,) = inference._bootstrap_draws(prep, sets, cfg.n_boot, 1)
+    monkeypatch.undo()
+    assert [len(pos[0]) for _, pos, _ in seen] == [2, 2, 2, 3]
+    # one workspace, whose buffers every chunk writes into
+    assert len({id(space) for space, _, _ in seen}) == 1
+    assert len({address for *_, address in seen}) == 1
+    # which pickles without its buffers
+    assert len(pickle.dumps(seen[0][0])) < len(pickle.dumps(prep)) + 1000
+    for b in range(cfg.n_boot):
+        chunk, row = (b // 2, b % 2) if b < 6 else (3, b - 6)
+        pos1, pos2 = seen[chunk][1]
+        idx1, idx2 = inference._draw_indices(prep, child_rng(cfg.seed, b))
+        for pos, idx, side in ((pos1, idx1, prep.side1), (pos2, idx2, prep.side2)):
+            np.testing.assert_array_equal(pos[row], idx if side.rank is None else side.rank[idx])
+    # the draws of one block of every replicate, built in a fresh workspace
+    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
+    want = inference._derivative_rows(rows, sets[0], prep.sums)
+    np.testing.assert_array_equal(draws, want[ok & np.isfinite(want)])
+    # a pool's task batches each fill a workspace of their own
+    serial = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=1)
+    parallel = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=2)
+    np.testing.assert_array_equal(serial.draws, draws)
+    np.testing.assert_array_equal(parallel.draws, draws)
+
+
+def test_workspace_does_not_outlive_the_call():
+    # the workspace of this bootstrap holds about 0.8 MB (3 rows of n = 5000);
+    # once bootstrap_ci returns, only its result is left
+    rng = child_rng(47, 0)
+    x1 = rng.pareto(3.0, 5000) + 1.0
+    pairs = PairedSample(x1, 0.5 * x1 + rng.pareto(3.0, 5000) + 1.0)
+    args = (pairs, DominanceFamily.lorenz(2), MP, GridSpec(100))
+    cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=9)
+    bootstrap_ci(*args, cfg)  # builds the thread's scratch generator
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = bootstrap_ci(*args, cfg)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before - result.draws.nbytes < 64 * 1024
 
 
 def test_chunk_arrays_stay_below_the_mmap_threshold():

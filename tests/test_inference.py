@@ -74,6 +74,29 @@ class TestInferenceConfig:
         with pytest.raises(InvalidConfigError):
             InferenceConfig(t_n=1.0, seed=seed)
 
+    @pytest.mark.parametrize("n_boot", [2.5, 7.0, True, "3", None])
+    def test_non_integer_n_boot(self, n_boot):
+        with pytest.raises(InvalidConfigError, match="n_boot must be an integer"):
+            InferenceConfig(t_n=1.0, seed=0, n_boot=n_boot)
+
+    @pytest.mark.parametrize("name", ["n_cal_reps", "n_cal_boot"])
+    @pytest.mark.parametrize("count", [2.5, 10.5, 3.0, True, "3", 0])
+    def test_bad_calibration_counts(self, name, count):
+        pairs, fam, spec = lorenz_pairs(1, n=30), DominanceFamily.lorenz(1), GridSpec(20)
+        counts = {"n_cal_reps": 2, "n_cal_boot": 5, name: count}
+        with pytest.raises(InvalidConfigError, match=name):
+            tuning_table(pairs, fam, MP, spec, cfg_with(), [1.0], **counts)
+
+    def test_numpy_integer_counts(self):
+        pairs, fam, spec = lorenz_pairs(1, n=30), DominanceFamily.lorenz(1), GridSpec(20)
+        got = bootstrap_ci(pairs, fam, MP, spec, cfg_with(n_boot=np.int64(10)))
+        want = bootstrap_ci(pairs, fam, MP, spec, cfg_with(n_boot=10))
+        np.testing.assert_array_equal(got.draws, want.draws)
+        counts = [np.int64(2), np.uint8(5)]
+        assert tuning_table(pairs, fam, MP, spec, cfg_with(), [1.0], *counts) == tuning_table(
+            pairs, fam, MP, spec, cfg_with(), [1.0], 2, 5
+        )
+
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)])
     def test_numpy_integer_seed(self, seed):
         pairs, fam, spec = lorenz_pairs(1, n=30), DominanceFamily.lorenz(1), GridSpec(20)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from almostdom.rng import draw_integers, stream_states
+from almostdom.rng import DrawBuffers, draw_integers, stream_states
 
 # seeds of one, two and five uint32 words, at the word edges
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**128 + 5]
@@ -81,3 +81,21 @@ def test_draws_in_threads_match_serial():
     for got in results:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def test_draws_into_reused_buffers():
+    # one set of buffers for calls of several row counts on other streams;
+    # every buffer starts out dirty, and the third size reads its words in
+    # two pieces
+    sizes = ((2**31 + 1, 9), (1, 3), (20_001, 20_001))
+    buffers = DrawBuffers(7, sizes)
+    for array in (buffers.raw, buffers.mask, *buffers.scaled):
+        array.fill(2**63 + 5)
+    for seed, lo, hi in [(1, 0, 7), (2, 100, 103), (3, 5, 12), (4, 0, 1), (5, 2**32, 2**32 + 6)]:
+        got = draw_integers(stream_states(seed, lo, hi), sizes, buffers)
+        for draws, buffer in zip(got, buffers.draws):
+            assert draws.shape[0] == hi - lo and np.shares_memory(draws, buffer)
+        for row, b in enumerate(range(lo, hi)):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+            for draws, (high, size) in zip(got, sizes):
+                np.testing.assert_array_equal(draws[row], gen.integers(0, high, size))

@@ -224,6 +224,16 @@ class TestMonteCarlo:
             grid_points=200,
         )
 
+    @pytest.mark.parametrize("n_reps", [2.5, 3.0, True, "3", 0])
+    def test_bad_rep_count(self, n_reps):
+        with pytest.raises(InvalidConfigError, match="n_reps"):
+            self.study(n_reps)
+
+    def test_numpy_integer_rep_count(self):
+        got, want = run_replicates(self.study(np.int64(3))), run_replicates(self.study(3))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
     def test_single_rep_report(self):
         study = self.study(1)
         report = monte_carlo(study)
