@@ -117,15 +117,24 @@ class GridFunction:
 
 
 def iterated_cumsum(
-    values: np.ndarray, step: float, passes: int, downward: bool = False, axis: int = -1
+    values: np.ndarray,
+    step: float,
+    passes: int,
+    downward: bool = False,
+    axis: int = -1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``passes`` cumulative-integral sweeps along ``axis``.
 
     Each sweep replaces the array by its inclusive prefix (or suffix, when
-    ``downward``) sum scaled by ``step``, in place on one copy of ``values``.
+    ``downward``) sum scaled by ``step``, in place on one copy of ``values``,
+    or on ``out`` when given (which may be ``values`` itself).
     Shared by grid functions, covariance matrices and transform blocks.
     """
-    out = np.array(values, dtype=float)
+    if out is None:
+        out = np.array(values, dtype=float)
+    elif out is not values:
+        np.copyto(out, values)
     view = np.flip(out, axis=axis) if downward else out
     for _ in range(passes):
         np.cumsum(view, axis=axis, out=view)

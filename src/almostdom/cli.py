@@ -13,7 +13,8 @@ independent samples use either one file with header ``group,value``
 (group 1 or 2) or two single-column files (``--input`` and ``--input2``).
 Outputs are JSON (default) or CSV, to stdout or ``--output``. Exit codes:
 0 success, 2 indistinguishable curves (coefficient undefined), 3 boundary
-estimate under ``--strict``, 1 other errors.
+estimate under ``--strict``, 1 other errors (a request too large for
+memory among them).
 
 ``--threads 0`` (or unset, via the ALMOSTDOM_THREADS environment
 variable) uses all cores for the simulate/tune/ci drivers.
@@ -739,6 +740,10 @@ def main(argv=None) -> int:
     except (OSError, AlmostDomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DegenerateCurvesError) else 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -121,21 +121,25 @@ class DominanceFamily:
         """
         return self.degree - 1 if self.kind is Family.INVERSE_SD else self.degree
 
-    def integrate(self, values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
+    def integrate(
+        self, values: np.ndarray, step: float, axis: int = -1, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The family's iterated-integration operator along ``axis``.
 
         Applies ``operator_degree - 1`` cumulative-integral passes, from the
         lower end (upward) or toward the upper end (downward), to a copy of
-        ``values``; at operator degree 1 it returns ``values`` itself. This
-        is the map from a family's degree and direction to passes used by
-        the estimator and the bootstrap replicates; the rank-bin
-        studentization runs the same passes through its sums.
+        ``values``, or to ``out`` when given (which may be ``values``
+        itself, to integrate in place); at operator degree 1 without ``out``
+        it returns ``values`` itself. This is the map from a family's degree
+        and direction to passes used by the estimator and the bootstrap
+        replicates; the rank-bin studentization runs the same passes through
+        its sums.
         """
         passes = self.operator_degree - 1
-        if not passes:
+        if not passes and out is None:
             return values
         downward = self.direction is Direction.DOWN
-        return iterated_cumsum(values, step, passes, downward, axis)
+        return iterated_cumsum(values, step, passes, downward, axis, out)
 
 
 @dataclass(frozen=True, eq=False)

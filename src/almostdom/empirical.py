@@ -210,20 +210,26 @@ def cum_quantile_at(
     k: np.ndarray,
     at: np.ndarray,
     frac: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Integrated quantile at positions ``k``, ``at``, ``frac`` (see
-    :func:`quantile_positions`) of the order statistics ``ordered``, whose
-    prefix sums (led by a zero) are ``prefix``.
+    :func:`quantile_positions`, so they are in range) of the order
+    statistics ``ordered``, whose prefix sums (led by a zero) are ``prefix``.
 
     The last axis indexes the order statistics, so ``ordered`` may be one
-    sample or a stack of them, one per row.
+    sample or a stack of them, one per row. ``out``, when given, is a pair
+    of arrays of the result's shape: the result is written into the first
+    and the second is scratch, so the call allocates nothing.
     """
     n = ordered.shape[-1]
-    out = np.take(ordered, at, axis=-1)
-    out *= frac
-    out += np.take(prefix, k, axis=-1)
-    out /= n
-    return out
+    result, scratch = (None, None) if out is None else out
+    # the indices are in range, and a mode other than "raise" lets np.take
+    # write straight into ``out`` instead of a buffer
+    result = np.take(ordered, at, axis=-1, out=result, mode="clip")
+    result *= frac
+    result += np.take(prefix, k, axis=-1, out=scratch, mode="clip")
+    result /= n
+    return result
 
 
 def build_empirical(sample) -> EmpiricalDistribution:

@@ -26,13 +26,17 @@ read at node positions that do not change between replicates, the sums
 give the Lorenz and integrated-quantile curves, and cumulative counts of
 the positions give the empirical CDFs. Each chunk is turned into
 derivative draws at once, so memory is bounded by the chunk and does not
-grow with the number of replicates. A chunk holds ``2**13 // max(n, G)``
-rows, so that each of its arrays stays within 64 KB, but at least 2 rows.
-The n-long rows (the streams' words, the drawn indices, the positions,
-the order statistics and their prefix sums) are written into one
-workspace per bootstrap (:class:`_Workspace`), allocated once and reused
-by every chunk, so the chunks of a large sample reuse the same pages
-(a stream with a rejected word is still redrawn into a fresh array).
+grow with the number of replicates. A chunk holds ``2**15 // max(n, G)``
+rows, so that each of its arrays stays within 256 KB and its working set
+within a 2 MB L2 cache, but at least 2 rows. Every array a chunk writes
+(the streams' words, the drawn indices, the positions, the order
+statistics and their prefix sums, the curves at the nodes, and the
+derivative's transposed chunk and gathered contact-set parts) is written
+into one workspace per bootstrap (:class:`_Workspace`), allocated once and
+reused by every chunk, so the chunks reuse the same pages; the
+bootstraps of one coverage study share one workspace. The exceptions are
+a stream with a rejected word, which is redrawn into a fresh array, and
+the SD family's count of positions, which ``np.bincount`` allocates.
 A replicate whose Lorenz resample has no positive mean, or whose curve or
 draw is not finite, gives no draw: it is dropped, and ``n_boot_effective``
 counts the rest.
@@ -57,7 +61,8 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,13 +102,12 @@ __all__ = [
 ]
 
 # replicates per chunk are sized so that each per-chunk array holds at most
-# this many values: 64 KB of float64, below glibc's default 128 KB mmap
-# threshold, so the temporaries reuse heap memory instead of faulting in
-# fresh pages, and a chunk's working set stays in a 2 MB L2 cache. A chunk
-# holds at least 2 rows; where two n-long rows exceed the budget they live
-# in the bootstrap's workspace (_Workspace), allocated once, and only
-# G-long rows, from 2**13 nodes on, still fault in fresh pages per chunk.
-_CHUNK_BUDGET = 1 << 13
+# this many values, 256 KB of float64, and a chunk's working set stays in a
+# 2 MB L2 cache; a chunk holds at least 2 rows. The arrays live in the
+# bootstrap's workspace (_Workspace), allocated once, so their size does not
+# matter to the allocator: above glibc's 128 KB mmap threshold, arrays
+# allocated per chunk would fault in fresh pages for every chunk.
+_CHUNK_BUDGET = 1 << 15
 
 
 def _integer(name: str, value) -> int:
@@ -186,6 +190,11 @@ class ContactSets:
     def n_points(self) -> int:
         return self.plus.size
 
+    @cached_property
+    def _indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node indices of the plus, minus and zero sets, found once."""
+        return tuple(np.flatnonzero(mask) for mask in (self.plus, self.minus, self.zero))
+
 
 @dataclass(frozen=True, eq=False)
 class BootstrapResult:
@@ -241,17 +250,58 @@ def _area_sums(diff: GridFunction) -> tuple[float, float, float]:
     return pos, neg, total
 
 
+def _leading(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leading values of the flat ``buffer`` as a contiguous ``shape``
+    array."""
+    return buffer[: shape[0] * shape[1]].reshape(shape)
+
+
+def _gather(cols: np.ndarray, idx: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of ``cols``, written into the leading values of the flat
+    ``buffer``."""
+    out = _leading(buffer, (idx.size, cols.shape[1]))
+    # the indices are in range, and a mode other than "raise" lets np.take
+    # write straight into ``out`` instead of a buffer
+    return np.take(cols, idx, axis=0, out=out, mode="clip")
+
+
+def _derivative_cols(
+    cols: np.ndarray,
+    sets: ContactSets,
+    sums: tuple[float, float, float],
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """:func:`_derivative_rows` of the rows of ``cols.T``, given as a
+    contiguous (G x rows) array. ``scratch`` holds two flat arrays of at
+    least ``cols.size`` values (fresh when None): each contact-set part is
+    gathered into the first, and the one-sided parts of the contact set
+    are written into the second.
+
+    Each part is summed along axis 0, one node after another for every row
+    at once. That is the order in which numpy sums the masked columns of a
+    (rows x G) block when it has several rows, and for a single row it sums
+    a contiguous run pairwise, as it does a masked row; so the draws are
+    the same as from boolean masks on the rows.
+    """
+    gathered, one_sided = np.empty((2, cols.size)) if scratch is None else scratch
+    pos, neg, total = sums
+    plus, minus, zero = sets._indices
+    d_pos = _gather(cols, plus, gathered).sum(axis=0)
+    d_neg = -_gather(cols, minus, gathered).sum(axis=0)
+    zero_part = _gather(cols, zero, gathered)
+    one_sided = _leading(one_sided, zero_part.shape)
+    d_pos += np.maximum(zero_part, 0.0, out=one_sided).sum(axis=0)
+    d_neg += np.maximum(np.negative(zero_part, out=zero_part), 0.0, out=one_sided).sum(axis=0)
+    # total**2 would turn subnormal once the sums fall below about 1.5e-154
+    return (d_pos * (neg / total) - (pos / total) * d_neg) / total
+
+
 def _derivative_rows(
     h_rows: np.ndarray, sets: ContactSets, sums: tuple[float, float, float]
 ) -> np.ndarray:
     """Directional derivative of the area ratio for each row of ``h_rows``,
     at the curve whose :func:`_area_sums` are ``sums``."""
-    pos, neg, total = sums
-    zero_part = h_rows[:, sets.zero]
-    d_pos = h_rows[:, sets.plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
-    d_neg = -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
-    # total**2 would turn subnormal once the sums fall below about 1.5e-154
-    return (d_pos * (neg / total) - (pos / total) * d_neg) / total
+    return _derivative_cols(np.ascontiguousarray(h_rows.T), sets, sums)
 
 
 def derivative(h: GridFunction, sets: ContactSets, diff: GridFunction) -> float:
@@ -431,37 +481,94 @@ def _ordered_map(fn, items, n_jobs: int):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
+class _Shape(NamedTuple):
+    """What the buffers of a :class:`_Workspace` are sized by: chunks of at
+    most ``rows`` replicates, the draws ``sizes`` of one resample (see
+    :func:`_draw_sizes`), each sample's size and whether its draws map to
+    positions (matched pairs), whether the family reads CDFs (SD) rather
+    than integrated quantiles, and the number of grid nodes."""
+
+    rows: int
+    sizes: tuple[tuple[int, int], ...]
+    n: tuple[int, int]
+    ranked: tuple[bool, bool]
+    cdf: bool
+    n_points: int
+
+
+def _shape(prep: _Prepared, rows: int) -> _Shape:
+    """The :class:`_Shape` of a workspace for chunks of ``prep``."""
+    sides = (prep.side1, prep.side2)
+    return _Shape(
+        rows=rows,
+        sizes=_draw_sizes(prep),
+        n=tuple(side.sorted_values.size for side in sides),
+        ranked=tuple(side.rank is not None for side in sides),
+        cdf=prep.family.kind is Family.SD,
+        n_points=prep.spec.n_points,
+    )
+
+
 class _Workspace:
-    """Row buffers for chunks of at most ``rows`` replicates of ``prep``,
-    which every chunk writes into: the drawn indices (see
-    :class:`~almostdom.rng.DrawBuffers`), the positions that matched pairs'
-    draws map to, and, per sample size, the gathered order statistics and
-    their prefix sums (column 0 zero).
+    """Every array that a chunk of replicates writes, allocated once for
+    chunks of one :class:`_Shape` and reused by each of them:
+
+    - the n-long rows: the drawn indices (see
+      :class:`~almostdom.rng.DrawBuffers`), the positions that matched
+      pairs' draws map to, and, per sample size, the gathered order
+      statistics, their prefix sums and the positions sorted as 32-bit
+      integers, or for the SD family the cumulative counts of positions
+      and the empirical CDFs (column 0 zero);
+    - the G-long rows, three flat rows of ``rows * G`` values (``grid``):
+      the two samples' curves and the second read of an integrated quantile
+      (:func:`_replicate_rows`), then the chunk transposed and the gathered
+      contact-set parts (:func:`_chunk_draws`).
 
     A workspace pickles without its buffers, so each batch of chunks that a
     pool worker runs allocates its own; they go with the last reference to
-    the workspace, at the end of the bootstrap that made it.
+    the workspace, at the end of the bootstrap or study that made it.
     """
 
-    def __init__(self, prep: _Prepared, rows: int):
-        self.prep, self.rows = prep, rows
-        sides = (prep.side1, prep.side2)
-        self.sizes = _draw_sizes(prep)
-        self.indices = DrawBuffers(rows, self.sizes)
+    def __init__(self, shape: _Shape):
+        self.shape, rows = shape, shape.rows
+        self.indices = DrawBuffers(rows, shape.sizes)
         self.pos = [
-            None if side.rank is None else np.empty((rows, side.rank.size), np.int64)
-            for side in sides
+            np.empty((rows, n), np.int64) if ranked else None
+            for n, ranked in zip(shape.n, shape.ranked)
         ]
         blocks = {}
-        if prep.family.kind is not Family.SD:
-            for n in {side.sorted_values.size for side in sides}:
-                prefix = np.empty((rows, n + 1))
-                prefix[:, 0] = 0.0
-                blocks[n] = np.empty((rows, n)), prefix
-        self.blocks = [blocks.get(side.sorted_values.size) for side in sides]
+        for n in set(shape.n):
+            prefix = np.empty((rows, n + 1))
+            prefix[:, 0] = 0.0
+            if shape.cdf:
+                blocks[n] = np.empty((rows, n), np.int64), prefix, None
+            else:
+                # numpy sorts 32-bit integers about twice as fast as 64-bit ones
+                dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+                blocks[n] = np.empty((rows, n)), prefix, np.empty((rows, n), dtype)
+        self.blocks = [blocks[n] for n in shape.n]
+        self.grid = np.empty((3, rows * shape.n_points))
 
     def __reduce__(self):
-        return _Workspace, (self.prep, self.rows)
+        return _Workspace, (self.shape,)
+
+
+class _WorkspaceSlot:
+    """Holds the workspace of the last bootstrap run through it, for the
+    next bootstrap of the same shape: the study replicates of one
+    coverage study share theirs. A slot pickles empty."""
+
+    def __init__(self):
+        self.space = None
+
+    def __reduce__(self):
+        return _WorkspaceSlot, ()
+
+    def fit(self, shape: _Shape) -> _Workspace:
+        """The held workspace if it has ``shape``, else a new one, held."""
+        if self.space is None or self.space.shape != shape:
+            self.space = _Workspace(shape)
+        return self.space
 
 
 def _positions(
@@ -471,10 +578,10 @@ def _positions(
     (see :func:`~almostdom.rng.stream_states`), one row each per sample:
     the indices :func:`_draw_indices` draws from those streams. They are
     written into ``space``, a fresh one when None."""
-    if space is None:
-        space = _Workspace(prep, len(states))
     rows = len(states)
-    idx = draw_integers(states, space.sizes, space.indices)
+    if space is None:
+        space = _Workspace(_shape(prep, rows))
+    idx = draw_integers(states, space.shape.sizes, space.indices)
     # the indices are in range by construction; a mode other than "raise"
     # lets np.take write straight into ``out`` instead of a buffer
     return tuple(
@@ -483,30 +590,43 @@ def _positions(
     )
 
 
-def _cdf_rows(side: _Side, pos: np.ndarray) -> np.ndarray:
-    """Empirical CDF at the nodes of each resample in ``pos``."""
+def _cdf_rows(
+    side: _Side, pos: np.ndarray, block: tuple[np.ndarray, np.ndarray, None], out: np.ndarray
+) -> np.ndarray:
+    """Empirical CDF at the nodes of each resample in ``pos`` (whose rows
+    are offset in place to index one flat count), written into ``out``. The
+    cumulative counts and the CDFs at every order position go into the
+    leading rows of ``block``'s first two arrays (see :class:`_Workspace`)."""
     rows, n = pos.shape
-    flat = (pos + n * np.arange(rows)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
-    cdf = np.zeros((rows, n + 1))
-    np.cumsum(counts, axis=1, out=cdf[:, 1:])
-    cdf /= n
-    return np.take(cdf, side.k, axis=1)
+    pos += n * np.arange(rows)[:, None]
+    counts = np.bincount(pos.ravel(), minlength=rows * n).reshape(rows, n)
+    below, cdf = block[0][:rows], block[1][:rows]
+    # summed as integers: a cumsum that casts to float takes fresh buffers
+    np.divide(np.cumsum(counts, axis=1, out=below), n, out=cdf[:, 1:])
+    return np.take(cdf, side.k, axis=1, out=out, mode="clip")
 
 
 def _cum_quantile_rows(
-    side: _Side, pos: np.ndarray, block: tuple[np.ndarray, np.ndarray]
+    side: _Side,
+    pos: np.ndarray,
+    block: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrated quantile at the nodes of each resample in ``pos`` (sorted
-    in place), and each resample's mean. The order statistics and their
-    prefix sums are written into the leading rows of ``block`` (see
-    :class:`_Workspace`)."""
-    pos.sort(axis=1)
+    in place), and each resample's mean. The order statistics, their prefix
+    sums and the sort's 32-bit keys are written into the leading rows of
+    ``block`` (see :class:`_Workspace`), the curves into ``out[0]``
+    (``out[1]`` is scratch)."""
     rows, n = pos.shape
-    ordered, prefix = block[0][:rows], block[1][:rows]
+    ordered, prefix, keys = (array[:rows] for array in block)
+    np.copyto(keys, pos, casting="same_kind")
+    keys.sort(axis=1)
+    # np.take would copy 32-bit indices to the platform's integer first
+    np.copyto(pos, keys)
     np.take(side.sorted_values, pos, out=ordered, mode="clip")
     np.cumsum(ordered, axis=1, out=prefix[:, 1:])
-    return cum_quantile_at(ordered, prefix, side.k, side.at, side.frac), prefix[:, -1] / n
+    curves = cum_quantile_at(ordered, prefix, side.k, side.at, side.frac, out)
+    return curves, prefix[:, -1] / n
 
 
 def _replicate_rows(
@@ -515,7 +635,7 @@ def _replicate_rows(
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` of the
     replicates whose streams are at ``states``, one row each, and a mask of
     the usable rows. The resamples are built in ``space`` (see
-    :func:`_positions`).
+    :func:`_positions`), and the curves are a view of its ``grid[1]``.
 
     Replicate b draws from the stream keyed (seed, b), whose state is row b
     of ``stream_states(prep.seed, 0, n_boot)``.
@@ -523,20 +643,24 @@ def _replicate_rows(
     a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
     """
     if space is None:
-        space = _Workspace(prep, len(states))
+        space = _Workspace(_shape(prep, len(states)))
     pos1, pos2 = _positions(prep, states, space)
     kind = prep.family.kind
+    shape = (len(states), prep.spec.n_points)
+    curve1, curve2, scratch = (_leading(row, shape) for row in space.grid)
     with np.errstate(all="ignore"):
         if kind is Family.SD:
-            rows = _cdf_rows(prep.side1, pos1) - _cdf_rows(prep.side2, pos2)
+            cdf1 = _cdf_rows(prep.side1, pos1, space.blocks[0], curve1)
+            rows = _cdf_rows(prep.side2, pos2, space.blocks[1], curve2)
+            rows = np.subtract(cdf1, rows, out=rows)
         else:
-            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1, space.blocks[0])
-            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2, space.blocks[1])
+            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1, space.blocks[0], (curve1, scratch))
+            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2, space.blocks[1], (curve2, scratch))
             if kind is Family.LORENZ:
                 for cq, mean in ((cq1, mean1), (cq2, mean2)):
                     cq /= np.where((mean > 0.0) & (mean < np.inf), mean, np.nan)[:, None]
             rows = np.subtract(cq2, cq1, out=cq2)
-        rows = prep.family.integrate(rows, prep.spec.step, axis=1)
+        prep.family.integrate(rows, prep.spec.step, axis=1, out=rows)
         rows -= prep.diff.values
         rows *= prep.root_n
     return rows, np.isfinite(rows).all(axis=1)
@@ -555,33 +679,45 @@ def _chunk_draws(
     replicate."""
     lo, hi = bounds
     rows, ok = _replicate_rows(prep, states[lo:hi], space)
+    # one transposed copy serves every contact-set estimate; the first
+    # sample's curve is spent by now, and the rows are once they are copied
+    cols = _leading(space.grid[0], rows.shape[::-1])
+    np.copyto(cols, rows.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        draws = [_derivative_rows(rows, s, prep.sums) for s in sets]
+        scratch = space.grid[2], space.grid[1]
+        draws = [_derivative_cols(cols, s, prep.sums, scratch) for s in sets]
     return [d[ok & np.isfinite(d)] for d in draws]
 
 
 def _bootstrap_draws(
-    prep: _Prepared, sets: tuple[ContactSets, ...], n_boot: int, n_jobs: int
+    prep: _Prepared,
+    sets: tuple[ContactSets, ...],
+    n_boot: int,
+    n_jobs: int,
+    slot: _WorkspaceSlot | None = None,
 ) -> list[np.ndarray]:
     """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
     contact-set estimate in ``sets``, in replicate order.
 
     Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
     and at least 2; each chunk is folded into draws as soon as it is built.
-    Every chunk builds its resamples in one workspace, allocated once.
+    Every chunk builds its resamples in one workspace, allocated once, or
+    taken from ``slot`` when given.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
     starts = list(range(0, n_boot, size))
-    # numpy sums the masked columns of a single row pairwise but those of
-    # several rows one column at a time, so a lone last row joins the chunk
-    # before it: every draw then sums the same way as in one n_boot-row block
+    # numpy sums a single row's contact-set parts pairwise but those of
+    # several rows one node at a time (see _derivative_cols), so a lone last
+    # row joins the chunk before it: every draw then sums the same way as in
+    # one n_boot-row block
     if len(starts) > 1 and n_boot - starts[-1] == 1:
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n_boot]))
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
-    space = _Workspace(prep, max(hi - lo for lo, hi in bounds))
+    shape = _shape(prep, max(hi - lo for lo, hi in bounds))
+    space = _Workspace(shape) if slot is None else slot.fit(shape)
     chunk_fn = partial(_chunk_draws, prep, sets, states, space)
     chunks = list(_ordered_map(chunk_fn, bounds, n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
@@ -593,17 +729,19 @@ def _intervals(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     n_jobs: int,
+    slot: _WorkspaceSlot | None = None,
 ) -> tuple[GridFunction, list[tuple[np.ndarray, float, float, tuple[float, float]]]]:
     """The studentization curve, and ``(draws, q_lo, q_hi, ci)`` under the
     contact sets of each threshold in ``thresholds``, all read off the same
-    ``cfg.n_boot`` replicates."""
+    ``cfg.n_boot`` replicates (built in a workspace from ``slot`` when
+    given)."""
     std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
     sets = tuple(
         contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
         for t_n in thresholds
     )
     results = []
-    for draws in _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs):
+    for draws in _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs, slot):
         if draws.size == 0:
             raise NonFiniteDrawError("every bootstrap replicate was degenerate")
         q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
@@ -674,6 +812,7 @@ def _study_replicate(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     truth: float,
+    slot: _WorkspaceSlot,
     rep: int,
 ) -> tuple[float, np.ndarray | None]:
     """Estimate of study replicate ``rep``, and whether each threshold's
@@ -681,7 +820,8 @@ def _study_replicate(
 
     ``source(rng)`` gives the replicate's unpacked data ``(d1, d2, pairs)``
     (see :func:`_unpack`) and its grid from the stream keyed (seed, rep, 0);
-    the bootstrap runs from the seed derived at (seed, rep, 1). A replicate
+    the bootstrap runs from the seed derived at (seed, rep, 1), in the
+    workspace that ``slot`` holds for the study's replicates. A replicate
     whose data admit no estimate or no interval (curves that coincide, a
     Lorenz sample without a positive mean, sums that overflow, no usable
     bootstrap draw) fails and gives ``(nan, None)``.
@@ -690,7 +830,7 @@ def _study_replicate(
     try:
         dists, spec = source(child_rng(cfg.seed, rep, 0))
         est, prep = _prepare(*dists, family, scheme, spec, rep_cfg)
-        _, results = _intervals(est, prep, rep_cfg, thresholds, 1)
+        _, results = _intervals(est, prep, rep_cfg, thresholds, 1, slot)
     except (
         DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError
     ):
@@ -700,8 +840,11 @@ def _study_replicate(
 
 def _coverage_study(source, family, scheme, cfg, thresholds, truth, n_reps, n_jobs):
     """:func:`_study_replicate` of replicates ``0`` to ``n_reps - 1``, in
-    replicate order."""
-    rep_fn = partial(_study_replicate, source, family, scheme, cfg, thresholds, truth)
+    replicate order, which share one workspace slot (one per task batch of
+    a pool worker)."""
+    rep_fn = partial(
+        _study_replicate, source, family, scheme, cfg, thresholds, truth, _WorkspaceSlot()
+    )
     return list(_ordered_map(rep_fn, range(n_reps), n_jobs))
 
 

@@ -15,7 +15,7 @@ on arrays: the ``SeedSequence`` hash mixes (O'Neill's ``seed_seq``
 design, adopted under NEP 19) on uint32 words, then the PCG64
 set-sequence seeding (O'Neill 2014, "PCG: A family of simple fast
 space-efficient statistically good algorithms for random number
-generation"), two steps of its 128-bit LCG, on Python ints.
+generation"), two steps of its 128-bit LCG, on pairs of uint64 arrays.
 :func:`draw_integers` then draws from those states what
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
 the streams' raw 64-bit words, into buffers (:class:`DrawBuffers`) that
@@ -32,7 +32,6 @@ import numpy as np
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 # SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -43,6 +42,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # raw words read per random_raw call: 64 KB, below glibc's default 128 KB
 # mmap threshold
 _PIECE = 1 << 13
+# keys whose states are derived at once: the derivation holds a few dozen
+# arrays as long as the range it derives, so deriving a whole range at once
+# would hold many times the result
+_KEY_BLOCK = 1 << 13
 
 
 # the generator that draw_integers points at each stream in turn, one per
@@ -114,14 +117,33 @@ def _states_of_width(seed_words: list[int], lo: int, hi: int, width: int) -> np.
     # paired low word first
     hashgen = _Hash(_INIT_B, _MULT_B)
     out = [hashgen(pool[i % _POOL_SIZE]) for i in range(8)]
-    seeds = [(out[2 * i] | (out[2 * i + 1] << 32)).tolist() for i in range(4)]
-    # PCG64's set-sequence seeding on (state, sequence) = (s0:s1, s2:s3)
-    states = []
-    for s0, s1, s2, s3 in zip(*seeds):
-        inc = ((s2 << 65) | (s3 << 1) | 1) & _M128
-        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _M128
-        states.append((state >> 64, state & _M64, inc >> 64, inc & _M64))
-    return np.array(states, dtype=np.uint64)
+    s0, s1, s2, s3 = (out[2 * i] | (out[2 * i + 1] << 32) for i in range(4))
+    # PCG64's set-sequence seeding on (state, sequence) = (s0:s1, s2:s3):
+    # inc = sequence << 1 | 1, state = (inc + s0:s1) * multiplier + inc,
+    # in 128-bit words held as (high, low) uint64 halves
+    one = np.uint64(1)
+    inc = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
+    state = _mul_mult(_add128(inc, (s0, s1)))
+    return np.stack((*_add128(state, inc), *inc), axis=1)
+
+
+def _add128(x, y):
+    """``x + y`` mod 2**128 of (high, low) uint64 halves."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < y[1]), low
+
+
+def _mul_mult(x):
+    """``x * _PCG_MULT`` mod 2**128 of (high, low) uint64 halves."""
+    high, low = x
+    # the high half of low * (the multiplier's low half), from 32-bit limbs
+    m0, m1 = (np.uint64(_PCG_MULT >> shift & _M32) for shift in (0, 32))
+    x0, x1 = low & np.uint64(_M32), low >> np.uint64(32)
+    p00, p01, p10, p11 = x0 * m0, x0 * m1, x1 * m0, x1 * m1
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    carry = p11 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    mult_high, mult_low = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
+    return carry + low * mult_high + high * mult_low, low * mult_low
 
 
 def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -131,17 +153,19 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     ``state`` and then of ``inc``, such that
     ``PCG64(SeedSequence(seed, spawn_key=(b,))).state["state"]`` is
     ``{"state": w0 << 64 | w1, "inc": w2 << 64 | w3}``.
+    The keys are derived in blocks of at most ``_KEY_BLOCK``, so memory
+    beyond the result stays bounded however many streams there are.
     """
     seed_words = _words(operator.index(seed))
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    parts = [np.empty((0, 4), dtype=np.uint64)]
+    out = np.empty((max(hi - lo, 0), 4), dtype=np.uint64)
     start = lo
     while start < hi:
         width = len(_words(start))
-        stop = min(hi, 1 << (32 * width))
-        parts.append(_states_of_width(seed_words, start, stop, width))
+        stop = min(hi, 1 << (32 * width), start + _KEY_BLOCK)
+        out[start - lo : stop - lo] = _states_of_width(seed_words, start, stop, width)
         start = stop
-    return np.concatenate(parts)
+    return out
 
 
 class DrawBuffers:
@@ -195,12 +219,13 @@ def draw_integers(
     raw = buffers.raw[:rows]
     width = raw.shape[1]
     keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
+    # in pieces whose arrays stay below glibc's mmap threshold, so that
+    # they reuse heap memory instead of faulting in fresh pages
+    pieces = [(start, min(_PIECE, width - start)) for start in range(0, width, _PIECE)]
     for row, key in enumerate(keys):
         bits.state = _pcg64_state(*key)
-        # in pieces whose arrays stay below glibc's mmap threshold, so that
-        # they reuse heap memory instead of faulting in fresh pages
-        for start in range(0, width, _PIECE):
-            raw[row, start : start + _PIECE] = bits.random_raw(min(_PIECE, width - start))
+        for start, size in pieces:
+            raw[row, start : start + size] = bits.random_raw(size)
     # little-endian words split low half first on any machine (a copy only
     # where the native order is big-endian)
     words = raw.astype("<u8", copy=False).view("<u4")

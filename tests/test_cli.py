@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -918,9 +921,11 @@ class TestCiCommand:
     def test_thread_count_is_bounded(self, from_env, matched_file, tmp_path, monkeypatch,
                                      pool_requests):
         threads = self.threads("5000", from_env, monkeypatch)
-        # 60 replicates on 150 nodes make two chunks (of 8192 // 150 = 54 and
-        # 6 rows): two workers, however many are asked for
-        assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 0
+        # on 150 nodes, 6 replicates past one chunk's budget // 150 rows make
+        # two chunks: two workers, however many are asked for
+        args = self.args(matched_file, tmp_path / "r.json")
+        args[args.index("--boot") + 1] = str(almostdom.inference._CHUNK_BUDGET // 150 + 6)
+        assert run_cli(args + threads) == 0
         # three study replicates: three workers
         simulate = ["simulate", "--preset", "sdc-a", "--n1", "20", "--n2", "20", "--reps", "3",
                     "--boot", "5", "--tn", "1", "--grid", "20", "--output", tmp_path / "s.json"]
@@ -934,6 +939,21 @@ class TestCiCommand:
         assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 1
         assert capsys.readouterr().err.splitlines() == ["error: thread count must be >= 0, got -2"]
         assert pool_requests == []
+
+    def test_out_of_memory_is_one_line(self, matched_file):
+        # 10**15 nodes ask for petabytes, past any 47-bit address space, so
+        # the allocation fails without touching memory
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "almostdom.cli", "ci", "--family", "lorenz", "--scheme",
+             "matched", "--input", str(matched_file), "--tn", "1", "--grid", str(10**15)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and len(line) > len("error: ")
 
     def test_csv_format(self, matched_file, tmp_path):
         out = tmp_path / "r.csv"

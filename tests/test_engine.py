@@ -6,8 +6,13 @@ The engine must give the same rows, the same draws for any chunk size and
 ``n_jobs``, and drop the same replicates the reference cannot evaluate.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,8 +276,8 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_memory_is_bounded_by_the_chunk_budget(degree):
-    # at G = 1e4 two rows already exceed the chunk budget, so a chunk holds
-    # 2 rows; all 300 in one block would be 24 MB per array, twice the cap
+    # at G = 1e4 a chunk holds 3 rows (2**15 // 1e4); all 300 in one block
+    # would be 24 MB per array, twice the cap
     n, n_points = 200, 10_000
     rng = child_rng(43, 0)
     x1 = rng.pareto(3.0, n) + 1.0
@@ -295,9 +300,10 @@ def test_memory_is_bounded_by_the_chunk_budget(degree):
 )
 @pytest.mark.parametrize("scheme", [MP, IND])
 def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, scheme):
-    # above n = 4096 a chunk holds 2 rows; the odd n_boot leaves a lone row
-    # that joins the last chunk, so the workspace holds 3 rows and the
-    # earlier chunks write into its leading rows
+    # samples of more than 4096 values in chunks of 2 rows, set through the
+    # budget; the odd n_boot leaves a lone row that joins the last chunk, so
+    # the workspace holds 3 rows and the earlier chunks write into its
+    # leading rows
     rng = child_rng(46, 0)
     x1 = DoublePareto(3.0, 1.5).sample(5000, rng)
     x2 = DoublePareto(2.1, 3.0).sample(5000 if scheme is MP else 4700, rng)
@@ -307,6 +313,7 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
     est, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     sets = (inference.contact_sets(est.difference, std, est.effective_n, cfg),)
+    chunk_rows(monkeypatch, data, scheme, spec, 2)
     seen = []
     positions = inference._positions
 
@@ -360,11 +367,123 @@ def test_workspace_does_not_outlive_the_call():
     assert after - before - result.draws.nbytes < 64 * 1024
 
 
-def test_chunk_arrays_stay_below_the_mmap_threshold():
-    # glibc serves an allocation of 128 KB or more (its default mmap
-    # threshold) with fresh pages that fault in on first touch; a per-chunk
-    # array below it reuses freed heap memory
-    assert np.zeros(inference._CHUNK_BUDGET).nbytes < 128 * 1024
+FAULT_PROBE = textwrap.dedent("""
+    import ctypes, resource, sys
+    import numpy as np
+    # glibc's default mmap threshold, held fixed: an allocation of 128 KB
+    # or more gets fresh pages, which fault in on first touch
+    ctypes.CDLL(None).mallopt(-3, 128 * 1024)
+    from almostdom.calculus import GridSpec
+    from almostdom.coefficients import DominanceFamily
+    from almostdom.empirical import PairedSample, Sample, SamplingScheme
+    from almostdom.inference import InferenceConfig, bootstrap_ci
+    case, n, n_boot = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    rng = np.random.default_rng(0)
+    x1, x2 = rng.pareto(3.0, n) + 1.0, rng.pareto(2.5, n) + 1.0
+    if case == "lorenz":
+        args = ((Sample(x1), Sample(x2)), DominanceFamily.lorenz(1),
+                SamplingScheme.INDEPENDENT, GridSpec(1000))
+    elif case == "isd":
+        args = (PairedSample(x1, x2), DominanceFamily.inverse_sd(3),
+                SamplingScheme.MATCHED, GridSpec(1000))
+    else:
+        args = (PairedSample(x1, x2), DominanceFamily.sd(1), SamplingScheme.MATCHED,
+                GridSpec(1000, (0.0, 2.0 * max(x1.max(), x2.max()))))
+    cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=n_boot)
+    bootstrap_ci(*args, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    bootstrap_ci(*args, cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")
+@pytest.mark.parametrize(
+    "case, n, n_boot", [("lorenz", 2000, 1600), ("isd", 1000, 3200), ("sd", 200, 3200)]
+)
+def test_chunks_fault_in_no_fresh_pages(case, n, n_boot):
+    # 100 chunks of 16 or 32 rows on 1000 nodes: the shapes of the ci, tune
+    # and simulate commands of the replicate benchmark. A chunk of 32 rows
+    # that allocated its 256 KB G-long arrays would fault in 64 fresh pages
+    # for each (about 27,000 faults in all here); what a bootstrap may fault
+    # in is its workspace, once (300 to 600 pages here), the studentization
+    # and what it returns (250 to 860 faults in all)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, case, str(n), str(n_boot)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2000
+
+
+def mask_reference(h_rows, sets, sums):
+    """The derivative draws from boolean masks on the rows."""
+    pos, neg, total = sums
+    zero_part = h_rows[:, sets.zero]
+    d_pos = h_rows[:, sets.plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
+    d_neg = -h_rows[:, sets.minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
+    return (d_pos * (neg / total) - (pos / total) * d_neg) / total
+
+
+def mask_cases(n_points, rng):
+    """Contact sets: random ones, one with an empty part, all zero, all plus."""
+    labels = rng.integers(0, 3, n_points)
+    no_minus = np.where(labels == 1, 0, labels)
+    for labels in (labels, no_minus, np.full(n_points, 2), np.zeros(n_points, int)):
+        yield inference.ContactSets(plus=labels == 0, minus=labels == 1, zero=labels == 2)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 16, 33])
+@pytest.mark.parametrize("n_points", [1, 2, 7, 1000])
+def test_derivative_gather_matches_masks(rows, n_points):
+    rng = child_rng(48, rows, n_points)
+    h = rng.normal(size=(rows, n_points)) * 10.0 ** rng.uniform(-8, 8, (rows, n_points))
+    # a row with NaN and one with both infinities, where there are two
+    if rows > 1:
+        h[0, rng.integers(n_points)] = np.nan
+        h[-1, : min(2, n_points)] = [np.inf, -np.inf][: min(2, n_points)]
+    sums = (0.3, 0.1, 0.4)
+    for sets in mask_cases(n_points, rng):
+        with np.errstate(invalid="ignore"):
+            want = mask_reference(h, sets, sums)
+            got = inference._derivative_rows(h, sets, sums)
+            # as a chunk reads them: transposed into a workspace-sized buffer
+            cols = np.empty((n_points + 5) * rows)[: n_points * rows].reshape(n_points, rows)
+            np.copyto(cols, h.T)
+            chunk = inference._derivative_cols(cols, sets, sums, np.empty((2, cols.size + 9)))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(chunk, want)
+        if rows == 1 and n_points > 1:
+            # the public single-row derivative, which sums a masked row pairwise
+            spec = GridSpec(n_points)
+            diff = GridFunction(spec, np.where(np.arange(n_points) % 2, -0.1, 0.3))
+            single = inference.derivative(GridFunction(spec, h[0]), sets, diff)
+            assert single == mask_reference(h, sets, inference._area_sums(diff))[0]
+
+
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_study_replicates_share_a_workspace(monkeypatch, scheme):
+    data = lorenz_data(scheme)
+    family = DominanceFamily.inverse_sd(3)
+    spec = GridSpec(40)
+    cfg = InferenceConfig(t_n=0.5, seed=2, n_boot=23)
+    args = (data, family, scheme, spec, cfg, [0.1, 1.0, 10.0], 5, 11)
+    fresh = tuning_table(*args)
+    made = []
+    init = inference._Workspace.__init__
+
+    def count(self, shape):
+        made.append(shape)
+        init(self, shape)
+
+    monkeypatch.setattr(inference._Workspace, "__init__", count)
+    # every calibration replicate resamples datasets of the same sizes, so
+    # one workspace serves all five bootstraps, with the same coverages
+    assert tuning_table(*args) == fresh
+    assert len(made) == 1
 
 
 def zero_heavy_pairs():
