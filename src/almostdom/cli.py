@@ -277,6 +277,9 @@ class ReportRecord:
     n_boot_effective: int
     seed: int
     boundary_flag: bool
+    plus_nodes: int
+    minus_nodes: int
+    zero_nodes: int
     runtime_ms: float = 0.0  # set by ``main``
 
     def to_dict(self) -> dict:
@@ -500,6 +503,9 @@ def _cmd_ci(args):
         n_boot_effective=result.n_boot_effective,
         seed=cfg.seed,
         boundary_flag=result.boundary,
+        plus_nodes=result.plus_nodes,
+        minus_nodes=result.minus_nodes,
+        zero_nodes=result.zero_nodes,
     )
     curves = partial(_fit_curves, family, d1, d2, pairs, scheme, spec, result.std)
     return record.to_dict(), curves, 3 if args.strict and result.boundary else 0

@@ -20,26 +20,33 @@ A bootstrap derives the states of all its streams at once and draws
 each resample from its stream's raw words (see :mod:`almostdom.rng`).
 
 Replicates are drawn and folded in chunks. A resample is a row of
-positions among the order statistics of each sample. For a chunk of
-replicates the rows are sorted and their values summed cumulatively;
-read at node positions that do not change between replicates, the sums
-give the Lorenz and integrated-quantile curves, and cumulative counts of
-the positions give the empirical CDFs. Each chunk is turned into
-derivative draws at once, so memory is bounded by the chunk and does not
-grow with the number of replicates. A chunk holds ``2**15 // max(n, G)``
-rows, so that each of its arrays stays within 256 KB and its working set
-within a 2 MB L2 cache, but at least 2 rows. Every array a chunk writes
-(the streams' words, the drawn indices, the positions, the order
-statistics and their prefix sums, the curves at the nodes, and the
-derivative's transposed chunk and gathered contact-set parts) is written
-into one workspace per bootstrap (:class:`_Workspace`), allocated once and
-reused by every chunk, so the chunks reuse the same pages; the
-bootstraps of one coverage study share one workspace. The exceptions are
-a stream with a rejected word, which is redrawn into a fresh array, and
-the SD family's count of positions, which ``np.bincount`` allocates.
-A replicate whose Lorenz resample has no positive mean, or whose curve or
-draw is not finite, gives no draw: it is dropped, and ``n_boot_effective``
-counts the rest.
+positions among the order statistics of each sample. Away from the
+contact set the derivative is linear in the fluctuation, so its sums over
+the plus and minus nodes are weighted sums over the resample, with
+per-observation weights worked out once per bootstrap for every
+contact-set estimate (:class:`_Weights`): for the SD family the weights of
+the drawn positions are summed, for the others the resample is sorted
+and its values weighted. Curve values are built only where the one-sided
+parts need them, at the zero nodes, and only when some estimate has one:
+at operator degree 1 the sorted values (or the counts of positions) are
+summed in segments up to those nodes; above it the whole curves are
+built from prefix sums and integrated, then read there. Each chunk is
+turned into derivative draws at once, so memory is bounded by the chunk
+and does not grow with the number of replicates; every reduction over a
+row gives the same result whatever the number of rows in its chunk. A
+chunk holds ``2**15 // max(n, G)`` rows, so that each of its arrays stays
+within 256 KB and its working set within a 2 MB L2 cache, but at least 2
+rows. Every array a chunk writes (the streams' words, the drawn indices,
+the positions, the order statistics or the gathered weights, the
+weighted sums, and at the zero nodes the prefix sums, the curves and the
+one-sided parts) is written into one workspace per bootstrap
+(:class:`_Workspace`), allocated once and reused by every chunk, so the
+chunks reuse the same pages; the bootstraps of one coverage study share
+one workspace. The exception is the SD family's count of positions, which
+``np.bincount`` allocates in a chunk with zero nodes. A replicate is used
+when its draw is finite; a Lorenz resample without a positive, finite
+mean gives a NaN draw, so it is dropped too. ``n_boot_effective`` counts
+the replicates used.
 
 Stages 1-3 are one interval step (:func:`_intervals`), shared by
 :func:`bootstrap_ci` and the coverage studies: threshold calibration
@@ -66,8 +73,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _node_sums
-from .coefficients import CoefficientEstimate, DominanceFamily, Family, coefficient
+from .calculus import GridFunction, GridSpec, _node_sums, iterated_cumsum
+from .coefficients import (
+    CoefficientEstimate,
+    Direction,
+    DominanceFamily,
+    Family,
+    coefficient,
+)
 from .covariance import std_curve_for
 from .empirical import (
     EmpiricalDistribution,
@@ -138,9 +151,8 @@ class InferenceConfig:
     than sqrt(effective_n)) for the asymptotics, and is a finite-sample
     tuning choice here (see :func:`select_tuning`). ``xi0`` bounds the
     studentization away from zero. A bootstrap replicate that gives no
-    draw (a Lorenz resample without a positive mean, or a curve that is
-    not finite) is dropped, so ``n_boot_effective`` may fall below
-    ``n_boot``.
+    draw (a Lorenz resample without a positive mean, or a draw that is not
+    finite) is dropped, so ``n_boot_effective`` may fall below ``n_boot``.
     """
 
     t_n: float
@@ -200,10 +212,11 @@ class ContactSets:
 class BootstrapResult:
     """Coefficient estimate with bootstrap quantiles and confidence interval.
 
-    ``std`` is the studentization curve behind the contact sets.
-    ``boundary`` flags estimates sitting exactly at 0 or 1, where the
-    interval theory does not apply; the clamped interval is still
-    returned.
+    ``std`` is the studentization curve behind the contact sets, and
+    ``plus_nodes``, ``minus_nodes`` and ``zero_nodes`` count the grid nodes
+    in each of them. ``boundary`` flags estimates sitting exactly at 0 or
+    1, where the interval theory does not apply; the clamped interval is
+    still returned.
     """
 
     estimate: CoefficientEstimate
@@ -215,6 +228,9 @@ class BootstrapResult:
     n_boot_effective: int
     seed: int
     boundary: bool
+    plus_nodes: int
+    minus_nodes: int
+    zero_nodes: int
 
 
 def contact_sets(
@@ -486,7 +502,8 @@ class _Shape(NamedTuple):
     most ``rows`` replicates, the draws ``sizes`` of one resample (see
     :func:`_draw_sizes`), each sample's size and whether its draws map to
     positions (matched pairs), whether the family reads CDFs (SD) rather
-    than integrated quantiles, and the number of grid nodes."""
+    than integrated quantiles, the number of grid nodes, and the number of
+    weight rows (see :class:`_Weights`)."""
 
     rows: int
     sizes: tuple[tuple[int, int], ...]
@@ -494,9 +511,10 @@ class _Shape(NamedTuple):
     ranked: tuple[bool, bool]
     cdf: bool
     n_points: int
+    n_weights: int
 
 
-def _shape(prep: _Prepared, rows: int) -> _Shape:
+def _shape(prep: _Prepared, rows: int, n_weights: int) -> _Shape:
     """The :class:`_Shape` of a workspace for chunks of ``prep``."""
     sides = (prep.side1, prep.side2)
     return _Shape(
@@ -506,6 +524,7 @@ def _shape(prep: _Prepared, rows: int) -> _Shape:
         ranked=tuple(side.rank is not None for side in sides),
         cdf=prep.family.kind is Family.SD,
         n_points=prep.spec.n_points,
+        n_weights=n_weights,
     )
 
 
@@ -515,14 +534,14 @@ class _Workspace:
 
     - the n-long rows: the drawn indices (see
       :class:`~almostdom.rng.DrawBuffers`), the positions that matched
-      pairs' draws map to, and, per sample size, the gathered order
-      statistics, their prefix sums and the positions sorted as 32-bit
-      integers, or for the SD family the cumulative counts of positions
-      and the empirical CDFs (column 0 zero);
-    - the G-long rows, three flat rows of ``rows * G`` values (``grid``):
-      the two samples' curves and the second read of an integrated quantile
-      (:func:`_replicate_rows`), then the chunk transposed and the gathered
-      contact-set parts (:func:`_chunk_draws`).
+      pairs' draws map to, and, per sample size, either the gathered
+      weights and the cumulative counts of positions and the empirical
+      CDFs (column 0 zero) of the SD family, or the order statistics, the
+      positions sorted as 32-bit integers and the prefix sums;
+    - each sample's weighted sums (``sums``, see :class:`_Weights`);
+    - four flat rows of ``rows * (G + 1)`` values (``grid``) for the node
+      values, which only a chunk with zero nodes writes: the two samples'
+      curves, a table of prefix sums and scratch.
 
     A workspace pickles without its buffers, so each batch of chunks that a
     pool worker runs allocates its own; they go with the last reference to
@@ -536,21 +555,32 @@ class _Workspace:
             np.empty((rows, n), np.int64) if ranked else None
             for n, ranked in zip(shape.n, shape.ranked)
         ]
-        blocks = {}
+        # the prefix sums and integers are spent before the other sample's
+        # are written, so samples of one size share them
+        shared = {}
         for n in set(shape.n):
             prefix = np.empty((rows, n + 1))
             prefix[:, 0] = 0.0
-            if shape.cdf:
-                blocks[n] = np.empty((rows, n), np.int64), prefix, None
-            else:
-                # numpy sorts 32-bit integers about twice as fast as 64-bit ones
-                dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-                blocks[n] = np.empty((rows, n)), prefix, np.empty((rows, n), dtype)
-        self.blocks = [blocks[n] for n in shape.n]
-        self.grid = np.empty((3, rows * shape.n_points))
+            # numpy sorts 32-bit integers about twice as fast as 64-bit ones
+            small = not shape.cdf and n <= np.iinfo(np.int32).max
+            shared[n] = prefix, np.empty((rows, n), np.int32 if small else np.int64)
+        self.blocks = [_Block(np.empty((rows, n)), *shared[n]) for n in shape.n]
+        self.sums = np.empty((2, rows, shape.n_weights))
+        self.grid = np.empty((4, rows * (shape.n_points + 1)))
 
     def __reduce__(self):
         return _Workspace, (self.shape,)
+
+
+class _Block(NamedTuple):
+    """The n-long rows of one sample size in a :class:`_Workspace`:
+    ``values`` holds the order statistics, or for the SD family the gathered
+    weights; ``prefix`` the prefix sums, or the empirical CDFs; ``ints``
+    the sorted positions, or the cumulative counts of positions."""
+
+    values: np.ndarray
+    prefix: np.ndarray
+    ints: np.ndarray
 
 
 class _WorkspaceSlot:
@@ -571,6 +601,108 @@ class _WorkspaceSlot:
         return self.space
 
 
+class _Cut(NamedTuple):
+    """Where the prefix sums of a sample's rows are read at the zero nodes
+    only: the rows' leading ``stop`` values are summed in segments that
+    start at ``starts`` (see :func:`_prefix_table`), and zero node ``i``
+    reads column ``col[i]`` of the table. ``at`` and ``frac`` are the zero
+    nodes' (see :class:`_Side`), None for the SD family."""
+
+    starts: np.ndarray
+    stop: int
+    col: np.ndarray
+    at: np.ndarray | None
+    frac: np.ndarray | None
+
+
+def _cut(side: _Side, nodes: np.ndarray) -> _Cut:
+    """The :class:`_Cut` of ``side`` at ``nodes`` (indices into the grid)."""
+    k = side.k[nodes]
+    ends = np.unique(k[k > 0])
+    return _Cut(
+        starts=np.concatenate(([0], ends))[: ends.size].astype(np.intp),
+        stop=int(ends[-1]) if ends.size else 0,
+        col=np.searchsorted(ends, k) + (k > 0),
+        at=None if side.at is None else side.at[nodes],
+        frac=None if side.frac is None else side.frac[nodes],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Weights:
+    """What the derivative draws under several contact-set estimates read
+    from a resample, worked out once per bootstrap.
+
+    Away from the zero nodes the derivative is linear in the fluctuation,
+    so its sum over a node set S is a weighted sum over the resample. Let
+    ``g`` be the adjoint of the family's integration passes applied to the
+    indicator of S. Row ``r`` of ``samples[s]`` holds, for S the plus
+    (``r = 2i``) or minus (``r = 2i + 1``) nodes of estimate ``i``,
+
+    - SD: ``w[p] = sum_j g_j [p < k_j]``, so that ``sum_S g * cdf`` of a
+      resample is the mean of ``w`` at its drawn positions;
+    - otherwise: ``w[p] = sum_j g_j ([p < k_j] + frac_j [p = at_j])``, so
+      that ``sum_S g * cq`` is the mean of the sorted resample times ``w``.
+
+    ``diff_sums[r]`` is the sum of the difference curve over that set.
+    ``zero`` lists the union of the estimates' zero nodes, ``zero_diff``
+    the difference curve there, ``parts[i]`` the positions in ``zero`` of
+    estimate ``i``'s zero nodes, and ``cuts`` how each sample is read at
+    them at operator degree 1 (None above it, where the whole curves are
+    built and integrated first).
+    """
+
+    samples: tuple[np.ndarray, np.ndarray]
+    diff_sums: np.ndarray
+    zero: np.ndarray
+    zero_diff: np.ndarray
+    parts: tuple[np.ndarray, ...]
+    cuts: tuple[_Cut, _Cut] | None
+
+
+def _sample_weights(side: _Side, g: np.ndarray) -> np.ndarray:
+    """The rows of :class:`_Weights` of one sample, for the rows of node
+    weights ``g``."""
+    n = side.sorted_values.size
+    # the k are ascending, so the nodes with k_j > p are those from the
+    # first one past p on: w[p] is a suffix sum of g
+    suffix = np.zeros((len(g), g.shape[1] + 1))
+    suffix[:, :-1] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+    w = np.take(suffix, np.searchsorted(side.k, np.arange(n), side="right"), axis=1)
+    if side.at is not None:
+        for row, weights in zip(w, g):
+            row += np.bincount(side.at, weights * side.frac, minlength=n)
+    return w
+
+
+def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
+    """The :class:`_Weights` of ``sets`` for the replicates of ``prep``."""
+    family = prep.family
+    masks = [mask for s in sets for mask in (s.plus, s.minus)]
+    # the adjoint of a pass summing up from the lower end sums down from
+    # the upper end, and the other way round
+    g = iterated_cumsum(
+        np.array(masks, dtype=float), prep.spec.step, family.operator_degree - 1,
+        downward=family.direction is Direction.UP, axis=1,
+    )
+    w1 = _sample_weights(prep.side1, g)
+    # integrated quantiles are read at positions set by the sample size alone
+    shared = family.kind is not Family.SD and prep.d1.n == prep.d2.n
+    w2 = w1 if shared else _sample_weights(prep.side2, g)
+    zero = np.flatnonzero(np.any([s.zero for s in sets], axis=0))
+    cuts = None
+    if family.operator_degree == 1 and zero.size:
+        cuts = _cut(prep.side1, zero), _cut(prep.side2, zero)
+    return _Weights(
+        samples=(w1, w2),
+        diff_sums=np.array([prep.diff.values[mask].sum() for mask in masks]),
+        zero=zero,
+        zero_diff=prep.diff.values[zero],
+        parts=tuple(np.searchsorted(zero, s._indices[2]) for s in sets),
+        cuts=cuts,
+    )
+
+
 def _positions(
     prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +712,7 @@ def _positions(
     written into ``space``, a fresh one when None."""
     rows = len(states)
     if space is None:
-        space = _Workspace(_shape(prep, rows))
+        space = _Workspace(_shape(prep, rows, 0))
     idx = draw_integers(states, space.shape.sizes, space.indices)
     # the indices are in range by construction; a mode other than "raise"
     # lets np.take write straight into ``out`` instead of a buffer
@@ -590,103 +722,221 @@ def _positions(
     )
 
 
-def _cdf_rows(
-    side: _Side, pos: np.ndarray, block: tuple[np.ndarray, np.ndarray, None], out: np.ndarray
-) -> np.ndarray:
-    """Empirical CDF at the nodes of each resample in ``pos`` (whose rows
-    are offset in place to index one flat count), written into ``out``. The
-    cumulative counts and the CDFs at every order position go into the
-    leading rows of ``block``'s first two arrays (see :class:`_Workspace`)."""
-    rows, n = pos.shape
-    pos += n * np.arange(rows)[:, None]
-    counts = np.bincount(pos.ravel(), minlength=rows * n).reshape(rows, n)
-    below, cdf = block[0][:rows], block[1][:rows]
-    # summed as integers: a cumsum that casts to float takes fresh buffers
-    np.divide(np.cumsum(counts, axis=1, out=below), n, out=cdf[:, 1:])
-    return np.take(cdf, side.k, axis=1, out=out, mode="clip")
-
-
-def _cum_quantile_rows(
-    side: _Side,
-    pos: np.ndarray,
-    block: tuple[np.ndarray, np.ndarray, np.ndarray],
-    out: tuple[np.ndarray, np.ndarray],
+def _resamples(
+    prep: _Prepared, states: np.ndarray, space: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrated quantile at the nodes of each resample in ``pos`` (sorted
-    in place), and each resample's mean. The order statistics, their prefix
-    sums and the sort's 32-bit keys are written into the leading rows of
-    ``block`` (see :class:`_Workspace`), the curves into ``out[0]``
-    (``out[1]`` is scratch)."""
-    rows, n = pos.shape
-    ordered, prefix, keys = (array[:rows] for array in block)
+    """Each sample's resamples of the replicates whose streams are at
+    ``states``, one row each, in ``space``: the drawn positions for the SD
+    family, else the resampled values in ascending order."""
+    positions = _positions(prep, states, space)
+    if prep.family.kind is Family.SD:
+        return positions
+    return tuple(
+        _order_statistics(side, pos, block)
+        for side, pos, block in zip((prep.side1, prep.side2), positions, space.blocks)
+    )
+
+
+def _order_statistics(side: _Side, pos: np.ndarray, block: _Block) -> np.ndarray:
+    """The values at the positions ``pos`` (sorted in place) of each
+    resample, in ascending order, in the leading rows of ``block.values``;
+    the sort's 32-bit keys go into ``block.ints``."""
+    rows = len(pos)
+    keys = block.ints[:rows]
     np.copyto(keys, pos, casting="same_kind")
     keys.sort(axis=1)
     # np.take would copy 32-bit indices to the platform's integer first
     np.copyto(pos, keys)
-    np.take(side.sorted_values, pos, out=ordered, mode="clip")
-    np.cumsum(ordered, axis=1, out=prefix[:, 1:])
-    curves = cum_quantile_at(ordered, prefix, side.k, side.at, side.frac, out)
-    return curves, prefix[:, -1] / n
+    return np.take(side.sorted_values, pos, out=block.values[:rows], mode="clip")
+
+
+def _means(prep: _Prepared, samples) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Each Lorenz resample's mean, NaN where it is not positive or not
+    finite, so that whatever is divided by it is not finite either (None
+    for the other families)."""
+    if prep.family.kind is not Family.LORENZ:
+        return None, None
+    out = []
+    for ordered in samples:
+        mean = ordered.sum(axis=1) / ordered.shape[1]
+        out.append(np.where((mean > 0.0) & (mean < np.inf), mean, np.nan))
+    return tuple(out)
+
+
+def _weighted_sums(
+    prep: _Prepared, weights: _Weights, samples, means, space: _Workspace
+) -> np.ndarray:
+    """Sums of each replicate's scaled fluctuation ``root_n * (resampled -
+    diff)`` over the node sets of ``weights``, one column each."""
+    rows = len(samples[0])
+    sums = space.sums[:, :rows]
+    for sample, w, block, out, mean in zip(samples, weights.samples, space.blocks, sums, means):
+        n = sample.shape[1]
+        if prep.family.kind is Family.SD:
+            gathered = block.values[:rows]
+            for column, row in zip(out.T, w):
+                np.take(row, sample, out=gathered, mode="clip").sum(axis=1, out=column)
+        else:
+            # einsum sums each row in an order of its own, whatever the
+            # number of rows, where a BLAS product does not
+            np.einsum("ij,kj->ik", sample, w, out=out)
+        out /= n
+        if mean is not None:
+            out /= mean[:, None]
+    first, second = sums
+    if prep.family.kind is Family.SD:
+        linear = np.subtract(first, second, out=second)
+    else:
+        linear = np.subtract(second, first, out=second)
+    linear -= weights.diff_sums
+    linear *= prep.root_n
+    return linear
+
+
+def _prefix_table(values: np.ndarray, cut: _Cut, out: np.ndarray) -> np.ndarray:
+    """The sums of each row's leading ``k`` values at the zero nodes' ``k``
+    (see :class:`_Cut`): a zero, then the cumulative sums of the segments
+    between them, written into the leading values of the flat ``out``."""
+    table = _leading(out, (len(values), cut.starts.size + 1))
+    table[:, 0] = 0.0
+    if cut.starts.size:
+        np.add.reduceat(values[:, : cut.stop], cut.starts, axis=1, out=table[:, 1:])
+        np.cumsum(table[:, 1:], axis=1, out=table[:, 1:])
+    return table
+
+
+def _curve_rows(
+    side: _Side,
+    sample: np.ndarray,
+    cut: _Cut | None,
+    block: _Block,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The base curve of each resample in ``sample`` at every node, or with
+    ``cut`` at the zero nodes only, written into ``out``: the empirical CDF
+    of the drawn positions (offset in place to index one flat count) for
+    the SD family, else the integrated quantile of the sorted values. The
+    prefix sums go into ``block`` or, with ``cut``, the flat ``scratch[0]``;
+    ``scratch[1]`` is scratch."""
+    rows, n = sample.shape
+    if side.at is None:
+        sample += n * np.arange(rows)[:, None]
+        counts = np.bincount(sample.ravel(), minlength=rows * n).reshape(rows, n)
+        if cut is None:
+            below, cdf = block.ints[:rows], block.prefix[:rows]
+            # summed as integers: a cumsum that casts to float takes fresh buffers
+            np.divide(np.cumsum(counts, axis=1, out=below), n, out=cdf[:, 1:])
+            return np.take(cdf, side.k, axis=1, out=out, mode="clip")
+        table = _prefix_table(counts, cut, scratch[0])
+        out = np.take(table, cut.col, axis=1, out=out, mode="clip")
+        out /= n
+        return out
+    spare = _leading(scratch[1], out.shape)
+    if cut is None:
+        prefix = block.prefix[:rows]
+        np.cumsum(sample, axis=1, out=prefix[:, 1:])
+        return cum_quantile_at(sample, prefix, side.k, side.at, side.frac, (out, spare))
+    table = _prefix_table(sample, cut, scratch[0])
+    return cum_quantile_at(sample, table, cut.col, cut.at, cut.frac, (out, spare))
+
+
+def _fluctuations(
+    prep: _Prepared, samples, means, space: _Workspace, weights: _Weights | None = None
+) -> np.ndarray:
+    """Scaled fluctuation curves ``root_n * (resampled - diff)`` of each
+    resample in ``samples`` (see :func:`_resamples`), one row each, in
+    ``space.grid``: at every node, or with ``weights`` at its zero nodes
+    only. At operator degree 1, where no integration pass mixes nodes, the
+    curves are read at those nodes alone; above it they are built at every
+    node and integrated first."""
+    rows = len(samples[0])
+    cuts = None if weights is None else weights.cuts
+    width = prep.spec.n_points if cuts is None else weights.zero.size
+    curve1, curve2 = (_leading(row, (rows, width)) for row in space.grid[:2])
+    for side, sample, mean, cut, block, out in zip(
+        (prep.side1, prep.side2), samples, means, cuts or (None, None), space.blocks,
+        (curve1, curve2),
+    ):
+        curve = _curve_rows(side, sample, cut, block, out, space.grid[2:])
+        if mean is not None:
+            curve /= mean[:, None]
+    if prep.family.kind is Family.SD:
+        h = np.subtract(curve1, curve2, out=curve2)
+    else:
+        h = np.subtract(curve2, curve1, out=curve2)
+    if cuts is None:
+        prep.family.integrate(h, prep.spec.step, axis=1, out=h)
+        if weights is not None:
+            zero = _leading(space.grid[0], (rows, weights.zero.size))
+            h = np.take(h, weights.zero, axis=1, out=zero, mode="clip")
+    h -= prep.diff.values if weights is None else weights.zero_diff
+    h *= prep.root_n
+    return h
 
 
 def _replicate_rows(
     prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled fluctuation curves ``root_n * (resampled - diff)`` of the
-    replicates whose streams are at ``states``, one row each, and a mask of
-    the usable rows. The resamples are built in ``space`` (see
-    :func:`_positions`), and the curves are a view of its ``grid[1]``.
+    """Scaled fluctuation curves ``root_n * (resampled - diff)`` at every
+    node of the replicates whose streams are at ``states``, one row each,
+    and a mask of the rows that are finite. The resamples are built in
+    ``space`` (a fresh one when None), and the curves are a view of its
+    ``grid[1]``.
 
     Replicate b draws from the stream keyed (seed, b), whose state is row b
-    of ``stream_states(prep.seed, 0, n_boot)``.
-    A row is usable when it is finite: a row whose sums overflow is not, and
-    a Lorenz row whose resample mean is not positive (or overflowed) is NaN.
+    of ``stream_states(prep.seed, 0, n_boot)``. A row whose sums overflow is
+    not finite, and a Lorenz row whose resample mean is not positive (or
+    overflowed) is NaN.
     """
     if space is None:
-        space = _Workspace(_shape(prep, len(states)))
-    pos1, pos2 = _positions(prep, states, space)
-    kind = prep.family.kind
-    shape = (len(states), prep.spec.n_points)
-    curve1, curve2, scratch = (_leading(row, shape) for row in space.grid)
+        space = _Workspace(_shape(prep, len(states), 0))
+    samples = _resamples(prep, states, space)
     with np.errstate(all="ignore"):
-        if kind is Family.SD:
-            cdf1 = _cdf_rows(prep.side1, pos1, space.blocks[0], curve1)
-            rows = _cdf_rows(prep.side2, pos2, space.blocks[1], curve2)
-            rows = np.subtract(cdf1, rows, out=rows)
-        else:
-            cq1, mean1 = _cum_quantile_rows(prep.side1, pos1, space.blocks[0], (curve1, scratch))
-            cq2, mean2 = _cum_quantile_rows(prep.side2, pos2, space.blocks[1], (curve2, scratch))
-            if kind is Family.LORENZ:
-                for cq, mean in ((cq1, mean1), (cq2, mean2)):
-                    cq /= np.where((mean > 0.0) & (mean < np.inf), mean, np.nan)[:, None]
-            rows = np.subtract(cq2, cq1, out=cq2)
-        prep.family.integrate(rows, prep.spec.step, axis=1, out=rows)
-        rows -= prep.diff.values
-        rows *= prep.root_n
+        rows = _fluctuations(prep, samples, _means(prep, samples), space)
     return rows, np.isfinite(rows).all(axis=1)
 
 
 def _chunk_draws(
     prep: _Prepared,
-    sets: tuple[ContactSets, ...],
+    weights: _Weights,
     states: np.ndarray,
     space: _Workspace,
     bounds: tuple[int, int],
 ) -> list[np.ndarray]:
-    """Derivative draws of the usable replicates in ``bounds`` under each
-    contact-set estimate in ``sets``, built in ``space``; a draw that
-    overflows is dropped too. ``states`` holds the stream states of every
-    replicate."""
+    """Derivative draws of the replicates in ``bounds`` under each
+    contact-set estimate of ``weights``, built in ``space``; a draw that is
+    not finite is dropped. ``states`` holds the stream states of every
+    replicate.
+
+    Each draw is ``(d_pos * neg - pos * d_neg) / total**2`` at the curve's
+    node sums ``pos``, ``neg`` and ``total``: ``d_pos`` is the fluctuation's
+    sum over the plus nodes and ``d_neg`` minus its sum over the minus
+    nodes, and at each zero node the one adds ``max(h, 0)`` and the other
+    ``max(-h, 0)``.
+    """
     lo, hi = bounds
-    rows, ok = _replicate_rows(prep, states[lo:hi], space)
-    # one transposed copy serves every contact-set estimate; the first
-    # sample's curve is spent by now, and the rows are once they are copied
-    cols = _leading(space.grid[0], rows.shape[::-1])
-    np.copyto(cols, rows.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scratch = space.grid[2], space.grid[1]
-        draws = [_derivative_cols(cols, s, prep.sums, scratch) for s in sets]
-    return [d[ok & np.isfinite(d)] for d in draws]
+    samples = _resamples(prep, states[lo:hi], space)
+    pos, neg, total = prep.sums
+    draws = []
+    with np.errstate(all="ignore"):
+        means = _means(prep, samples)
+        linear = _weighted_sums(prep, weights, samples, means, space)
+        if weights.zero.size:
+            h = _fluctuations(prep, samples, means, space, weights)
+        for i, part in enumerate(weights.parts):
+            d_pos, d_neg = linear[:, 2 * i], -linear[:, 2 * i + 1]
+            if part.size:
+                gathered = _leading(space.grid[2], (hi - lo, part.size))
+                gathered = np.take(h, part, axis=1, out=gathered, mode="clip")
+                one_sided = _leading(space.grid[3], gathered.shape)
+                d_pos = d_pos + np.maximum(gathered, 0.0, out=one_sided).sum(axis=1)
+                np.negative(gathered, out=gathered)
+                d_neg += np.maximum(gathered, 0.0, out=one_sided).sum(axis=1)
+            # total**2 would turn subnormal once the sums fall below about 1.5e-154
+            draw = (d_pos * (neg / total) - (pos / total) * d_neg) / total
+            draws.append(draw[np.isfinite(draw)])
+    return draws
 
 
 def _bootstrap_draws(
@@ -701,24 +951,18 @@ def _bootstrap_draws(
 
     Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
     and at least 2; each chunk is folded into draws as soon as it is built.
-    Every chunk builds its resamples in one workspace, allocated once, or
+    Every chunk reads its resamples through the weights of ``sets``,
+    worked out once, and builds them in one workspace, allocated once, or
     taken from ``slot`` when given.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
-    starts = list(range(0, n_boot, size))
-    # numpy sums a single row's contact-set parts pairwise but those of
-    # several rows one node at a time (see _derivative_cols), so a lone last
-    # row joins the chunk before it: every draw then sums the same way as in
-    # one n_boot-row block
-    if len(starts) > 1 and n_boot - starts[-1] == 1:
-        starts.pop()
-    bounds = list(zip(starts, starts[1:] + [n_boot]))
+    bounds = [(lo, min(lo + size, n_boot)) for lo in range(0, n_boot, size)]
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
-    shape = _shape(prep, max(hi - lo for lo, hi in bounds))
+    shape = _shape(prep, min(size, n_boot), 2 * len(sets))
     space = _Workspace(shape) if slot is None else slot.fit(shape)
-    chunk_fn = partial(_chunk_draws, prep, sets, states, space)
+    chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets), states, space)
     chunks = list(_ordered_map(chunk_fn, bounds, n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -731,8 +975,9 @@ def _intervals(
     n_jobs: int,
     slot: _WorkspaceSlot | None = None,
 ) -> tuple[GridFunction, list[tuple[np.ndarray, float, float, tuple[float, float]]]]:
-    """The studentization curve, and ``(draws, q_lo, q_hi, ci)`` under the
-    contact sets of each threshold in ``thresholds``, all read off the same
+    """The studentization curve, and ``(sets, draws, q_lo, q_hi, ci)``
+    under the contact sets ``sets`` of each threshold in ``thresholds``,
+    all read off the same
     ``cfg.n_boot`` replicates (built in a workspace from ``slot`` when
     given)."""
     std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
@@ -741,7 +986,7 @@ def _intervals(
         for t_n in thresholds
     )
     results = []
-    for draws in _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs, slot):
+    for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs, slot)):
         if draws.size == 0:
             raise NonFiniteDrawError("every bootstrap replicate was degenerate")
         q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
@@ -749,7 +994,7 @@ def _intervals(
         lo, hi = est.c_hat - q_hi / prep.root_n, est.c_hat - q_lo / prep.root_n
         if cfg.clamp_to_unit:
             lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
-        results.append((draws, q_lo, q_hi, (lo, hi)))
+        results.append((s, draws, q_lo, q_hi, (lo, hi)))
     return std, results
 
 
@@ -775,7 +1020,7 @@ def bootstrap_ci(
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
     est, prep = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
-    std, ((draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
+    std, ((sets, draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
     return BootstrapResult(
         estimate=est,
         std=std,
@@ -786,6 +1031,9 @@ def bootstrap_ci(
         n_boot_effective=int(draws.size),
         seed=cfg.seed,
         boundary=est.c_hat in (0.0, 1.0),
+        plus_nodes=int(sets.plus.sum()),
+        minus_nodes=int(sets.minus.sum()),
+        zero_nodes=int(sets.zero.sum()),
     )
 
 

@@ -356,6 +356,9 @@ class TestReportRecord:
             n_boot_effective=990,
             seed=42,
             boundary_flag=False,
+            plus_nodes=700,
+            minus_nodes=250,
+            zero_nodes=50,
             runtime_ms=12.5,
         )
         assert ReportRecord.from_json(record.to_json()) == record
@@ -1282,7 +1285,8 @@ LAYOUTS = {
     "ci": (
         ["--family", "lorenz", "--scheme", "matched", "--tn", "0.01", "--boot", "20"],
         ["family", "m", "direction", "n1", "n2", "c_hat", "ci_lo", "ci_hi", "t_n", "xi0",
-         "n_boot", "n_boot_effective", "seed", "boundary_flag", "runtime_ms"],
+         "n_boot", "n_boot_effective", "seed", "boundary_flag", "plus_nodes", "minus_nodes",
+         "zero_nodes", "runtime_ms"],
         FIT_CURVES,
     ),
     "simulate": (

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +133,17 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     scale = max(float(np.abs(want[ok]).max(initial=0.0)), 1e-300)
     np.testing.assert_allclose(rows[ok], want[ok], rtol=0.0, atol=1e-12 * scale)
 
-    sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
-    (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
-    want_draws = inference._derivative_rows(want[ok], sets, prep.sums)
-    scale = max(float(np.abs(want_draws).max(initial=0.0)), 1e-300)
-    np.testing.assert_allclose(draws, want_draws, rtol=0.0, atol=1e-12 * scale)
+    # three contact-set estimates in one bootstrap: zero nodes only where
+    # the curve vanishes, some, and every node
+    estimates = tuple(
+        inference.contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
+        for t_n in (1e-12, 0.5, 1e12)
+    )
+    all_draws = inference._bootstrap_draws(prep, estimates, cfg.n_boot, 1)
+    for sets, draws in zip(estimates, all_draws):
+        want_draws = inference._derivative_rows(want[ok], sets, prep.sums)
+        scale = max(float(np.abs(want_draws).max(initial=0.0)), 1e-300)
+        np.testing.assert_allclose(draws, want_draws, rtol=0.0, atol=1e-12 * scale)
 
 
 @st.composite
@@ -203,7 +210,15 @@ def test_draws_are_numerical_deltas(case, points, seed):
         assert abs(quotient - value) <= bound + rounding, (eps, quotient, value)
 
 
-@pytest.mark.parametrize("family", [DominanceFamily.lorenz(2), DominanceFamily.sd(1)])
+@pytest.mark.parametrize(
+    "family",
+    [
+        DominanceFamily.lorenz(2),
+        DominanceFamily.sd(1),
+        DominanceFamily.inverse_sd(3),
+        DominanceFamily.inverse_sd(3, Direction.DOWN),
+    ],
+)
 @pytest.mark.parametrize("scheme", [MP, IND])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunk_boundaries(monkeypatch, family, scheme, offset):
@@ -220,6 +235,36 @@ def test_chunk_boundaries(monkeypatch, family, scheme, offset):
         chunked = bootstrap_ci(data, family, scheme, spec, cfg)
         np.testing.assert_array_equal(chunked.draws, whole.draws)
         assert chunked.ci == whole.ci and chunked.n_boot_effective == cfg.n_boot
+
+
+@pytest.mark.parametrize("family", [DominanceFamily.lorenz(1), DominanceFamily.inverse_sd(3)])
+@pytest.mark.parametrize("scheme", [MP, IND])
+def test_tuning_draws_do_not_depend_on_the_chunk_size(monkeypatch, family, scheme):
+    # the draws of every calibration replicate under five candidates, whose
+    # zero shares run from none to all, in one chunk and in chunks of 2
+    # rows; a BLAS product in place of the weighted sums changes 5 to 10 of
+    # the Lorenz draws here
+    data = lorenz_data(scheme)
+    spec = GridSpec(40)
+    cfg = InferenceConfig(t_n=0.5, seed=6, n_boot=17)
+    args = (data, family, scheme, spec, cfg, [1e-12, 0.1, 1.0, 10.0, 1e12], 4, 17)
+    seen = []
+    bootstrap_draws = inference._bootstrap_draws
+
+    def record(*args, **kwargs):
+        seen.append(bootstrap_draws(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(inference, "_bootstrap_draws", record)
+    whole = tuning_table(*args)
+    whole_draws = seen[:]
+    seen.clear()
+    chunk_rows(monkeypatch, data, scheme, spec, 2)
+    assert tuning_table(*args) == whole
+    assert len(seen) == len(whole_draws) == 4
+    for chunked, one_block in zip(seen, whole_draws):
+        for got, want in zip(chunked, one_block, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("scheme", [MP, IND])
@@ -301,9 +346,8 @@ def test_memory_is_bounded_by_the_chunk_budget(degree):
 @pytest.mark.parametrize("scheme", [MP, IND])
 def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, scheme):
     # samples of more than 4096 values in chunks of 2 rows, set through the
-    # budget; the odd n_boot leaves a lone row that joins the last chunk, so
-    # the workspace holds 3 rows and the earlier chunks write into its
-    # leading rows
+    # budget; the odd n_boot leaves a lone last row, which the last chunk
+    # writes into the workspace's leading row
     rng = child_rng(46, 0)
     x1 = DoublePareto(3.0, 1.5).sample(5000, rng)
     x2 = DoublePareto(2.1, 3.0).sample(5000 if scheme is MP else 4700, rng)
@@ -325,22 +369,25 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
     monkeypatch.setattr(inference, "_positions", record)
     (draws,) = inference._bootstrap_draws(prep, sets, cfg.n_boot, 1)
     monkeypatch.undo()
-    assert [len(pos[0]) for _, pos, _ in seen] == [2, 2, 2, 3]
+    assert [len(pos[0]) for _, pos, _ in seen] == [2, 2, 2, 2, 1]
     # one workspace, whose buffers every chunk writes into
     assert len({id(space) for space, _, _ in seen}) == 1
     assert len({address for *_, address in seen}) == 1
     # which pickles without its buffers
     assert len(pickle.dumps(seen[0][0])) < len(pickle.dumps(prep)) + 1000
     for b in range(cfg.n_boot):
-        chunk, row = (b // 2, b % 2) if b < 6 else (3, b - 6)
+        chunk, row = b // 2, b % 2
         pos1, pos2 = seen[chunk][1]
         idx1, idx2 = inference._draw_indices(prep, child_rng(cfg.seed, b))
         for pos, idx, side in ((pos1, idx1, prep.side1), (pos2, idx2, prep.side2)):
             np.testing.assert_array_equal(pos[row], idx if side.rank is None else side.rank[idx])
-    # the draws of one block of every replicate, built in a fresh workspace
+    # the derivative of the whole curves of every replicate, built in one
+    # block in a fresh workspace
     rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     want = inference._derivative_rows(rows, sets[0], prep.sums)
-    np.testing.assert_array_equal(draws, want[ok & np.isfinite(want)])
+    want = want[ok & np.isfinite(want)]
+    scale = float(np.abs(want).max())
+    np.testing.assert_allclose(draws, want, rtol=0.0, atol=1e-12 * scale)
     # a pool's task batches each fill a workspace of their own
     serial = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=1)
     parallel = bootstrap_ci(data, family, scheme, spec, cfg, n_jobs=2)

@@ -413,6 +413,21 @@ class TestBootstrapCi:
         assert isinstance(result, BootstrapResult)
         assert result.estimate.n1 == 90 and result.estimate.n2 == 150
 
+    def test_contact_set_sizes_reported(self):
+        pairs = lorenz_pairs(48, n=200)
+        fam, spec = DominanceFamily.lorenz(1), GridSpec(100)
+        counts = []
+        for t_n in (1e-12, 1.0, 1e12):
+            cfg = cfg_with(t_n=t_n, seed=3, n_boot=20)
+            result = bootstrap_ci(pairs, fam, MP, spec, cfg)
+            est = result.estimate
+            sets = contact_sets(est.difference, result.std, est.effective_n, cfg)
+            got = (result.plus_nodes, result.minus_nodes, result.zero_nodes)
+            assert got == (sets.plus.sum(), sets.minus.sum(), sets.zero.sum())
+            counts.append(got)
+        assert counts[-1] == (0, 0, 100)
+        assert counts[1][2] > counts[0][2]
+
     def test_scheme_mismatch(self):
         pairs = lorenz_pairs(48, n=30)
         fam = DominanceFamily.lorenz(1)
