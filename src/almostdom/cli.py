@@ -261,7 +261,11 @@ def load_csv(
 
 @dataclass(frozen=True)
 class ReportRecord:
-    """Machine-readable result of a ``ci`` run; serializes losslessly."""
+    """Machine-readable result of a ``ci`` run; serializes losslessly.
+
+    ``plus_nodes``, ``minus_nodes`` and ``zero_nodes`` count the grid nodes
+    in each contact set; records that predate them parse with -1 there.
+    """
 
     family: str
     m: int
@@ -277,9 +281,9 @@ class ReportRecord:
     n_boot_effective: int
     seed: int
     boundary_flag: bool
-    plus_nodes: int
-    minus_nodes: int
-    zero_nodes: int
+    plus_nodes: int = -1
+    minus_nodes: int = -1
+    zero_nodes: int = -1
     runtime_ms: float = 0.0  # set by ``main``
 
     def to_dict(self) -> dict:

@@ -19,18 +19,14 @@ generation"), two steps of its 128-bit LCG, on pairs of uint64 arrays.
 :func:`draw_integers` then draws from those states what
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
 the streams' raw 64-bit words, into buffers (:class:`DrawBuffers`) that
-a caller drawing chunk after chunk reuses. It puts one bit generator per
-thread at each stream in turn, writing the four state words straight
-into the generator's state memory where their layout has been confirmed
-against the ``state`` setter (:class:`_Scratch`). A stream with a
-rejected word reads on in its own raw words, keeping the accepted ones in
-order (:func:`_redraw`), as numpy does. Both functions are checked
-against numpy itself in the tests.
+a caller drawing chunk after chunk reuses. A stream with a rejected word
+reads on in its own raw words, keeping the accepted ones in order
+(:func:`_redraw`), as numpy does. Both are checked against numpy itself
+in the tests.
 """
 
 from __future__ import annotations
 
-import ctypes
 import operator
 import threading
 
@@ -54,8 +50,9 @@ _PIECE = 1 << 13
 _KEY_BLOCK = 1 << 13
 
 
-# each thread's _Scratch generator
-_local = threading.local()
+# the bit generator that draw_integers puts at each stream in turn, one per
+# thread: seeding a PCG64 (about 15 us) costs more than a small chunk's draws
+_scratch = threading.local()
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -205,29 +202,30 @@ def draw_integers(
     ``sizes`` and at least as many rows) the entries are leading-row views of
     ``buffers.draws``, valid until the next call that is given them.
 
-    One bit generator is put at each stream in turn (see :class:`_Scratch`)
-    and reads its raw 64-bit words. numpy draws below such a ``high`` from
-    32-bit words, the low half of a raw word and then its high half, one per
-    value: word ``w`` gives ``(w * high) >> 32`` unless
-    ``(w * high) mod 2**32`` falls below ``2**32 mod high``, where it is
-    rejected and the next word tried (Lemire 2019, "Fast random integer
-    generation in an interval"). A bound of 1 takes no word. Each draw reads
-    on where the one before it stopped. The rare streams with a rejected
-    word are drawn again by :func:`_redraw`.
+    One bit generator takes each stream's state and reads its raw 64-bit
+    words. numpy draws below such a ``high`` from 32-bit words, the low half
+    of a raw word and then its high half, one per value: word ``w`` gives
+    ``(w * high) >> 32`` unless ``(w * high) mod 2**32`` falls below
+    ``2**32 mod high``, where it is rejected and the next word tried
+    (Lemire 2019, "Fast random integer generation in an interval"). A bound
+    of 1 takes no word. Each draw reads on where the one before it stopped.
+    The rare streams with a rejected word are drawn again by
+    :func:`_redraw`.
     """
-    scratch = getattr(_local, "scratch", None)
-    if scratch is None:
-        scratch = _local.scratch = _Scratch()
-    bits = scratch.bits
+    bits = getattr(_scratch, "bits", None)
+    if bits is None:
+        bits = _scratch.bits = np.random.PCG64(0)
     rows = len(states)
     if buffers is None:
         buffers = DrawBuffers(rows, sizes)
     raw = buffers.raw[:rows]
     width = raw.shape[1]
+    keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
     # in pieces whose arrays stay below glibc's mmap threshold, so that
     # they reuse heap memory instead of faulting in fresh pages
     pieces = [(start, min(_PIECE, width - start)) for start in range(0, width, _PIECE)]
-    for row, _ in enumerate(scratch.visit(states)):
+    for row, key in enumerate(keys):
+        bits.state = _pcg64_state(*key)
         for start, size in pieces:
             raw[row, start : start + size] = bits.random_raw(size)
     # little-endian words split low half first on any machine (a copy only
@@ -249,8 +247,8 @@ def draw_integers(
             low = np.bitwise_and(scaled, _M32, out=buffers.mask[:rows, :span])
             redo |= low.min(axis=1) < threshold
         scaled >>= np.uint64(32)
-    rows_redone = np.flatnonzero(redo)
-    for row, _ in zip(rows_redone, scratch.visit(states[rows_redone])):
+    for row in np.flatnonzero(redo):
+        bits.state = _pcg64_state(*keys[row])
         bits.advance(width)
         _redraw(bits, words[row], sizes, out, row)
     return out
@@ -287,57 +285,11 @@ def _redraw(
             filled += kept.size
 
 
-class _Scratch:
-    """The bit generator that :func:`draw_integers` puts at each stream in
-    turn, one per thread: seeding a PCG64 (about 15 us) costs more than a
-    small chunk's draws.
-
-    Setting a stream's state through the ``state`` setter takes about
-    1.5 us. Where numpy's PCG64 keeps its four state words behind the first
-    pointer of the state that ``ctypes.state_address`` points at, which is
-    checked once against the setter on two states, they are written there
-    directly instead, in the order found (``order``); elsewhere the setter
-    is used. Only raw words are read from the generator, so it never holds
-    a cached half word that a new state would have to clear.
-    """
-
-    def __init__(self):
-        self.bits = np.random.PCG64(0)
-        self.order, self.memory = None, None
-        probe = stream_states(0, 0, 2)
-        try:
-            address = self.bits.ctypes.state_address
-            pointer = ctypes.c_void_p.from_address(address).value
-            memory = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pointer))
-            self.bits.state = _pcg64_state(probe[0])
-            order = [int(np.flatnonzero(probe[0] == word)[0]) for word in memory]
-            memory[:] = probe[1, order]
-            layout_holds = self.bits.state == _pcg64_state(probe[1])
-        except (AttributeError, IndexError, TypeError, ValueError):
-            layout_holds = False
-        if layout_holds:
-            self.order, self.memory = order, memory
-
-    def visit(self, states: np.ndarray):
-        """Yield once for each row of ``states``, with the generator at that
-        stream's state."""
-        if self.memory is None:
-            for row in states:
-                self.bits.state = _pcg64_state(row)
-                yield
-            return
-        for row in states[:, self.order]:
-            self.memory[:] = row
-            yield
-
-
-def _pcg64_state(words: np.ndarray) -> dict:
-    """``PCG64.state`` of a freshly seeded generator at the state ``words``,
-    a row of :func:`stream_states`."""
-    s0, s1, s2, s3 = (int(word) for word in words)
+def _pcg64_state(state: int, inc: int) -> dict:
+    """``PCG64.state`` of a freshly seeded generator at ``(state, inc)``."""
     return {
         "bit_generator": "PCG64",
-        "state": {"state": s0 << 64 | s1, "inc": s2 << 64 | s3},
+        "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }

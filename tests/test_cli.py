@@ -363,6 +363,17 @@ class TestReportRecord:
         )
         assert ReportRecord.from_json(record.to_json()) == record
 
+    def test_record_without_node_counts_parses(self):
+        data = {
+            "family": "sd", "m": 1, "direction": "up", "n1": 50, "n2": 60,
+            "c_hat": 0.25, "ci_lo": 0.1, "ci_hi": 0.4, "t_n": 0.5, "xi0": 0.001,
+            "n_boot": 200, "n_boot_effective": 200, "seed": 3, "boundary_flag": False,
+            "runtime_ms": 4.5,
+        }
+        record = ReportRecord.from_json(json.dumps(data))
+        assert (record.plus_nodes, record.minus_nodes, record.zero_nodes) == (-1, -1, -1)
+        assert record.runtime_ms == 4.5 and record.seed == 3
+
 
 def run_cli(args):
     return main([str(a) for a in args])

@@ -109,19 +109,6 @@ def test_draws_match_generator(sizes):
             np.testing.assert_array_equal(draws[row], want)
 
 
-def test_draws_through_the_state_setter(monkeypatch):
-    # where the state memory's layout cannot be confirmed, each stream's
-    # state goes through the setter, with the same draws
-    sizes = ((2**31 + 1, 301), (7, 7))
-    states = stream_states(9, 0, 12)
-    want = draw_integers(states, sizes)
-    scratch = rng._Scratch()
-    scratch.memory = None
-    monkeypatch.setattr(rng._local, "scratch", scratch)
-    for got, w in zip(draw_integers(states, sizes), want):
-        np.testing.assert_array_equal(got, w)
-
-
 def test_draws_in_threads_match_serial():
     # each thread keeps its own scratch generator, so concurrent calls do not
     # read each other's streams
