@@ -760,8 +760,9 @@ def std_curve_for(
     that std is about 5e-10, far below the default ``xi0`` of 1e-3.
     """
     _check_scheme(scheme, pairs, d1, d2)
-    # a variance that overflows is not finite, and _std raises
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a variance that overflows is not finite, and _std raises; so is one
+    # whose Lorenz weight divides by sample means that multiply to zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family.kind is Family.SD and family.degree == 1:
             var = _sd_variance(d1, d2, pairs, scheme, spec)
         else:

@@ -717,6 +717,14 @@ def cli_cases(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_cases())
+# Lorenz means whose product underflows to zero
+@example(
+    case=(
+        "x1,x2\n-0.0,1e308\n1e-320,1e300\n",
+        ["ci", "--family", "lorenz", "--m", "1", "--dir", "up", "--scheme", "matched",
+         "--grid", "2", "--threads", "1", "--tn", "1", "--boot", "5"],
+    )
+)
 def test_any_input_gives_a_result_or_one_error_line(case):
     text, args = case
     with tempfile.TemporaryDirectory() as tmp:
