@@ -3,8 +3,8 @@
 Estimates how close one outcome distribution comes to dominating another
 in the Lorenz, inverse stochastic dominance, and stochastic dominance
 senses, as the share of the area between the relevant curves where the
-ordering is violated. Ships the exact empirical-curve machinery, plug-in
-covariance kernels, a directional-derivative bootstrap for confidence
+ordering is violated. Ships the exact empirical-curve machinery,
+studentization curves, a directional-derivative bootstrap for confidence
 intervals, threshold calibration, simulation drivers, and a CLI.
 """
 
@@ -30,7 +30,7 @@ from .coefficients import (
     family_curves,
     rank_measures,
 )
-from .covariance import CovKernel, isd_kernel, lorenz_kernel, sd_kernel, std_curve, std_curve_for
+from .covariance import CovKernel, lorenz_kernel, std_curve_for
 from .empirical import (
     EmpiricalDistribution,
     PairedSample,
@@ -82,10 +82,7 @@ __all__ = [
     "family_curves",
     "rank_measures",
     "CovKernel",
-    "isd_kernel",
     "lorenz_kernel",
-    "sd_kernel",
-    "std_curve",
     "std_curve_for",
     "EmpiricalDistribution",
     "PairedSample",

@@ -129,7 +129,7 @@ def iterated_cumsum(
     Each sweep replaces the array by its inclusive prefix (or suffix, when
     ``downward``) sum scaled by ``step``, in place on one copy of ``values``,
     or on ``out`` when given (which may be ``values`` itself).
-    Shared by grid functions, covariance matrices and transform blocks.
+    Shared by grid functions and stacks of curves, one per row.
     """
     if out is None:
         out = np.array(values, dtype=float)

@@ -752,7 +752,7 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, DegenerateCurvesError) else 1
     except MemoryError as exc:
         # numpy's message names the array it could not allocate
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 if __name__ == "__main__":

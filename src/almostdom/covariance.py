@@ -1,13 +1,13 @@
-"""Plug-in covariance kernels and studentization curves.
+"""Studentization curves, and the Lorenz covariance kernel.
 
 Each dominance family has a limiting Gaussian fluctuation process for its
-estimated base curve; the kernels here estimate that process's covariance
-on the working grid, and :func:`std_curve` pushes a kernel through the
-family's iterated-integration operator (along both axes) to obtain the
-pointwise standard deviation used to studentize contact sets.
+estimated base curve. Contact sets are studentized by the pointwise
+standard deviation of that process pushed through the family's
+iterated-integration operator, which :func:`std_curve_for` computes for
+every family.
 
-For the rank-based families the kernel is a sample covariance of
-per-observation transforms:
+For the rank-based families the process's covariance is a sample
+covariance of per-observation transforms:
 
 * Lorenz: ``(lorenz(p) * x - min(quantile(p), x)) / mean``
 * inverse SD: ``min(quantile(p), x)``
@@ -16,30 +16,30 @@ Matched pairs combine the two samples' transforms per pair (the second
 sample's transform weighted by +sqrt(share1), the first's by
 -sqrt(share2), where share_j is sample j's size share) and take one
 sample covariance, which equals the four-term mixture of within- and
-cross-sample covariances.
-The stochastic-dominance kernel is assembled directly from the empirical
-(joint) CDFs.
+cross-sample covariances. The stochastic-dominance covariance comes from
+the empirical (joint) CDFs.
 
-Kernels are dense G-by-G matrices over the G grid nodes, and
-:func:`lorenz_kernel` and :func:`isd_kernel` build them from n-by-G
-transform blocks; they and :func:`sd_kernel` with :func:`std_curve` are
-reference implementations. Studentization needs only the diagonal of the
-integrated kernel, and :func:`std_curve_for` computes it without any
-n-by-G or G-by-G array. For the rank-based families a transform depends
-on x only through its rank bin r (the number of nodes whose quantile is
-at most x) and is linear in x inside a bin (the integrated-CDF
-representation of Davidson and Duclos, 2000). The SD transform after
-p >= 1 passes depends on x through its bin alone: it is the same hinge
-in node-index coordinates. Per-bin sums carried through the integration
-passes by recursions give the variance in O(n log G + p**2 G) time, plus
-O(p**2 n) for the cross terms of matched pairs, and O(block + p**2 G) memory
-beyond the inputs, p being the number of passes; SD at degree 1 (no pass)
-keeps the closed form from the CDFs, O(n + G). The observations are read
-once, in blocks of ``_BLOCK``, and each per-bin sum is exact (error-free
-extraction, summed by ``np.bincount``) until it is rounded to double-double.
-The recursions run in double-double arithmetic: under matched pairs the
-variance is the two samples' variances less twice their covariance, which
-nearly cancel where the pairs nearly coincide.
+:func:`lorenz_kernel` builds the dense G-by-G Lorenz kernel over the G grid
+nodes from n-by-G transform blocks. The dense reference kernels of the
+other families, and the route that integrates a kernel along both axes,
+live with the tests (``tests/reference.py``). Studentization needs only
+the diagonal of the integrated kernel, and :func:`std_curve_for` computes
+it without any n-by-G or G-by-G array. For the rank-based families a
+transform depends on x only through its rank bin r (the number of nodes
+whose quantile is at most x) and is linear in x inside a bin (the
+integrated-CDF representation of Davidson and Duclos, 2000). The SD
+transform after p >= 1 passes depends on x through its bin alone: it is
+the same hinge in node-index coordinates. Per-bin sums carried through the
+integration passes by recursions give the variance in O(n log G + p**2 G)
+time, plus O(p**2 n) for the cross terms of matched pairs, and
+O(block + p**2 G) memory beyond the inputs, p being the number of passes;
+SD at degree 1 (no pass) keeps the closed form from the CDFs, O(n + G).
+The observations are read once, in blocks of ``_BLOCK``, and each per-bin
+sum is exact (error-free extraction, summed by ``np.bincount``) until it
+is rounded to double-double. The recursions run in double-double
+arithmetic: under matched pairs the variance is the two samples' variances
+less twice their covariance, which nearly cancel where the pairs nearly
+coincide.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .coefficients import Direction, DominanceFamily, Family
 from .empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from .errors import (
     DomainError,
-    FamilyMismatchError,
     InvalidConfigError,
     NumericOverflowError,
     SchemeMismatchError,
@@ -62,13 +61,10 @@ from .errors import (
 __all__ = [
     "CovKernel",
     "lorenz_kernel",
-    "isd_kernel",
-    "sd_kernel",
-    "std_curve",
     "std_curve_for",
 ]
 
-# values per transform block of the reference kernels: 8 MB of float64
+# values per transform block of the dense kernels: 8 MB of float64
 _CHUNK_BUDGET = 1_000_000
 
 
@@ -111,7 +107,7 @@ def _check_scheme(scheme: SamplingScheme, pairs, d1, d2) -> None:
 
 # Double-double arithmetic, about 32 significant digits. Under matched pairs
 # the studentization variance is a small difference of large terms where the
-# pairs nearly coincide: the combined transform of the reference kernels, and
+# pairs nearly coincide: the combined transform of the dense kernels, and
 # the two samples' variances less twice their covariance on the rank-bin route.
 
 
@@ -258,9 +254,9 @@ def _chunked_cov(make_block, n_obs, n_points) -> np.ndarray:
     return scatter / (n_obs - 1)
 
 
-def _transform_cov(kind: Family, d1, d2, pairs, scheme, spec) -> np.ndarray:
-    """Covariance kernel of the family's transform under ``scheme``."""
-    transform = _lorenz_rows if kind is Family.LORENZ else _min_rows
+def _transform_cov(transform, d1, d2, pairs, scheme, spec) -> np.ndarray:
+    """Covariance kernel of the per-observation ``transform`` (see
+    :func:`_lorenz_rows`) under ``scheme``."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
 
@@ -294,69 +290,8 @@ def lorenz_kernel(
 ) -> CovKernel:
     """Covariance kernel of the Lorenz-difference fluctuation process."""
     _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_cov(Family.LORENZ, d1, d2, pairs, scheme, spec)
+    matrix = _transform_cov(_lorenz_rows, d1, d2, pairs, scheme, spec)
     return CovKernel(spec, matrix, Family.LORENZ, scheme)
-
-
-def isd_kernel(
-    d1: EmpiricalDistribution,
-    d2: EmpiricalDistribution,
-    pairs: PairedSample | None,
-    scheme: SamplingScheme,
-    spec: GridSpec,
-) -> CovKernel:
-    """Covariance kernel of the integrated-quantile-difference process."""
-    _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_cov(Family.INVERSE_SD, d1, d2, pairs, scheme, spec)
-    return CovKernel(spec, matrix, Family.INVERSE_SD, scheme)
-
-
-def _joint_cdf_grid(pairs: PairedSample, nodes: np.ndarray) -> np.ndarray:
-    """Joint empirical CDF of the pairs at every (node, node) combination."""
-    n_points = nodes.size
-    i1 = np.searchsorted(nodes, pairs.x1, side="left")
-    i2 = np.searchsorted(nodes, pairs.x2, side="left")
-    counts = np.zeros((n_points + 1, n_points + 1))
-    np.add.at(counts, (i1, i2), 1.0)
-    return counts[:n_points, :n_points].cumsum(axis=0).cumsum(axis=1) / pairs.n
-
-
-def sd_kernel(
-    d1: EmpiricalDistribution,
-    d2: EmpiricalDistribution,
-    pairs: PairedSample | None,
-    scheme: SamplingScheme,
-    spec: GridSpec,
-) -> CovKernel:
-    """Covariance kernel of the CDF-difference process on the bounded domain."""
-    _check_scheme(scheme, pairs, d1, d2)
-    nodes = spec.nodes()
-    f1 = d1.cdf(nodes)
-    f2 = d2.cdf(nodes)
-    share1 = d1.n / (d1.n + d2.n)
-    matrix = (1.0 - share1) * (np.minimum.outer(f1, f1) - np.outer(f1, f1))
-    matrix += share1 * (np.minimum.outer(f2, f2) - np.outer(f2, f2))
-    if scheme is SamplingScheme.MATCHED:
-        cross = _joint_cdf_grid(pairs, nodes) - np.outer(f1, f2)
-        matrix -= np.sqrt(share1 * (1.0 - share1)) * (cross + cross.T)
-    return CovKernel(spec, matrix, Family.SD, scheme)
-
-
-def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
-    """Pointwise standard deviation of the degree-raised fluctuation process.
-
-    Applies the family's iterated integration to the kernel along both
-    axes and returns the square root of the diagonal. At operator degree
-    1 this is just the square root of the kernel diagonal.
-    """
-    if kernel.family_kind is not family.kind:
-        raise FamilyMismatchError(
-            f"kernel estimates the {kernel.family_kind.value} process, "
-            f"family is {family.kind.value}"
-        )
-    step = kernel.spec.step
-    matrix = family.integrate(family.integrate(kernel.matrix, step, axis=0), step, axis=1)
-    return _std(kernel.spec, np.diagonal(matrix))
 
 
 def _std(spec: GridSpec, var: np.ndarray) -> GridFunction:
@@ -366,7 +301,9 @@ def _std(spec: GridSpec, var: np.ndarray) -> GridFunction:
 
 
 def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
-    """Diagonal of :func:`sd_kernel`, from the CDFs in O(n + G)."""
+    """Per-node variance of the SD fluctuation process at degree 1 under
+    ``scheme``, from the CDFs in O(n + G): the diagonal of the dense SD
+    kernel (``sd_kernel`` in ``tests/reference.py``)."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
     f1 = d1.cdf(nodes)
@@ -741,7 +678,9 @@ def std_curve_for(
     scheme: SamplingScheme,
     spec: GridSpec,
 ) -> GridFunction:
-    """Studentization curve for a family: ``std_curve`` of its kernel.
+    """Studentization curve for a family: the pointwise standard deviation
+    of its fluctuation process raised by the family's integration passes
+    (``std_curve`` of the family's dense kernel in ``tests/reference.py``).
 
     Every family above SD degree 1 takes the per-node variance of the
     integrated transform from rank-bin sums, at every degree, in both
@@ -749,15 +688,16 @@ def std_curve_for(
     O(p**2 n) under matched pairs, and O(block + p**2 G) memory beyond the
     inputs for p = ``operator_degree - 1`` integration passes, with no
     kernel and no n-by-G block. The observations are read once, in blocks.
-    SD at degree 1 takes the diagonal of :func:`sd_kernel` from the CDFs in
-    O(n + G).
+    SD at degree 1 takes the diagonal of the dense SD kernel from the CDFs
+    in O(n + G).
 
     Downward families lose precision where matched pairs nearly coincide:
     on n = 300 tied Pareto pairs with ``x2 = x1 * (1 + 1e-9 * N(0, 1))``
-    (every third pair equal) at G = 10**3 the result differs from
-    ``std_curve(isd_kernel(...))`` by 1e-9 to 1.9e-8 of the largest std
-    for ISD 3 down and by at most 2.9e-12 for ISD 3 up, over ten seeds;
-    that std is about 5e-10, far below the default ``xi0`` of 1e-3.
+    (every third pair equal) at G = 10**3 the result differs from the
+    reference ``std_curve(isd_kernel(...))`` by 1e-9 to 1.9e-8 of the
+    largest std for ISD 3 down and by at most 2.9e-12 for ISD 3 up, over
+    ten seeds; that std is about 5e-10, far below the default ``xi0`` of
+    1e-3.
     """
     _check_scheme(scheme, pairs, d1, d2)
     # a variance that overflows is not finite, and _std raises; so is one

