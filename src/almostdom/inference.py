@@ -36,13 +36,11 @@ and does not grow with the number of replicates; every reduction over a
 row gives the same result whatever the number of rows in its chunk. A
 chunk holds ``2**15 // max(n, G)`` rows, so that each of its arrays stays
 within 256 KB and its working set within a 2 MB L2 cache, but at least 2
-rows. Every array a chunk writes (the streams' words, the drawn indices,
-the positions, the order statistics or the gathered weights, the
-weighted sums, and at the zero nodes the prefix sums, the curves and the
-one-sided parts) is written into one workspace per bootstrap
-(:class:`_Workspace`), allocated once and reused by every chunk, so the
-chunks reuse the same pages; the bootstraps of one coverage study share
-one workspace. The exception is the SD family's count of positions, which
+rows. Each stage takes the arrays it writes by name from the bootstrap's
+:class:`~almostdom.rng.Scratch`, which allocates a buffer only when a
+name is asked for more values than it holds, so later chunks reuse the
+first one's pages; the bootstraps of one coverage study share one
+scratch. The exception is the SD family's count of positions, which
 ``np.bincount`` allocates in a chunk with zero nodes. A replicate is used
 when its draw is finite; a Lorenz resample without a positive, finite
 mean gives a NaN draw, so it is dropped too. ``n_boot_effective`` counts
@@ -100,7 +98,7 @@ from .errors import (
     SchemeMismatchError,
     ZeroMeanError,
 )
-from .rng import DrawBuffers, child_rng, child_seed, draw_integers, stream_states
+from .rng import Scratch, child_rng, child_seed, draw_integers, stream_states
 
 __all__ = [
     "InferenceConfig",
@@ -117,9 +115,9 @@ __all__ = [
 # replicates per chunk are sized so that each per-chunk array holds at most
 # this many values, 256 KB of float64, and a chunk's working set stays in a
 # 2 MB L2 cache; a chunk holds at least 2 rows. The arrays live in the
-# bootstrap's workspace (_Workspace), allocated once, so their size does not
-# matter to the allocator: above glibc's 128 KB mmap threshold, arrays
-# allocated per chunk would fault in fresh pages for every chunk.
+# bootstrap's scratch (rng.Scratch), which allocates each once, so their size
+# does not matter to the allocator: above glibc's 128 KB mmap threshold,
+# arrays allocated per chunk would fault in fresh pages for every chunk.
 _CHUNK_BUDGET = 1 << 15
 
 
@@ -266,22 +264,24 @@ def _area_sums(diff: GridFunction) -> tuple[float, float, float]:
     return pos, neg, total
 
 
-def _leading(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The leading values of the flat ``buffer`` as a contiguous ``shape``
-    array."""
-    return buffer[: shape[0] * shape[1]].reshape(shape)
-
-
 def _derivative_rows(
     h_rows: np.ndarray, sets: ContactSets, sums: tuple[float, float, float]
 ) -> np.ndarray:
     """Directional derivative of the area ratio for each row of ``h_rows``,
     at the curve whose :func:`_area_sums` are ``sums``."""
-    pos, neg, total = sums
     plus, minus, zero = sets._indices
     zero_part = h_rows[:, zero]
     d_pos = h_rows[:, plus].sum(axis=1) + np.maximum(zero_part, 0.0).sum(axis=1)
     d_neg = -h_rows[:, minus].sum(axis=1) + np.maximum(-zero_part, 0.0).sum(axis=1)
+    return _quotient(d_pos, d_neg, sums)
+
+
+def _quotient(d_pos, d_neg, sums: tuple[float, float, float]):
+    """The quotient rule of the area ratio ``pos / total`` at the node sums
+    ``(pos, neg, total)`` of ``sums``: ``(d_pos * neg - pos * d_neg) /
+    total**2``, where ``d_pos`` and ``d_neg`` are the directional
+    derivatives of ``pos`` and ``neg``."""
+    pos, neg, total = sums
     # total**2 would turn subnormal once the sums fall below about 1.5e-154
     return (d_pos * (neg / total) - (pos / total) * d_neg) / total
 
@@ -373,7 +373,8 @@ def _side(
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """Read-only state shared by all bootstrap replicates."""
+    """State shared by all bootstrap replicates: read-only but for
+    ``scratch``, which their chunks build in, one after another."""
 
     family: DominanceFamily
     scheme: SamplingScheme
@@ -387,6 +388,7 @@ class _Prepared:
     sums: tuple[float, float, float]
     root_n: float
     seed: int
+    scratch: Scratch
 
 
 def _prepare(
@@ -414,6 +416,7 @@ def _prepare(
         sums=_area_sums(est.difference),
         root_n=float(np.sqrt(est.effective_n)),
         seed=cfg.seed,
+        scratch=Scratch(),
     )
     return est, prep
 
@@ -461,110 +464,6 @@ def _ordered_map(fn, items, n_jobs: int):
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
-
-
-class _Shape(NamedTuple):
-    """What the buffers of a :class:`_Workspace` are sized by: chunks of at
-    most ``rows`` replicates, the draws ``sizes`` of one resample (see
-    :func:`_draw_sizes`), each sample's size and whether its draws map to
-    positions (matched pairs), whether the family reads CDFs (SD) rather
-    than integrated quantiles, the number of grid nodes, and the number of
-    weight rows (see :class:`_Weights`)."""
-
-    rows: int
-    sizes: tuple[tuple[int, int], ...]
-    n: tuple[int, int]
-    ranked: tuple[bool, bool]
-    cdf: bool
-    n_points: int
-    n_weights: int
-
-
-def _shape(prep: _Prepared, rows: int, n_weights: int) -> _Shape:
-    """The :class:`_Shape` of a workspace for chunks of ``prep``."""
-    sides = (prep.side1, prep.side2)
-    return _Shape(
-        rows=rows,
-        sizes=_draw_sizes(prep),
-        n=tuple(side.sorted_values.size for side in sides),
-        ranked=tuple(side.rank is not None for side in sides),
-        cdf=prep.family.kind is Family.SD,
-        n_points=prep.spec.n_points,
-        n_weights=n_weights,
-    )
-
-
-class _Workspace:
-    """Every array that a chunk of replicates writes, allocated once for
-    chunks of one :class:`_Shape` and reused by each of them:
-
-    - the n-long rows: the drawn indices (see
-      :class:`~almostdom.rng.DrawBuffers`), the positions that matched
-      pairs' draws map to, and, per sample size, either the gathered
-      weights and the cumulative counts of positions and the empirical
-      CDFs (column 0 zero) of the SD family, or the order statistics, the
-      positions sorted as 32-bit integers and the prefix sums;
-    - each sample's weighted sums (``sums``, see :class:`_Weights`);
-    - four flat rows of ``rows * (G + 1)`` values (``grid``) for the node
-      values, which only a chunk with zero nodes writes: the two samples'
-      curves, a table of prefix sums and scratch.
-
-    A workspace pickles without its buffers, so each batch of chunks that a
-    pool worker runs allocates its own; they go with the last reference to
-    the workspace, at the end of the bootstrap or study that made it.
-    """
-
-    def __init__(self, shape: _Shape):
-        self.shape, rows = shape, shape.rows
-        self.indices = DrawBuffers(rows, shape.sizes)
-        self.pos = [
-            np.empty((rows, n), np.int64) if ranked else None
-            for n, ranked in zip(shape.n, shape.ranked)
-        ]
-        # the prefix sums and integers are spent before the other sample's
-        # are written, so samples of one size share them
-        shared = {}
-        for n in set(shape.n):
-            prefix = np.empty((rows, n + 1))
-            prefix[:, 0] = 0.0
-            # numpy sorts 32-bit integers about twice as fast as 64-bit ones
-            small = not shape.cdf and n <= np.iinfo(np.int32).max
-            shared[n] = prefix, np.empty((rows, n), np.int32 if small else np.int64)
-        self.blocks = [_Block(np.empty((rows, n)), *shared[n]) for n in shape.n]
-        self.sums = np.empty((2, rows, shape.n_weights))
-        self.grid = np.empty((4, rows * (shape.n_points + 1)))
-
-    def __reduce__(self):
-        return _Workspace, (self.shape,)
-
-
-class _Block(NamedTuple):
-    """The n-long rows of one sample size in a :class:`_Workspace`:
-    ``values`` holds the order statistics, or for the SD family the gathered
-    weights; ``prefix`` the prefix sums, or the empirical CDFs; ``ints``
-    the sorted positions, or the cumulative counts of positions."""
-
-    values: np.ndarray
-    prefix: np.ndarray
-    ints: np.ndarray
-
-
-class _WorkspaceSlot:
-    """Holds the workspace of the last bootstrap run through it, for the
-    next bootstrap of the same shape: the study replicates of one
-    coverage study share theirs. A slot pickles empty."""
-
-    def __init__(self):
-        self.space = None
-
-    def __reduce__(self):
-        return _WorkspaceSlot, ()
-
-    def fit(self, shape: _Shape) -> _Workspace:
-        """The held workspace if it has ``shape``, else a new one, held."""
-        if self.space is None or self.space.shape != shape:
-            self.space = _Workspace(shape)
-        return self.space
 
 
 class _Cut(NamedTuple):
@@ -687,48 +586,52 @@ def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
 
 
 def _positions(
-    prep: _Prepared, states: np.ndarray, space: _Workspace
+    prep: _Prepared, states: np.ndarray, scratch: Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order positions of the replicates whose streams are at ``states``
     (see :func:`~almostdom.rng.stream_states`), one row each per sample:
-    the indices :func:`_draw_indices` draws from those streams, written
-    into ``space``."""
-    rows = len(states)
-    idx = draw_integers(states, space.shape.sizes, space.indices)
+    the indices :func:`_draw_indices` draws from those streams, or for
+    matched pairs the positions their pair indices map to (``("pos", s)``
+    of sample ``s``), in ``scratch``."""
+    idx = draw_integers(states, _draw_sizes(prep), scratch)
     # the indices are in range by construction; a mode other than "raise"
     # lets np.take write straight into ``out`` instead of a buffer
     return tuple(
-        i if side.rank is None else np.take(side.rank, i, out=pos[:rows], mode="clip")
-        for side, i, pos in zip((prep.side1, prep.side2), (idx[0], idx[-1]), space.pos)
+        i if side.rank is None
+        else np.take(side.rank, i, out=scratch.take(("pos", s), i.shape, np.int64), mode="clip")
+        for s, (side, i) in enumerate(zip((prep.side1, prep.side2), (idx[0], idx[-1])))
     )
 
 
 def _resamples(
-    prep: _Prepared, states: np.ndarray, space: _Workspace
+    prep: _Prepared, states: np.ndarray, scratch: Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's resamples of the replicates whose streams are at
-    ``states``, one row each, in ``space``: the drawn positions for the SD
-    family, else the resampled values in ascending order."""
-    positions = _positions(prep, states, space)
+    ``states``, one row each, in ``scratch``: the drawn positions for the
+    SD family, else the resampled values in ascending order."""
+    positions = _positions(prep, states, scratch)
     if prep.family.kind is Family.SD:
         return positions
     return tuple(
-        _order_statistics(side, pos, block)
-        for side, pos, block in zip((prep.side1, prep.side2), positions, space.blocks)
+        _order_statistics(side, pos, scratch, s)
+        for s, (side, pos) in enumerate(zip((prep.side1, prep.side2), positions))
     )
 
 
-def _order_statistics(side: _Side, pos: np.ndarray, block: _Block) -> np.ndarray:
+def _order_statistics(side: _Side, pos: np.ndarray, scratch: Scratch, s: int) -> np.ndarray:
     """The values at the positions ``pos`` (sorted in place) of each
-    resample, in ascending order, in the leading rows of ``block.values``;
-    the sort's 32-bit keys go into ``block.ints``."""
-    rows = len(pos)
-    keys = block.ints[:rows]
+    resample of sample ``s``, in ascending order, in ``("ordered", s)`` of
+    ``scratch``."""
+    n = pos.shape[1]
+    # numpy sorts 32-bit integers about twice as fast as 64-bit ones; each
+    # sample's keys are spent before the other's are written
+    keys = scratch.take("keys", pos.shape, np.int32 if n < 2**31 else np.int64)
     np.copyto(keys, pos, casting="same_kind")
     keys.sort(axis=1)
     # np.take would copy 32-bit indices to the platform's integer first
     np.copyto(pos, keys)
-    return np.take(side.sorted_values, pos, out=block.values[:rows], mode="clip")
+    out = scratch.take(("ordered", s), pos.shape)
+    return np.take(side.sorted_values, pos, out=out, mode="clip")
 
 
 def _means(prep: _Prepared, samples) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -744,17 +647,28 @@ def _means(prep: _Prepared, samples) -> tuple[np.ndarray | None, np.ndarray | No
     return tuple(out)
 
 
+def _oriented(prep: _Prepared, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The difference of the first and second sample's ``first`` and
+    ``second``, written over ``second``, in the orientation of the
+    family's difference curve (see
+    :func:`~almostdom.coefficients.difference_curve`): ``first - second``
+    for the SD family, else ``second - first``."""
+    if prep.family.kind is Family.SD:
+        return np.subtract(first, second, out=second)
+    return np.subtract(second, first, out=second)
+
+
 def _weighted_sums(
-    prep: _Prepared, weights: _Weights, samples, means, space: _Workspace
+    prep: _Prepared, weights: _Weights, samples, means, scratch: Scratch
 ) -> np.ndarray:
     """Sums of each replicate's scaled fluctuation ``root_n * (resampled -
     diff)`` over the node sets of ``weights``, one column each."""
-    rows = len(samples[0])
-    sums = space.sums[:, :rows]
-    for sample, w, block, out, mean in zip(samples, weights.samples, space.blocks, sums, means):
+    sums = scratch.take("sums", (2, len(samples[0]), weights.diff_sums.size))
+    for sample, w, out, mean in zip(samples, weights.samples, sums, means):
         n = sample.shape[1]
         if prep.family.kind is Family.SD:
-            gathered = block.values[:rows]
+            # spent on each column before the next is gathered
+            gathered = scratch.take("gathered", sample.shape)
             for column, row in zip(out.T, w):
                 np.take(row, sample, out=gathered, mode="clip").sum(axis=1, out=column)
         else:
@@ -764,21 +678,17 @@ def _weighted_sums(
         out /= n
         if mean is not None:
             out /= mean[:, None]
-    first, second = sums
-    if prep.family.kind is Family.SD:
-        linear = np.subtract(first, second, out=second)
-    else:
-        linear = np.subtract(second, first, out=second)
+    linear = _oriented(prep, *sums)
     linear -= weights.diff_sums
     linear *= prep.root_n
     return linear
 
 
-def _prefix_table(values: np.ndarray, cut: _Cut, out: np.ndarray) -> np.ndarray:
+def _prefix_table(values: np.ndarray, cut: _Cut, scratch: Scratch) -> np.ndarray:
     """The sums of each row's leading ``k`` values at the zero nodes' ``k``
     (see :class:`_Cut`): a zero, then the cumulative sums of the segments
-    between them, written into the leading values of the flat ``out``."""
-    table = _leading(out, (len(values), cut.starts.size + 1))
+    between them, in ``scratch``."""
+    table = scratch.take("table", (len(values), cut.starts.size + 1))
     table[:, 0] = 0.0
     if cut.starts.size:
         np.add.reduceat(values[:, : cut.stop], cut.starts, axis=1, out=table[:, 1:])
@@ -787,64 +697,59 @@ def _prefix_table(values: np.ndarray, cut: _Cut, out: np.ndarray) -> np.ndarray:
 
 
 def _curve_rows(
-    side: _Side,
-    sample: np.ndarray,
-    cut: _Cut | None,
-    block: _Block,
-    out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    side: _Side, sample: np.ndarray, cut: _Cut | None, scratch: Scratch, out: np.ndarray
 ) -> np.ndarray:
     """The base curve of each resample in ``sample`` at every node, or with
     ``cut`` at its nodes only, written into ``out``: the empirical CDF
     of the drawn positions (offset in place to index one flat count) for
     the SD family, else the integrated quantile of the sorted values. The
-    prefix sums go into ``block`` or, with ``cut``, the flat ``scratch[0]``;
-    ``scratch[1]`` is scratch."""
+    prefix sums and the scratch of the reading are taken from ``scratch``,
+    and are spent once ``out`` is written."""
     rows, n = sample.shape
     if side.at is None:
         sample += n * np.arange(rows)[:, None]
         counts = np.bincount(sample.ravel(), minlength=rows * n).reshape(rows, n)
         if cut is None:
-            below, cdf = block.ints[:rows], block.prefix[:rows]
+            below = scratch.take("below", (rows, n), np.int64)
+            cdf = scratch.take("prefix", (rows, n + 1))
+            cdf[:, 0] = 0.0
             # summed as integers: a cumsum that casts to float takes fresh buffers
             np.divide(np.cumsum(counts, axis=1, out=below), n, out=cdf[:, 1:])
             return np.take(cdf, side.k, axis=1, out=out, mode="clip")
-        table = _prefix_table(counts, cut, scratch[0])
+        table = _prefix_table(counts, cut, scratch)
         out = np.take(table, cut.col, axis=1, out=out, mode="clip")
         out /= n
         return out
-    spare = _leading(scratch[1], out.shape)
+    spare = scratch.take("spare", out.shape)
     if cut is None:
-        prefix = block.prefix[:rows]
+        prefix = scratch.take("prefix", (rows, n + 1))
+        prefix[:, 0] = 0.0
         np.cumsum(sample, axis=1, out=prefix[:, 1:])
         return cum_quantile_at(sample, prefix, side.k, side.at, side.frac, (out, spare))
-    table = _prefix_table(sample, cut, scratch[0])
+    table = _prefix_table(sample, cut, scratch)
     return cum_quantile_at(sample, table, cut.col, cut.at, cut.frac, (out, spare))
 
 
 def _fluctuations(
-    prep: _Prepared, samples, means, space: _Workspace, nodes: _Nodes
+    prep: _Prepared, samples, means, scratch: Scratch, nodes: _Nodes
 ) -> np.ndarray:
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` of each
     resample in ``samples`` (see :func:`_resamples`) at ``nodes``, one row
-    each, in ``space.grid``."""
+    each, in ``scratch``."""
     rows = len(samples[0])
     width = prep.spec.n_points if nodes.cuts is None else nodes.index.size
-    curve1, curve2 = (_leading(row, (rows, width)) for row in space.grid[:2])
-    for side, sample, mean, cut, block, out in zip(
-        (prep.side1, prep.side2), samples, means, nodes.cuts or (None, None), space.blocks,
-        (curve1, curve2),
+    curves = [scratch.take(("curve", s), (rows, width)) for s in (0, 1)]
+    for side, sample, mean, cut, out in zip(
+        (prep.side1, prep.side2), samples, means, nodes.cuts or (None, None), curves
     ):
-        curve = _curve_rows(side, sample, cut, block, out, space.grid[2:])
+        curve = _curve_rows(side, sample, cut, scratch, out)
         if mean is not None:
             curve /= mean[:, None]
-    if prep.family.kind is Family.SD:
-        h = np.subtract(curve1, curve2, out=curve2)
-    else:
-        h = np.subtract(curve2, curve1, out=curve2)
+    h = _oriented(prep, *curves)
     if nodes.cuts is None:
         prep.family.integrate(h, prep.spec.step, axis=1, out=h)
-        read = _leading(space.grid[0], (rows, nodes.index.size))
+        # the first curve is spent once h is built, so h is read back there
+        read = scratch.take(("curve", 0), (rows, nodes.index.size))
         h = np.take(h, nodes.index, axis=1, out=read, mode="clip")
     h -= nodes.diff
     h *= prep.root_n
@@ -852,16 +757,12 @@ def _fluctuations(
 
 
 def _chunk_draws(
-    prep: _Prepared,
-    weights: _Weights,
-    states: np.ndarray,
-    space: _Workspace,
-    lo: int,
+    prep: _Prepared, weights: _Weights, states: np.ndarray, size: int, lo: int
 ) -> list[np.ndarray]:
     """Derivative draws of the chunk of replicates from ``lo`` on (at most
-    ``space.shape.rows`` of them) under each contact-set estimate of
-    ``weights``, built in ``space``; a draw that is not finite is dropped.
-    ``states`` holds the stream states of every replicate.
+    ``size`` of them) under each contact-set estimate of ``weights``, built
+    in ``prep.scratch``; a draw that is not finite is dropped. ``states``
+    holds the stream states of every replicate.
 
     Each draw is ``(d_pos * neg - pos * d_neg) / total**2`` at the curve's
     node sums ``pos``, ``neg`` and ``total``: ``d_pos`` is the fluctuation's
@@ -869,36 +770,31 @@ def _chunk_draws(
     nodes, and at each zero node the one adds ``max(h, 0)`` and the other
     ``max(-h, 0)``.
     """
-    samples = _resamples(prep, states[lo : lo + space.shape.rows], space)
+    scratch = prep.scratch
+    samples = _resamples(prep, states[lo : lo + size], scratch)
     rows = len(samples[0])
-    pos, neg, total = prep.sums
     draws = []
     with np.errstate(all="ignore"):
         means = _means(prep, samples)
-        linear = _weighted_sums(prep, weights, samples, means, space)
+        linear = _weighted_sums(prep, weights, samples, means, scratch)
         if weights.zero.index.size:
-            h = _fluctuations(prep, samples, means, space, weights.zero)
+            h = _fluctuations(prep, samples, means, scratch, weights.zero)
         for i, part in enumerate(weights.parts):
             d_pos, d_neg = linear[:, 2 * i], -linear[:, 2 * i + 1]
             if part.size:
-                gathered = _leading(space.grid[2], (rows, part.size))
-                gathered = np.take(h, part, axis=1, out=gathered, mode="clip")
-                one_sided = _leading(space.grid[3], gathered.shape)
-                d_pos = d_pos + np.maximum(gathered, 0.0, out=one_sided).sum(axis=1)
-                np.negative(gathered, out=gathered)
-                d_neg += np.maximum(gathered, 0.0, out=one_sided).sum(axis=1)
-            # total**2 would turn subnormal once the sums fall below about 1.5e-154
-            draw = (d_pos * (neg / total) - (pos / total) * d_neg) / total
+                zero_part = scratch.take("zero_part", (rows, part.size))
+                zero_part = np.take(h, part, axis=1, out=zero_part, mode="clip")
+                one_sided = scratch.take("one_sided", zero_part.shape)
+                d_pos = d_pos + np.maximum(zero_part, 0.0, out=one_sided).sum(axis=1)
+                np.negative(zero_part, out=zero_part)
+                d_neg += np.maximum(zero_part, 0.0, out=one_sided).sum(axis=1)
+            draw = _quotient(d_pos, d_neg, prep.sums)
             draws.append(draw[np.isfinite(draw)])
     return draws
 
 
 def _bootstrap_draws(
-    prep: _Prepared,
-    sets: tuple[ContactSets, ...],
-    n_boot: int,
-    n_jobs: int,
-    slot: _WorkspaceSlot | None = None,
+    prep: _Prepared, sets: tuple[ContactSets, ...], n_boot: int, n_jobs: int
 ) -> list[np.ndarray]:
     """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
     contact-set estimate in ``sets``, in replicate order.
@@ -906,16 +802,13 @@ def _bootstrap_draws(
     Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
     and at least 2; each chunk is folded into draws as soon as it is built.
     Every chunk reads its resamples through the weights of ``sets``,
-    worked out once, and builds them in one workspace, allocated once, or
-    taken from ``slot`` when given.
+    worked out once, and builds them in ``prep.scratch``.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
-    shape = _shape(prep, min(size, n_boot), 2 * len(sets))
-    space = _Workspace(shape) if slot is None else slot.fit(shape)
-    chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets), states, space)
+    chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets), states, size)
     chunks = list(_ordered_map(chunk_fn, range(0, n_boot, size), n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -926,20 +819,17 @@ def _intervals(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     n_jobs: int,
-    slot: _WorkspaceSlot | None = None,
 ) -> tuple[GridFunction, list[tuple[np.ndarray, float, float, tuple[float, float]]]]:
     """The studentization curve, and ``(sets, draws, q_lo, q_hi, ci)``
     under the contact sets ``sets`` of each threshold in ``thresholds``,
-    all read off the same
-    ``cfg.n_boot`` replicates (built in a workspace from ``slot`` when
-    given)."""
+    all read off the same ``cfg.n_boot`` replicates."""
     std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
     sets = tuple(
         contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
         for t_n in thresholds
     )
     results = []
-    for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs, slot)):
+    for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs)):
         if draws.size == 0:
             raise NonFiniteDrawError("every bootstrap replicate was degenerate")
         q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
@@ -1013,7 +903,7 @@ def _study_replicate(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     truth: float,
-    slot: _WorkspaceSlot,
+    scratch: Scratch,
     rep: int,
 ) -> tuple[float, np.ndarray | None]:
     """Estimate of study replicate ``rep``, and whether each threshold's
@@ -1022,16 +912,16 @@ def _study_replicate(
     ``source(rng)`` gives the replicate's unpacked data ``(d1, d2, pairs)``
     (see :func:`_unpack`) and its grid from the stream keyed (seed, rep, 0);
     the bootstrap runs from the seed derived at (seed, rep, 1), in the
-    workspace that ``slot`` holds for the study's replicates. A replicate
-    whose data admit no estimate or no interval (curves that coincide, a
-    Lorenz sample without a positive mean, sums that overflow, no usable
-    bootstrap draw) fails and gives ``(nan, None)``.
+    study's ``scratch``. A replicate whose data admit no estimate or no
+    interval (curves that coincide, a Lorenz sample without a positive
+    mean, sums that overflow, no usable bootstrap draw) fails and gives
+    ``(nan, None)``.
     """
     rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1))
     try:
         dists, spec = source(child_rng(cfg.seed, rep, 0))
         est, prep = _prepare(*dists, family, scheme, spec, rep_cfg)
-        _, results = _intervals(est, prep, rep_cfg, thresholds, 1, slot)
+        _, results = _intervals(est, replace(prep, scratch=scratch), rep_cfg, thresholds, 1)
     except (
         DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError
     ):
@@ -1041,11 +931,9 @@ def _study_replicate(
 
 def _coverage_study(source, family, scheme, cfg, thresholds, truth, n_reps, n_jobs):
     """:func:`_study_replicate` of replicates ``0`` to ``n_reps - 1``, in
-    replicate order, which share one workspace slot (one per task batch of
-    a pool worker)."""
-    rep_fn = partial(
-        _study_replicate, source, family, scheme, cfg, thresholds, truth, _WorkspaceSlot()
-    )
+    replicate order, whose bootstraps share one scratch (one per task
+    batch of a pool worker)."""
+    rep_fn = partial(_study_replicate, source, family, scheme, cfg, thresholds, truth, Scratch())
     return list(_ordered_map(rep_fn, range(n_reps), n_jobs))
 
 

@@ -18,15 +18,16 @@ space-efficient statistically good algorithms for random number
 generation"), two steps of its 128-bit LCG, on pairs of uint64 arrays.
 :func:`draw_integers` then draws from those states what
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
-the streams' raw 64-bit words, into buffers (:class:`DrawBuffers`) that
-a caller drawing chunk after chunk reuses. A stream with a rejected word
-reads on in its own raw words, keeping the accepted ones in order
+the streams' raw 64-bit words, into the buffers of a :class:`Scratch`
+that a caller drawing chunk after chunk reuses. A stream with a rejected
+word reads on in its own raw words, keeping the accepted ones in order
 (:func:`_redraw`), as numpy does. Both are checked against numpy itself
 in the tests.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 
@@ -52,7 +53,7 @@ _KEY_BLOCK = 1 << 13
 
 # the bit generator that draw_integers puts at each stream in turn, one per
 # thread: seeding a PCG64 (about 15 us) costs more than a small chunk's draws
-_scratch = threading.local()
+_thread = threading.local()
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -170,19 +171,31 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-class DrawBuffers:
-    """Row buffers that :func:`draw_integers` writes the draws ``sizes`` of
-    at most ``rows`` streams into: the streams' raw words, the draws, and
-    the scratch of the rejection test. A caller that draws chunk after chunk
-    passes the same buffers to every call, so no call allocates arrays that
-    grow with the draws."""
+class Scratch:
+    """Named buffers that calls made one after another reuse.
 
-    def __init__(self, rows: int, sizes: tuple[tuple[int, int], ...]):
-        spans = _spans(sizes)
-        self.raw = np.empty((rows, (sum(spans) + 1) // 2), dtype=np.uint64)
-        self.scaled = [np.empty((rows, size), dtype=np.uint64) for _, size in sizes]
-        self.draws = [scaled.view(np.int64) for scaled in self.scaled]
-        self.mask = np.empty((rows, max(spans, default=0)), dtype=np.uint64)
+    :meth:`take` hands out a view of the buffer kept under a name, and
+    allocates a new one only when a call asks for more values or another
+    dtype than it holds, so a caller that asks for the same arrays chunk
+    after chunk allocates them once. A name serves one array at a time: a
+    view is valid until the next ``take`` of its name. A scratch pickles
+    empty, so each process that unpickles one fills its own.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __reduce__(self):
+        return Scratch, ()
+
+    def take(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A contiguous ``shape`` array of ``dtype`` on the buffer kept as
+        ``name``, holding whatever was last written there."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
 
 
 def _spans(sizes: tuple[tuple[int, int], ...]) -> list[int]:
@@ -191,16 +204,15 @@ def _spans(sizes: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 def draw_integers(
-    states: np.ndarray,
-    sizes: tuple[tuple[int, int], ...],
-    buffers: DrawBuffers | None = None,
+    states: np.ndarray, sizes: tuple[tuple[int, int], ...], scratch: Scratch
 ) -> list[np.ndarray]:
     """``[g.integers(0, high, size) for high, size in sizes]`` for a fresh
     ``g`` on each stream of ``states`` (rows of :func:`stream_states`),
     stacked: entry ``i`` holds one row of ``sizes[i][1]`` draws per stream.
-    Every ``high`` is at most 2**32. With ``buffers`` (made for these
-    ``sizes`` and at least as many rows) the entries are leading-row views of
-    ``buffers.draws``, valid until the next call that is given them.
+    Every ``high`` is at most 2**32. The streams' raw words, the draws and
+    the scratch of the rejection test are taken from ``scratch`` (as
+    ``"raw"``, ``("draws", i)`` and ``"mask"``), so the entries are valid
+    until the next call that is given it.
 
     One bit generator takes each stream's state and reads its raw 64-bit
     words. numpy draws below such a ``high`` from 32-bit words, the low half
@@ -212,13 +224,11 @@ def draw_integers(
     The rare streams with a rejected word are drawn again by
     :func:`_redraw`.
     """
-    bits = getattr(_scratch, "bits", None)
+    bits = getattr(_thread, "bits", None)
     if bits is None:
-        bits = _scratch.bits = np.random.PCG64(0)
-    rows = len(states)
-    if buffers is None:
-        buffers = DrawBuffers(rows, sizes)
-    raw = buffers.raw[:rows]
+        bits = _thread.bits = np.random.PCG64(0)
+    rows, spans = len(states), _spans(sizes)
+    raw = scratch.take("raw", (rows, (sum(spans) + 1) // 2), np.uint64)
     width = raw.shape[1]
     keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
     # in pieces whose arrays stay below glibc's mmap threshold, so that
@@ -232,10 +242,9 @@ def draw_integers(
     # where the native order is big-endian)
     words = raw.astype("<u8", copy=False).view("<u4")
     out, redo, start = [], np.zeros(rows, dtype=bool), 0
-    for (high, _), span, scaled, draws in zip(
-        sizes, _spans(sizes), buffers.scaled, buffers.draws
-    ):
-        scaled, draws = scaled[:rows], draws[:rows]
+    for i, ((high, size), span) in enumerate(zip(sizes, spans)):
+        scaled = scratch.take(("draws", i), (rows, size), np.uint64)
+        draws = scaled.view(np.int64)
         out.append(draws)
         if not span:
             draws.fill(0)
@@ -244,7 +253,7 @@ def draw_integers(
         start += span
         threshold = 2**32 % high
         if threshold:
-            low = np.bitwise_and(scaled, _M32, out=buffers.mask[:rows, :span])
+            low = np.bitwise_and(scaled, _M32, out=scratch.take("mask", (rows, span), np.uint64))
             redo |= low.min(axis=1) < threshold
         scaled >>= np.uint64(32)
     for row in np.flatnonzero(redo):

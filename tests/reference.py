@@ -16,6 +16,7 @@ from almostdom.calculus import GridFunction, GridSpec
 from almostdom.coefficients import DominanceFamily, Family
 from almostdom.covariance import CovKernel
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
+from almostdom.rng import Scratch
 
 
 def isd_kernel(
@@ -74,26 +75,21 @@ def std_curve(kernel: CovKernel, family: DominanceFamily) -> GridFunction:
     return covariance._std(kernel.spec, np.diagonal(matrix))
 
 
-def workspace(prep, rows: int) -> inference._Workspace:
-    """A fresh engine workspace for chunks of ``rows`` replicates of ``prep``."""
-    return inference._Workspace(inference._shape(prep, rows, 0))
-
-
 def replicate_rows(prep, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled fluctuation curves ``root_n * (resampled - diff)`` at every
     node of the replicates whose streams are at ``states``, one row each,
-    and a mask of the rows that are finite, built in a fresh workspace
-    whose ``grid`` the curves are a view of.
+    and a mask of the rows that are finite, built in a fresh scratch that
+    the curves are a view of.
 
     Replicate b draws from the stream keyed (seed, b), whose state is row b
     of ``stream_states(prep.seed, 0, n_boot)``. A row whose sums overflow is
     not finite, and a Lorenz row whose resample mean is not positive (or
     overflowed) is NaN.
     """
-    space = workspace(prep, len(states))
-    samples = inference._resamples(prep, states, space)
+    scratch = Scratch()
+    samples = inference._resamples(prep, states, scratch)
     every = inference._nodes(prep, np.arange(prep.spec.n_points))
     with np.errstate(all="ignore"):
         means = inference._means(prep, samples)
-        rows = inference._fluctuations(prep, samples, means, space, every)
+        rows = inference._fluctuations(prep, samples, means, scratch, every)
     return rows, np.isfinite(rows).all(axis=1)

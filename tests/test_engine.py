@@ -37,10 +37,10 @@ from almostdom.errors import (
     ZeroMeanError,
 )
 from almostdom.inference import InferenceConfig, bootstrap_ci, tuning_table
-from almostdom.rng import child_rng, stream_states
+from almostdom.rng import Scratch, child_rng, stream_states
 from almostdom.simulation import DoublePareto, MonteCarloStudy, run_replicates
 
-from reference import replicate_rows, workspace
+from reference import replicate_rows
 
 MP = SamplingScheme.MATCHED
 IND = SamplingScheme.INDEPENDENT
@@ -314,7 +314,7 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
     family, spec = DominanceFamily.sd(1), GridSpec(10, (0.0, 3.0))
     cfg = InferenceConfig(t_n=1.0, seed=2**64 - 5)
     _, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
-    pos1, pos2 = inference._positions(prep, stream_states(cfg.seed, 0, 20), workspace(prep, 20))
+    pos1, pos2 = inference._positions(prep, stream_states(cfg.seed, 0, 20), Scratch())
     for b in range(20):
         idx1, idx2 = inference._draw_indices(prep, child_rng(cfg.seed, b))
         for pos, idx, side in ((pos1, idx1, prep.side1), (pos2, idx2, prep.side2)):
@@ -544,17 +544,23 @@ def test_study_replicates_share_a_workspace(monkeypatch, scheme):
     args = (data, family, scheme, spec, cfg, [0.1, 1.0, 10.0], 5, 11)
     fresh = tuning_table(*args)
     made = []
-    init = inference._Workspace.__init__
 
-    def count(self, shape):
-        made.append(shape)
-        init(self, shape)
+    def scratch():
+        made.append(Scratch())
+        return made[-1]
 
-    monkeypatch.setattr(inference._Workspace, "__init__", count)
-    # every calibration replicate resamples datasets of the same sizes, so
-    # one workspace serves all five bootstraps, with the same coverages
+    monkeypatch.setattr(inference, "Scratch", scratch)
+    # every calibration replicate resamples datasets of the same sizes, and
+    # all five bootstraps build in the one scratch of the study, with the
+    # same coverages
     assert tuning_table(*args) == fresh
-    assert len(made) == 1
+    (used,) = [s for s in made if s._buffers]
+    # it then holds all that the study asks for: a rerun allocates nothing
+    held = dict(used._buffers)
+    monkeypatch.setattr(inference, "Scratch", lambda: used)
+    assert tuning_table(*args) == fresh
+    assert used._buffers.keys() == held.keys()
+    assert all(used._buffers[name] is buffer for name, buffer in held.items())
 
 
 def zero_heavy_pairs():

@@ -1,6 +1,7 @@
 """Batch-derived stream states and raw-word draws against numpy's own."""
 
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from almostdom import rng
-from almostdom.rng import DrawBuffers, draw_integers, stream_states
+from almostdom.rng import Scratch, draw_integers, stream_states
 
 # seeds of one, two and five uint32 words, at the word edges
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**128 + 5]
@@ -99,7 +100,7 @@ def test_states_of_a_range_are_its_rows():
 )
 def test_draws_match_generator(sizes):
     seed, lo, hi = 2**64 - 5, 10, 40
-    got = draw_integers(stream_states(seed, lo, hi), sizes)
+    got = draw_integers(stream_states(seed, lo, hi), sizes, Scratch())
     assert [draws.shape for draws in got] == [(hi - lo, size) for _, size in sizes]
     for row, b in enumerate(range(lo, hi)):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
@@ -113,27 +114,52 @@ def test_draws_in_threads_match_serial():
     # each thread keeps its own scratch generator, so concurrent calls do not
     # read each other's streams
     states, sizes = stream_states(11, 0, 200), ((2000, 2000), (3, 3))
-    want = draw_integers(states, sizes)
+    want = draw_integers(states, sizes, Scratch())
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda _: draw_integers(states, sizes), range(8)))
+        results = list(pool.map(lambda _: draw_integers(states, sizes, Scratch()), range(8)))
     for got in results:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
 
 def test_draws_into_reused_buffers():
-    # one set of buffers for calls of several row counts on other streams;
-    # every buffer starts out dirty, and the third size reads its words in
-    # two pieces
+    # one scratch for calls of several row counts on other streams; every
+    # buffer starts out dirty, and the third size reads its words in two
+    # pieces
     sizes = ((2**31 + 1, 9), (1, 3), (20_001, 20_001))
-    buffers = DrawBuffers(7, sizes)
-    for array in (buffers.raw, buffers.mask, *buffers.scaled):
+    scratch = Scratch()
+    buffers = [scratch.take(("draws", i), (7, size), np.uint64) for i, (_, size) in enumerate(sizes)]
+    raw = scratch.take("raw", (7, (9 + 20_001 + 1) // 2), np.uint64)
+    for array in (raw, scratch.take("mask", (7, 20_001), np.uint64), *buffers):
         array.fill(2**63 + 5)
     for seed, lo, hi in [(1, 0, 7), (2, 100, 103), (3, 5, 12), (4, 0, 1), (5, 2**32, 2**32 + 6)]:
-        got = draw_integers(stream_states(seed, lo, hi), sizes, buffers)
-        for draws, buffer in zip(got, buffers.draws):
+        got = draw_integers(stream_states(seed, lo, hi), sizes, scratch)
+        for draws, buffer in zip(got, buffers):
             assert draws.shape[0] == hi - lo and np.shares_memory(draws, buffer)
         for row, b in enumerate(range(lo, hi)):
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
             for draws, (high, size) in zip(got, sizes):
                 np.testing.assert_array_equal(draws[row], gen.integers(0, high, size))
+
+
+def test_scratch_take_reuses_a_buffer_until_it_is_too_small():
+    scratch = Scratch()
+    first = scratch.take("a", (3, 4), np.float64)
+    assert first.shape == (3, 4) and first.flags.c_contiguous
+    # the same or a smaller size, in any shape, is a view of the same buffer
+    for shape in [(3, 4), (2, 6), (5,)]:
+        view = scratch.take("a", shape, np.float64)
+        assert view.shape == shape and view.flags.c_contiguous
+        assert view.ctypes.data == first.ctypes.data
+    # another name has a buffer of its own
+    assert not np.shares_memory(scratch.take("b", (3, 4), np.float64), first)
+    # more values, or another dtype, take a new buffer, which is then kept
+    larger = scratch.take("a", (13,), np.float64)
+    assert not np.shares_memory(larger, first)
+    assert scratch.take("a", (12,), np.float64).ctypes.data == larger.ctypes.data
+    other = scratch.take("a", (2,), np.int64)
+    assert other.dtype == np.int64 and not np.shares_memory(other, larger)
+    # a pickled scratch is empty
+    scratch.take("big", (1 << 17,), np.float64)
+    assert len(pickle.dumps(scratch)) < 100
+    assert pickle.loads(pickle.dumps(scratch))._buffers == {}
