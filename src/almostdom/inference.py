@@ -57,14 +57,14 @@ counted, when its curves coincide, its Lorenz sample has no positive
 mean, its sums overflow, or its bootstrap leaves no usable draw. The
 bootstrap chunks and the study replicates all fan out through one
 order-preserving map (:func:`_ordered_map`), serial or over a process
-pool, with identical results either way.
+pool, with identical results either way; the pool's modules are imported
+only when a pool starts, so a serial run never loads them.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -461,6 +461,7 @@ def _ordered_map(fn, items, n_jobs: int):
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ProcessPoolExecutor
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
@@ -483,7 +484,9 @@ class _Cut(NamedTuple):
 def _cut(side: _Side, nodes: np.ndarray) -> _Cut:
     """The :class:`_Cut` of ``side`` at ``nodes`` (indices into the grid)."""
     k = side.k[nodes]
-    ends = np.unique(k[k > 0])
+    # k ascends with the nodes: keep what differs from the value before (np.unique loads numpy.ma)
+    pos = k[k > 0]
+    ends = pos[np.diff(pos, prepend=0) != 0]
     return _Cut(
         starts=np.concatenate(([0], ends))[: ends.size].astype(np.intp),
         stop=int(ends[-1]) if ends.size else 0,

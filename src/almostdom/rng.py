@@ -209,10 +209,9 @@ def draw_integers(
     """``[g.integers(0, high, size) for high, size in sizes]`` for a fresh
     ``g`` on each stream of ``states`` (rows of :func:`stream_states`),
     stacked: entry ``i`` holds one row of ``sizes[i][1]`` draws per stream.
-    Every ``high`` is at most 2**32. The streams' raw words, the draws and
-    the scratch of the rejection test are taken from ``scratch`` (as
-    ``"raw"``, ``("draws", i)`` and ``"mask"``), so the entries are valid
-    until the next call that is given it.
+    Every ``high`` is at most 2**32. The streams' raw words and the draws
+    are taken from ``scratch`` (as ``"raw"`` and ``("draws", i)``), so the
+    entries are valid until the next call that is given it.
 
     One bit generator takes each stream's state and reads its raw 64-bit
     words. numpy draws below such a ``high`` from 32-bit words, the low half
@@ -253,7 +252,7 @@ def draw_integers(
         start += span
         threshold = 2**32 % high
         if threshold:
-            low = np.bitwise_and(scaled, _M32, out=scratch.take("mask", (rows, span), np.uint64))
+            low = scaled.astype("<u8", copy=False).view("<u4")[:, 0::2]  # low halves
             redo |= low.min(axis=1) < threshold
         scaled >>= np.uint64(32)
     for row in np.flatnonzero(redo):

@@ -210,7 +210,8 @@ def _pooled_support(dgp1, dgp2) -> tuple[float, float]:
 def _exact_step_sdc(dgp1: DiscreteLaw, dgp2: DiscreteLaw) -> float:
     """First-degree coefficient of two step CDFs, computed segment by segment."""
     lo, hi = _pooled_support(dgp1, dgp2)
-    cuts = np.unique(np.concatenate((dgp1.values, dgp2.values, [lo, hi])))
+    points = np.sort(np.concatenate((dgp1.values, dgp2.values, [lo, hi])))
+    cuts = points[np.append(True, points[1:] != points[:-1])]  # np.unique loads numpy.ma
     pos = neg = 0.0
     for left, right in zip(cuts[:-1], cuts[1:]):
         diff = dgp1.cdf(left) - dgp2.cdf(left)  # constant on [left, right)

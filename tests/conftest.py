@@ -1,10 +1,9 @@
 """Shared fixtures."""
 
+import concurrent.futures
 import os
 
 import pytest
-
-from almostdom import inference
 
 
 @pytest.fixture
@@ -26,6 +25,6 @@ def pool_requests(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(inference, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return requests

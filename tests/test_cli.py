@@ -639,6 +639,17 @@ def run_quietly(args):
 
 # one huge value per column: the sorted prefix sums overflow, the CDFs do not
 HUGE = "x1,x2\n1e308,1\n1e308,2\n1,1e308\n"
+# runs each CLI command of the JSON list in argv[1] in turn; after each it
+# prints the exit code and which of the modules that only a process pool
+# or numpy.ma needs are loaded
+FOOTPRINT_PROBE = """
+import json, sys
+from almostdom.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    lazy = ["numpy.ma", "multiprocessing", "concurrent.futures.process"]
+    print(json.dumps([code, [name for name in lazy if name in sys.modules]]))
+"""
 
 
 class TestOverflow:
@@ -961,6 +972,46 @@ class TestCiCommand:
         assert run_cli(self.args(matched_file, tmp_path / "r.json") + threads) == 1
         assert capsys.readouterr().err.splitlines() == ["error: thread count must be >= 0, got -2"]
         assert pool_requests == []
+
+    def test_serial_runs_load_no_pool(self, matched_file, tmp_path):
+        # a fresh interpreter runs each command with one thread, then a ci of
+        # two chunks with two; only the last may load the process pool, and
+        # none loads numpy.ma
+        def ci(out):
+            args = self.args(matched_file, out)
+            args[args.index("--boot") + 1] = str(almostdom.inference._CHUNK_BUDGET // 150 + 6)
+            return args
+
+        source = ["--family", "lorenz", "--scheme", "matched", "--input", matched_file]
+        runs = [
+            ["estimate", *source, "--output", tmp_path / "e.json"],
+            ci(tmp_path / "serial.json"),
+            ["tune", *source, "--cal-reps", "2", "--cal-boot", "5", "--grid", "20",
+             "--output", tmp_path / "t.json"],
+            ["simulate", "--preset", "sdc-b", "--n1", "20", "--n2", "20", "--reps", "2",
+             "--boot", "5", "--tn", "1", "--grid", "20", "--output", tmp_path / "s.json"],
+        ]
+        runs = [run + ["--threads", "1"] for run in runs]
+        runs.append(ci(tmp_path / "pooled.json") + ["--threads", "2"])
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps([[str(a) for a in r] for r in runs])],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        *serial, last = [json.loads(line) for line in done.stdout.splitlines()]
+        assert serial == [[0, []]] * 4
+        assert last[0] == 0 and "numpy.ma" not in last[1]
+        if (os.cpu_count() or 1) > 1:
+            assert "concurrent.futures.process" in last[1]
+        records = []
+        for path in ("serial.json", "pooled.json"):
+            payload = json.loads((tmp_path / path).read_text())
+            del payload["runtime_ms"]
+            records.append(payload)
+        assert records[0] == records[1]
 
     def test_out_of_memory_is_one_line(self, matched_file):
         # 10**15 nodes ask for petabytes, past any 47-bit address space, so

@@ -321,6 +321,41 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
             np.testing.assert_array_equal(pos[b], idx if side.rank is None else side.rank[idx])
 
 
+def cut_by_unique(side, nodes):
+    """``inference._cut`` as it read when np.unique found the segment ends."""
+    k = side.k[nodes]
+    ends = np.unique(k[k > 0])
+    return inference._Cut(
+        starts=np.concatenate(([0], ends))[: ends.size].astype(np.intp),
+        stop=int(ends[-1]) if ends.size else 0,
+        col=np.searchsorted(ends, k) + (k > 0),
+        at=None if side.at is None else side.at[nodes],
+        frac=None if side.frac is None else side.frac[nodes],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.lists(st.integers(0, 6), max_size=30).map(sorted),
+    picks=st.lists(st.booleans(), min_size=30, max_size=30),
+    sd=st.booleans(),
+)
+def test_cut_matches_np_unique(k, picks, sd):
+    # ascending positions with zeros and repeats, read at an ascending
+    # subset of the nodes (possibly none), for the SD family and the others
+    k = np.array(k, dtype=np.int64)
+    nodes = np.flatnonzero(picks[: k.size])
+    at, frac = (None, None) if sd else (np.maximum(k - 1, 0), k / 7.0)
+    side = inference._Side(np.arange(7.0), None, k, at, frac)
+    got, want = inference._cut(side, nodes), cut_by_unique(side, nodes)
+    for g, w in zip(got, want):
+        if w is None or isinstance(w, int):
+            assert g == w
+        else:
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_memory_is_bounded_by_the_chunk_budget(degree):
     # at G = 1e4 a chunk holds 3 rows (2**15 // 1e4); all 300 in one block

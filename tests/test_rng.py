@@ -130,7 +130,7 @@ def test_draws_into_reused_buffers():
     scratch = Scratch()
     buffers = [scratch.take(("draws", i), (7, size), np.uint64) for i, (_, size) in enumerate(sizes)]
     raw = scratch.take("raw", (7, (9 + 20_001 + 1) // 2), np.uint64)
-    for array in (raw, scratch.take("mask", (7, 20_001), np.uint64), *buffers):
+    for array in (raw, *buffers):
         array.fill(2**63 + 5)
     for seed, lo, hi in [(1, 0, 7), (2, 100, 103), (3, 5, 12), (4, 0, 1), (5, 2**32, 2**32 + 6)]:
         got = draw_integers(stream_states(seed, lo, hi), sizes, scratch)

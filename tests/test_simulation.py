@@ -4,8 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from almostdom import simulation
+from almostdom.cli import PRESETS
 from almostdom.coefficients import Direction, DominanceFamily
 from almostdom.empirical import SamplingScheme
 from almostdom.errors import (
@@ -156,6 +160,48 @@ class TestSampleDgp:
             sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(65, 0))
 
 
+def step_sdc_by_unique(dgp1, dgp2):
+    """The step-CDF oracle as it read when np.unique cut the pooled support."""
+    lo = min(dgp1.values[0], dgp2.values[0])
+    hi = max(dgp1.values[-1], dgp2.values[-1])
+    cuts = np.unique(np.concatenate((dgp1.values, dgp2.values, [lo, hi])))
+    pos = neg = 0.0
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        diff = dgp1.cdf(left) - dgp2.cdf(left)
+        if diff > 0:
+            pos += diff * (right - left)
+        else:
+            neg += -diff * (right - left)
+    if pos + neg == 0.0:
+        raise DegenerateCurvesError("step CDFs coincide")
+    return pos / (pos + neg)
+
+
+def step_sdc_trace(oracle, atoms1, atoms2):
+    """The bytes of the segment starts ``oracle`` reads the first CDF at, and
+    of its coefficient (None where the CDFs coincide)."""
+    first, second = DiscreteLaw(atoms1), DiscreteLaw(atoms2)
+    lefts, cdf = [], first.cdf
+    first.cdf = lambda x: lefts.append(x) or cdf(x)
+    try:
+        value = np.float64(oracle(first, second)).tobytes()
+    except DegenerateCurvesError:
+        value = None
+    return np.array(lefts, dtype=float).tobytes(), value
+
+
+# support points with repeats and both signed zeros; the pooled support's
+# ends are support points
+support_atoms = st.lists(
+    st.tuples(
+        st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.5]) | st.floats(-4.0, 4.0),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda atoms: [(v, w / sum(c for _, c in atoms)) for v, w in atoms])
+
+
 class TestPopulationCoefficient:
     def test_exact_sdc_fractions(self):
         # hand-derived piecewise values of the step-CDF area ratio
@@ -164,6 +210,21 @@ class TestPopulationCoefficient:
             first, second = sdc_laws(beta)
             value = population_coefficient(first, second, DominanceFamily.sd(1))
             assert value == pytest.approx(target, abs=1e-12)
+
+    # recorded while np.unique cut the pooled support
+    @pytest.mark.parametrize(
+        "preset, bits", [("sdc-a", "0x1.4c1bacf914c1cp-4"), ("sdc-b", "0x1.c71c71c71c71bp-4")]
+    )
+    def test_exact_sdc_presets_are_unchanged(self, preset, bits):
+        laws = PRESETS[preset]
+        value = population_coefficient(laws["dgp1"], laws["dgp2"], laws["family"])
+        assert value.hex() == bits
+
+    @settings(max_examples=300, deadline=None)
+    @given(atoms1=support_atoms, atoms2=support_atoms)
+    def test_exact_sdc_matches_np_unique(self, atoms1, atoms2):
+        want = step_sdc_trace(step_sdc_by_unique, atoms1, atoms2)
+        assert step_sdc_trace(simulation._exact_step_sdc, atoms1, atoms2) == want
 
     def test_complement_identity(self):
         dp1, dp2 = DoublePareto(3.0, 1.5), DoublePareto(2.1, 3.0)
