@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -645,7 +646,9 @@ def _add_family_and_data(parser) -> None:
     )
     parser.add_argument("--grid", type=int, default=1000, help="grid points")
     parser.add_argument(
-        "--domain", help="a,b domain override for the sd family (default: data hull)"
+        "--domain",
+        metavar="LO,HI",
+        help="domain of the sd family, e.g. --domain -1,7 (default: data hull)",
     )
 
 
@@ -677,7 +680,16 @@ def _add_tuning(parser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors reach ``main`` as InvalidConfigError."""
+    """A parser whose usage errors reach ``main`` as InvalidConfigError, and
+    which reads ``--domain -1,7`` as ``--domain=-1,7`` (argparse alone takes
+    a value that starts with ``-`` and is not one number for an option)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(args))):
+            if args[i - 1] == "--domain" and re.match(r"-\.?\d", str(args[i])):
+                args[i - 1 : i + 1] = [f"--domain={args[i]}"]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise InvalidConfigError(message)

@@ -28,9 +28,10 @@ contact-set estimate (:class:`_Weights`): for the SD family the weights of
 the drawn positions are summed, for the others the resample is sorted
 and its values weighted. Curve values are built only where the one-sided
 parts need them, at the zero nodes, and only when some estimate has one:
-at operator degree 1 the sorted values (or the counts of positions) are
-summed in segments up to those nodes; above it the whole curves are
-built from prefix sums and integrated, then read there. Each chunk is
+one prefix reader sums the sorted values (or the counts of positions) in
+segments up to the nodes, or at many nodes in one running sum (see
+:func:`_cut`), and reads them at the zero nodes at operator degree 1, at
+every node above it, where the curves are then integrated. Each chunk is
 turned into derivative draws at once, so memory is bounded by the chunk
 and does not grow with the number of replicates; every reduction over a
 row gives the same result whatever the number of rows in its chunk. A
@@ -301,10 +302,9 @@ def derivative(h: GridFunction, sets: ContactSets, diff: GridFunction) -> float:
     return float(_derivative_rows(h.values[None, :], sets, _area_sums(diff))[0])
 
 
-def _inf_quantile(values: np.ndarray, beta: float) -> float:
-    """Smallest value whose empirical CDF reaches ``beta`` (the
-    ceil(beta * B)-th order statistic)."""
-    ordered = np.sort(values)
+def _inf_quantile(ordered: np.ndarray, beta: float) -> float:
+    """Smallest of the ascending values ``ordered`` whose empirical CDF
+    reaches ``beta`` (the ceil(beta * B)-th order statistic)."""
     k = int(np.ceil(beta * ordered.size))
     k = min(max(k, 1), ordered.size)
     return float(ordered[k - 1])
@@ -340,16 +340,17 @@ class _Side:
     pairs draw pair indices, which ``rank`` maps to positions. ``k``,
     ``at`` and ``frac`` fix where the base curve is read at the grid nodes:
     the integrated quantile's positions (see
-    :func:`~almostdom.empirical.quantile_positions`), or for the SD family
-    ``k`` alone, the number of order statistics at or below each node
-    (``at`` and ``frac`` None).
+    :func:`~almostdom.empirical.quantile_positions`). For the SD family
+    ``k`` counts the order statistics at or below each node, ``at`` is
+    ``min(k, n - 1)`` and ``frac`` 0: the same read of the counts of the
+    drawn positions sums the leading ``k``.
     """
 
     sorted_values: np.ndarray
     rank: np.ndarray | None
     k: np.ndarray
-    at: np.ndarray | None
-    frac: np.ndarray | None
+    at: np.ndarray
+    frac: np.ndarray
 
 
 def _side(
@@ -366,8 +367,8 @@ def _side(
         rank[np.argsort(draw_order, kind="stable")] = np.arange(dist.n)
     nodes = spec.nodes()
     if family.kind is Family.SD:
-        cut = np.searchsorted(dist.sorted_values, nodes, side="right")
-        return _Side(dist.sorted_values, rank, cut, None, None)
+        k = np.searchsorted(dist.sorted_values, nodes, side="right")
+        return _Side(dist.sorted_values, rank, k, np.minimum(k, dist.n - 1), np.zeros(k.size))
     return _Side(dist.sorted_values, rank, *quantile_positions(dist.n, nodes))
 
 
@@ -467,59 +468,59 @@ def _ordered_map(fn, items, n_jobs: int):
         yield from pool.map(fn, items, chunksize=chunksize)
 
 
-class _Cut(NamedTuple):
-    """Where the prefix sums of a sample's rows are read at some nodes
-    only: the rows' leading ``stop`` values are summed in segments that
-    start at ``starts`` (see :func:`_prefix_table`), and node ``i`` reads
-    column ``col[i]`` of the table. ``at`` and ``frac`` are the nodes' (see
-    :class:`_Side`), None for the SD family."""
+# segments per summed value below which _cut sums a row in segments
+_SEGMENT_SHARE = 0.2
 
-    starts: np.ndarray
+
+class _Cut(NamedTuple):
+    """Where the prefix sums of a sample's rows are read at some nodes: the
+    rows' leading ``stop`` values are summed in segments that start at
+    ``starts``, or one by one where it is None (see :func:`_prefix_table`),
+    and node ``i`` reads column ``col[i]`` of the table and ``at[i]`` and
+    ``frac[i]`` of :class:`_Side`."""
+
+    starts: np.ndarray | None
     stop: int
     col: np.ndarray
-    at: np.ndarray | None
-    frac: np.ndarray | None
+    at: np.ndarray
+    frac: np.ndarray
 
 
 def _cut(side: _Side, nodes: np.ndarray) -> _Cut:
-    """The :class:`_Cut` of ``side`` at ``nodes`` (indices into the grid)."""
+    """The :class:`_Cut` of ``side`` at ``nodes`` (indices into the grid).
+
+    Segment sums cost less than a running sum while the segments are below
+    a fifth of the values summed: on one core of a 2-core VM, 77 against
+    134 us for 16 x 2000 values in 151 segments, 143 against 126 in 400.
+    """
     k = side.k[nodes]
     # k ascends with the nodes: keep what differs from the value before (np.unique loads numpy.ma)
     pos = k[k > 0]
     ends = pos[np.diff(pos, prepend=0) != 0]
-    return _Cut(
-        starts=np.concatenate(([0], ends))[: ends.size].astype(np.intp),
-        stop=int(ends[-1]) if ends.size else 0,
-        col=np.searchsorted(ends, k) + (k > 0),
-        at=None if side.at is None else side.at[nodes],
-        frac=None if side.frac is None else side.frac[nodes],
-    )
+    stop = int(ends[-1]) if ends.size else 0
+    starts, col = None, k
+    if ends.size < _SEGMENT_SHARE * stop:
+        starts = np.concatenate(([0], ends))[: ends.size].astype(np.intp)
+        col = np.searchsorted(ends, k) + (k > 0)
+    return _Cut(starts, stop, col, side.at[nodes], side.frac[nodes])
 
 
 class _Nodes(NamedTuple):
     """The grid nodes ``index`` at which a chunk reads the fluctuation
-    curves, and the difference curve there (``diff``). At operator degree
-    1, where no integration pass mixes nodes, the curves are read at those
-    nodes alone, as ``cuts`` tells for each sample. Above it ``cuts`` is
-    None: the whole curves are built, integrated and then read there.
-
-    Summing a row in segments up to a few nodes costs less than its whole
-    prefix sum, but more once the segments are about as many as the
-    values, as at every node of a grid no coarser than the sample. On one
-    core of a 2-core VM: 55 against 120 us for 16 x 2000 values read at
-    151 of 1000 nodes, 456 against 200 us for 32 x 1000 values at all 1000.
+    curves, and the difference curve there (``diff``). ``cuts`` reads each
+    sample's base curves at those nodes at operator degree 1; above it, as
+    integration mixes nodes, at every node, and the integrals at ``index``.
     """
 
     index: np.ndarray
     diff: np.ndarray
-    cuts: tuple[_Cut, _Cut] | None
+    cuts: tuple[_Cut, _Cut]
 
 
 def _nodes(prep: _Prepared, index: np.ndarray) -> _Nodes:
     """The :class:`_Nodes` of ``prep`` at the grid nodes ``index``."""
-    cuts = None
-    if prep.family.operator_degree == 1:
-        cuts = _cut(prep.side1, index), _cut(prep.side2, index)
+    read = index if prep.family.operator_degree == 1 else np.arange(prep.spec.n_points)
+    cuts = _cut(prep.side1, read), _cut(prep.side2, read)
     return _Nodes(index, prep.diff.values[index], cuts)
 
 
@@ -559,9 +560,8 @@ def _sample_weights(side: _Side, g: np.ndarray) -> np.ndarray:
     suffix = np.zeros((len(g), g.shape[1] + 1))
     suffix[:, :-1] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
     w = np.take(suffix, np.searchsorted(side.k, np.arange(n), side="right"), axis=1)
-    if side.at is not None:
-        for row, weights in zip(w, g):
-            row += np.bincount(side.at, weights * side.frac, minlength=n)
+    for row, weights in zip(w, g):
+        row += np.bincount(side.at, weights * side.frac, minlength=n)
     return w
 
 
@@ -687,50 +687,38 @@ def _weighted_sums(
     return linear
 
 
+def _counts(positions: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """How often each row of ``positions`` (offset in place to index one flat
+    count) draws each position, as floats in ``"counts"`` of ``scratch``."""
+    rows, n = positions.shape
+    positions += n * np.arange(rows)[:, None]
+    counts = scratch.take("counts", (rows, n))
+    np.copyto(counts, np.bincount(positions.ravel(), minlength=rows * n).reshape(rows, n))
+    return counts
+
+
 def _prefix_table(values: np.ndarray, cut: _Cut, scratch: Scratch) -> np.ndarray:
-    """The sums of each row's leading ``k`` values at the zero nodes' ``k``
-    (see :class:`_Cut`): a zero, then the cumulative sums of the segments
-    between them, in ``scratch``."""
-    table = scratch.take("table", (len(values), cut.starts.size + 1))
+    """The sums of each row's leading ``k`` values that ``cut`` reads, in
+    ``scratch``: a zero, then the running sum of the leading ``cut.stop``
+    values or of their segments from ``cut.starts`` on."""
+    width = cut.stop if cut.starts is None else cut.starts.size
+    table = scratch.take("table", (len(values), width + 1))
     table[:, 0] = 0.0
-    if cut.starts.size:
+    if cut.starts is None:
+        np.cumsum(values[:, : cut.stop], axis=1, out=table[:, 1:])
+    elif cut.starts.size:
         np.add.reduceat(values[:, : cut.stop], cut.starts, axis=1, out=table[:, 1:])
         np.cumsum(table[:, 1:], axis=1, out=table[:, 1:])
     return table
 
 
-def _curve_rows(
-    side: _Side, sample: np.ndarray, cut: _Cut | None, scratch: Scratch, out: np.ndarray
-) -> np.ndarray:
-    """The base curve of each resample in ``sample`` at every node, or with
-    ``cut`` at its nodes only, written into ``out``: the empirical CDF
-    of the drawn positions (offset in place to index one flat count) for
-    the SD family, else the integrated quantile of the sorted values. The
-    prefix sums and the scratch of the reading are taken from ``scratch``,
-    and are spent once ``out`` is written."""
-    rows, n = sample.shape
-    if side.at is None:
-        sample += n * np.arange(rows)[:, None]
-        counts = np.bincount(sample.ravel(), minlength=rows * n).reshape(rows, n)
-        if cut is None:
-            below = scratch.take("below", (rows, n), np.int64)
-            cdf = scratch.take("prefix", (rows, n + 1))
-            cdf[:, 0] = 0.0
-            # summed as integers: a cumsum that casts to float takes fresh buffers
-            np.divide(np.cumsum(counts, axis=1, out=below), n, out=cdf[:, 1:])
-            return np.take(cdf, side.k, axis=1, out=out, mode="clip")
-        table = _prefix_table(counts, cut, scratch)
-        out = np.take(table, cut.col, axis=1, out=out, mode="clip")
-        out /= n
-        return out
+def _curve_rows(values: np.ndarray, cut: _Cut, scratch: Scratch, out: np.ndarray) -> np.ndarray:
+    """The base curve of each row of ``values`` at the nodes of ``cut``, in
+    ``out``: the integrated quantile of sorted values, or the CDF of counts
+    of drawn positions; the scratch taken is spent once ``out`` is written."""
+    table = _prefix_table(values, cut, scratch)
     spare = scratch.take("spare", out.shape)
-    if cut is None:
-        prefix = scratch.take("prefix", (rows, n + 1))
-        prefix[:, 0] = 0.0
-        np.cumsum(sample, axis=1, out=prefix[:, 1:])
-        return cum_quantile_at(sample, prefix, side.k, side.at, side.frac, (out, spare))
-    table = _prefix_table(sample, cut, scratch)
-    return cum_quantile_at(sample, table, cut.col, cut.at, cut.frac, (out, spare))
+    return cum_quantile_at(values, table, cut.col, cut.at, cut.frac, (out, spare))
 
 
 def _fluctuations(
@@ -740,16 +728,15 @@ def _fluctuations(
     resample in ``samples`` (see :func:`_resamples`) at ``nodes``, one row
     each, in ``scratch``."""
     rows = len(samples[0])
-    width = prep.spec.n_points if nodes.cuts is None else nodes.index.size
+    width = nodes.cuts[0].col.size
     curves = [scratch.take(("curve", s), (rows, width)) for s in (0, 1)]
-    for side, sample, mean, cut, out in zip(
-        (prep.side1, prep.side2), samples, means, nodes.cuts or (None, None), curves
-    ):
-        curve = _curve_rows(side, sample, cut, scratch, out)
+    for sample, mean, cut, out in zip(samples, means, nodes.cuts, curves):
+        values = _counts(sample, scratch) if prep.family.kind is Family.SD else sample
+        curve = _curve_rows(values, cut, scratch, out)
         if mean is not None:
             curve /= mean[:, None]
     h = _oriented(prep, *curves)
-    if nodes.cuts is None:
+    if prep.family.operator_degree > 1:
         prep.family.integrate(h, prep.spec.step, axis=1, out=h)
         # the first curve is spent once h is built, so h is read back there
         read = scratch.take(("curve", 0), (rows, nodes.index.size))
@@ -835,8 +822,8 @@ def _intervals(
     for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs)):
         if draws.size == 0:
             raise NonFiniteDrawError("every bootstrap replicate was degenerate")
-        q_lo = _inf_quantile(draws, cfg.alpha / 2.0)
-        q_hi = _inf_quantile(draws, 1.0 - cfg.alpha / 2.0)
+        ordered = np.sort(draws)
+        q_lo, q_hi = (_inf_quantile(ordered, beta) for beta in (cfg.alpha / 2, 1 - cfg.alpha / 2))
         lo, hi = est.c_hat - q_hi / prep.root_n, est.c_hat - q_lo / prep.root_n
         if cfg.clamp_to_unit:
             lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)

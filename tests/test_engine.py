@@ -14,6 +14,7 @@ import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from almostdom.coefficients import (
     difference_curve,
 )
 from almostdom.covariance import std_curve_for
-from almostdom.empirical import PairedSample, Sample, SamplingScheme
+from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     DegenerateCurvesError,
     DomainError,
@@ -325,13 +326,12 @@ def cut_by_unique(side, nodes):
     """``inference._cut`` as it read when np.unique found the segment ends."""
     k = side.k[nodes]
     ends = np.unique(k[k > 0])
-    return inference._Cut(
-        starts=np.concatenate(([0], ends))[: ends.size].astype(np.intp),
-        stop=int(ends[-1]) if ends.size else 0,
-        col=np.searchsorted(ends, k) + (k > 0),
-        at=None if side.at is None else side.at[nodes],
-        frac=None if side.frac is None else side.frac[nodes],
-    )
+    stop = int(ends[-1]) if ends.size else 0
+    starts, col = None, k
+    if ends.size < inference._SEGMENT_SHARE * stop:
+        starts = np.concatenate(([0], ends))[: ends.size].astype(np.intp)
+        col = np.searchsorted(ends, k) + (k > 0)
+    return inference._Cut(starts, stop, col, side.at[nodes], side.frac[nodes])
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,21 +339,79 @@ def cut_by_unique(side, nodes):
     k=st.lists(st.integers(0, 6), max_size=30).map(sorted),
     picks=st.lists(st.booleans(), min_size=30, max_size=30),
     sd=st.booleans(),
+    share=st.sampled_from([0.0, inference._SEGMENT_SHARE, np.inf]),
 )
-def test_cut_matches_np_unique(k, picks, sd):
+def test_cut_matches_np_unique(k, picks, sd, share):
     # ascending positions with zeros and repeats, read at an ascending
-    # subset of the nodes (possibly none), for the SD family and the others
+    # subset of the nodes (possibly none), for the SD family and the others,
+    # by running sums (share 0), segment sums (share inf) and the size rule
     k = np.array(k, dtype=np.int64)
     nodes = np.flatnonzero(picks[: k.size])
-    at, frac = (None, None) if sd else (np.maximum(k - 1, 0), k / 7.0)
+    at, frac = (np.minimum(k, 6), np.zeros(k.size)) if sd else (np.maximum(k - 1, 0), k / 7.0)
     side = inference._Side(np.arange(7.0), None, k, at, frac)
-    got, want = inference._cut(side, nodes), cut_by_unique(side, nodes)
+    with mock.patch.object(inference, "_SEGMENT_SHARE", share):
+        got, want = inference._cut(side, nodes), cut_by_unique(side, nodes)
     for g, w in zip(got, want):
         if w is None or isinstance(w, int):
             assert g == w
         else:
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    rows=st.integers(1, 4),
+    k=st.lists(st.integers(0, 30), max_size=12).map(sorted),
+    share=st.sampled_from([0.0, inference._SEGMENT_SHARE, np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_reader_matches_cumsum(n, rows, k, share, seed):
+    # nodes with k = 0, repeated k and k = n, or none, read by running sums
+    # (share 0), segment sums (share inf) and the size rule
+    rng = np.random.default_rng(seed)
+    k = np.minimum(np.array(k, dtype=np.int64), n)
+    values = rng.random((rows, n)) + 0.5
+    at, frac = rng.integers(0, n, k.size), rng.random(k.size)
+    side = inference._Side(np.sort(values[0]), None, k, at, frac)
+    with mock.patch.object(inference, "_SEGMENT_SHARE", share):
+        cut = inference._cut(side, np.arange(k.size))
+    if share == 0.0:
+        assert cut.starts is None
+    elif share == np.inf and k.any():
+        assert cut.starts is not None
+    got = inference._curve_rows(values, cut, Scratch(), np.empty((rows, k.size)))
+    prefix = np.concatenate((np.zeros((rows, 1)), np.cumsum(values, axis=1)), axis=1)
+    want = (values[:, at] * frac + prefix[:, k]) / n
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.integers(0, 8), min_size=1, max_size=30),
+    rows=st.integers(1, 4),
+    picks=st.lists(st.booleans(), min_size=12, max_size=12),
+    share=st.sampled_from([0.0, inference._SEGMENT_SHARE, np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sd_reads_are_counts_of_positions(x, rows, picks, share, seed):
+    # nodes below, among and above tied values (k = 0, repeated k, k = n),
+    # or none: the reader's CDF is the resample's searchsorted count over n
+    dist = EmpiricalDistribution(np.array(x, dtype=float))
+    spec = GridSpec(12, (-1.0, 10.0))
+    side = inference._side(DominanceFamily.sd(1), dist, spec, None)
+    nodes = np.flatnonzero(picks)
+    with mock.patch.object(inference, "_SEGMENT_SHARE", share):
+        cut = inference._cut(side, nodes)
+    pos = np.random.default_rng(seed).integers(0, dist.n, (rows, dist.n))
+    scratch = Scratch()
+    counts = inference._counts(pos.copy(), scratch)
+    got = inference._curve_rows(counts, cut, scratch, np.empty((rows, nodes.size)))
+    for row, p in zip(got, pos):
+        resample = np.sort(dist.sorted_values[p])
+        want = np.searchsorted(resample, spec.nodes()[nodes], side="right") / dist.n
+        np.testing.assert_array_equal(row, want)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -486,7 +544,7 @@ FAULT_PROBE = textwrap.dedent("""
     ctypes.CDLL(None).mallopt(-3, 128 * 1024)
     from almostdom.calculus import GridSpec
     from almostdom.coefficients import DominanceFamily
-    from almostdom.empirical import PairedSample, Sample, SamplingScheme
+    from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
     from almostdom.inference import InferenceConfig, bootstrap_ci
     case, n, n_boot = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
     rng = np.random.default_rng(0)
