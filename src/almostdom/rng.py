@@ -20,9 +20,9 @@ generation"), two steps of its 128-bit LCG, on pairs of uint64 arrays.
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
 the streams' raw 64-bit words, into the buffers of a :class:`Scratch`
 that a caller drawing chunk after chunk reuses. A stream with a rejected
-word reads on in its own raw words, keeping the accepted ones in order
-(:func:`_redraw`), as numpy does. Both are checked against numpy itself
-in the tests.
+word is drawn again by ``Generator.integers`` on its state, so numpy's
+rejection loop is the only one. Both are checked against numpy itself in
+the tests.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ _PIECE = 1 << 13
 _KEY_BLOCK = 1 << 13
 
 
-# the bit generator that draw_integers puts at each stream in turn, one per
-# thread: seeding a PCG64 (about 15 us) costs more than a small chunk's draws
+# the generator whose bit generator draw_integers puts at each stream in turn,
+# one per thread: seeding a PCG64 (about 15 us) costs more than a small
+# chunk's draws
 _thread = threading.local()
 
 
@@ -198,11 +199,6 @@ class Scratch:
         return buffer[:size].reshape(shape)
 
 
-def _spans(sizes: tuple[tuple[int, int], ...]) -> list[int]:
-    """32-bit words each draw of ``sizes`` reads: one per value, none below 1."""
-    return [size if high > 1 else 0 for high, size in sizes]
-
-
 def draw_integers(
     states: np.ndarray, sizes: tuple[tuple[int, int], ...], scratch: Scratch
 ) -> list[np.ndarray]:
@@ -221,12 +217,13 @@ def draw_integers(
     (Lemire 2019, "Fast random integer generation in an interval"). A bound
     of 1 takes no word. Each draw reads on where the one before it stopped.
     The rare streams with a rejected word are drawn again by
-    :func:`_redraw`.
+    ``Generator.integers`` itself.
     """
-    bits = getattr(_thread, "bits", None)
-    if bits is None:
-        bits = _thread.bits = np.random.PCG64(0)
-    rows, spans = len(states), _spans(sizes)
+    gen = getattr(_thread, "gen", None)
+    if gen is None:
+        gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
+    bits, rows = gen.bit_generator, len(states)
+    spans = [size if high > 1 else 0 for high, size in sizes]
     raw = scratch.take("raw", (rows, (sum(spans) + 1) // 2), np.uint64)
     width = raw.shape[1]
     keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
@@ -257,40 +254,9 @@ def draw_integers(
         scaled >>= np.uint64(32)
     for row in np.flatnonzero(redo):
         bits.state = _pcg64_state(*keys[row])
-        bits.advance(width)
-        _redraw(bits, words[row], sizes, out, row)
+        for (high, size), draws in zip(sizes, out):
+            draws[row] = gen.integers(0, high, size)
     return out
-
-
-def _redraw(
-    bits: np.random.PCG64,
-    words: np.ndarray,
-    sizes: tuple[tuple[int, int], ...],
-    out: list[np.ndarray],
-    row: int,
-) -> None:
-    """Row ``row`` of the draws ``out`` of ``sizes`` by numpy's rule in full:
-    the stream's 32-bit words, ``words`` and then the raw words ``bits``
-    reads next, are scaled in order, each rejected one is skipped, and each
-    draw goes on from the word after the last one the draw before it read.
-    Each pass reads as many words as values are still missing, and at most
-    ``_PIECE``, so every word it reads is used."""
-    stream, cursor = words, 0
-    for (high, size), draws in zip(sizes, out):
-        if high <= 1:
-            continue
-        threshold, filled = 2**32 % high, 0
-        while filled < size:
-            if cursor == stream.size:
-                fresh = bits.random_raw(min(_PIECE, max(size - filled, 8)))
-                stream, cursor = fresh.astype("<u8", copy=False).view("<u4"), 0
-            piece = stream[cursor : cursor + min(_PIECE, size - filled)]
-            cursor += piece.size
-            scaled = piece.astype(np.uint64)
-            scaled *= np.uint64(high)
-            kept = scaled[(scaled & np.uint64(_M32)) >= threshold] >> np.uint64(32)
-            draws[row, filled : filled + kept.size] = kept
-            filled += kept.size
 
 
 def _pcg64_state(state: int, inc: int) -> dict:
