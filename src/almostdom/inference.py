@@ -540,13 +540,16 @@ class _Weights:
     - otherwise: ``w[p] = sum_j g_j ([p < k_j] + frac_j [p = at_j])``, so
       that ``sum_S g * cq`` is the mean of the sorted resample times ``w``.
 
-    ``diff_sums[r]`` is the sum of the difference curve over that set.
+    ``base[s, 0, r]`` is that sum of sample ``s`` itself (its positions
+    for SD, its sorted values otherwise), taken by the same code as a
+    resample's, so that a resample equal to the sample gives exactly 0
+    where the difference curve's own sums would leave its rounding.
     ``zero`` reads the union of the estimates' zero nodes, and ``parts[i]``
     holds the positions in ``zero.index`` of estimate ``i``'s zero nodes.
     """
 
     samples: tuple[np.ndarray, np.ndarray]
-    diff_sums: np.ndarray
+    base: np.ndarray
     zero: _Nodes
     parts: tuple[np.ndarray, ...]
 
@@ -579,10 +582,17 @@ def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
     # integrated quantiles are read at positions set by the sample size alone
     shared = family.kind is not Family.SD and prep.d1.n == prep.d2.n
     w2 = w1 if shared else _sample_weights(prep.side2, g)
+    sides = prep.side1, prep.side2
+    if family.kind is Family.SD:
+        originals = tuple(np.arange(side.sorted_values.size)[None] for side in sides)
+    else:
+        originals = tuple(side.sorted_values[None] for side in sides)
+    # copied out of the scratch, where each chunk takes its own sums
+    base = _set_sums(prep, (w1, w2), originals, _means(prep, originals), prep.scratch).copy()
     zero = np.flatnonzero(np.any([s.zero for s in sets], axis=0))
     return _Weights(
         samples=(w1, w2),
-        diff_sums=np.array([prep.diff.values[mask].sum() for mask in masks]),
+        base=base,
         zero=_nodes(prep, zero),
         parts=tuple(np.searchsorted(zero, s._indices[2]) for s in sets),
     )
@@ -661,13 +671,12 @@ def _oriented(prep: _Prepared, first: np.ndarray, second: np.ndarray) -> np.ndar
     return np.subtract(second, first, out=second)
 
 
-def _weighted_sums(
-    prep: _Prepared, weights: _Weights, samples, means, scratch: Scratch
-) -> np.ndarray:
-    """Sums of each replicate's scaled fluctuation ``root_n * (resampled -
-    diff)`` over the node sets of ``weights``, one column each."""
-    sums = scratch.take("sums", (2, len(samples[0]), weights.diff_sums.size))
-    for sample, w, out, mean in zip(samples, weights.samples, sums, means):
+def _set_sums(prep: _Prepared, w_rows, samples, means, scratch: Scratch) -> np.ndarray:
+    """Each sample's sums of the base curve of each row of ``samples``
+    over the node sets whose per-observation weights are ``w_rows`` (see
+    :class:`_Weights`), one column each, in ``"sums"`` of ``scratch``."""
+    sums = scratch.take("sums", (2, len(samples[0]), len(w_rows[0])))
+    for sample, w, out, mean in zip(samples, w_rows, sums, means):
         n = sample.shape[1]
         if prep.family.kind is Family.SD:
             # spent on each column before the next is gathered
@@ -681,8 +690,17 @@ def _weighted_sums(
         out /= n
         if mean is not None:
             out /= mean[:, None]
+    return sums
+
+
+def _weighted_sums(
+    prep: _Prepared, weights: _Weights, samples, means, scratch: Scratch
+) -> np.ndarray:
+    """Sums of each replicate's scaled fluctuation ``root_n * (resampled -
+    diff)`` over the node sets of ``weights``, one column each."""
+    sums = _set_sums(prep, weights.samples, samples, means, scratch)
+    sums -= weights.base
     linear = _oriented(prep, *sums)
-    linear -= weights.diff_sums
     linear *= prep.root_n
     return linear
 
