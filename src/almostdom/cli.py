@@ -682,12 +682,18 @@ def _add_tuning(parser) -> None:
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors reach ``main`` as InvalidConfigError, and
     which reads ``--domain -1,7`` as ``--domain=-1,7`` (argparse alone takes
-    a value that starts with ``-`` and is not one number for an option)."""
+    a value that starts with ``-`` and is not one number for an option),
+    also after the unique abbreviations of ``--domain``, ``--do`` on
+    (``--d`` is ambiguous with ``--dir``)."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         for i in reversed(range(1, len(args))):
-            if args[i - 1] == "--domain" and re.match(r"-\.?\d", str(args[i])):
+            flag = str(args[i - 1])
+            if (
+                len(flag) > 3 and "--domain".startswith(flag)
+                and re.match(r"-\.?\d", str(args[i]))
+            ):
                 args[i - 1 : i + 1] = [f"--domain={args[i]}"]
         return super().parse_known_args(args, namespace)
 

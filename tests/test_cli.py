@@ -464,9 +464,12 @@ class TestEstimateCommand:
         payload = json.loads(out.read_text())
         assert payload["domain_lo"] == 0.0 and payload["domain_hi"] == 60.0
 
-    @pytest.mark.parametrize("domain", [["--domain", "-1,60"], ["--domain=-1,60"]])
+    @pytest.mark.parametrize(
+        "domain",
+        [["--domain", "-1,60"], ["--domain=-1,60"], ["--dom", "-1,60"], ["--do", "-1,60"]],
+    )
     def test_sd_domain_with_a_negative_end(self, matched_file, tmp_path, domain):
-        # argparse alone reads the -1,60 of the spaced form as an option
+        # argparse alone reads the -1,60 of the spaced forms as an option
         out = tmp_path / "sd.json"
         argv = ["estimate", "--family", "sd", "--scheme", "matched", "--input", matched_file]
         assert run_cli(argv + domain + ["--output", out]) == 0
