@@ -20,6 +20,7 @@ and stay defined where the scaled areas underflow to 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,25 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, error: type[Exception] = InvalidConfigError) -> int:
+    """``value`` as an int: any integer type but ``bool``, else ``error``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1 (see :func:`_integer`)."""
+    number = _integer(name, value)
+    if number < 1:
+        raise InvalidConfigError(f"{name} must be >= 1, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A uniform midpoint grid with ``n_points`` nodes on ``domain``."""
@@ -50,7 +70,7 @@ class GridSpec:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.n_points < 2:
+        if _integer("n_points", self.n_points) < 2:
             raise InvalidConfigError(f"n_points must be >= 2, got {self.n_points}")
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):

@@ -29,6 +29,7 @@ import numpy as np
 from .calculus import (
     GridFunction,
     GridSpec,
+    _integer,
     area_ratio,
     iterated_cumsum,
     negative_area,
@@ -85,7 +86,7 @@ class DominanceFamily:
     direction: Direction = Direction.UP
 
     def __post_init__(self):
-        if self.degree < 1:
+        if _integer("degree", self.degree, InvalidFamilyDegreeError) < 1:
             raise InvalidFamilyDegreeError(f"degree must be >= 1, got {self.degree}")
         if self.kind is Family.INVERSE_SD:
             if self.degree < 2:

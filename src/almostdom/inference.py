@@ -64,7 +64,6 @@ only when a pool starts, so a serial run never loads them.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -72,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _node_sums, iterated_cumsum
+from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums, iterated_cumsum
 from .coefficients import (
     CoefficientEstimate,
     Direction,
@@ -120,25 +119,6 @@ __all__ = [
 # does not matter to the allocator: above glibc's 128 KB mmap threshold,
 # arrays allocated per chunk would fault in fresh pages for every chunk.
 _CHUNK_BUDGET = 1 << 15
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int: any integer type but ``bool``."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
-        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int of at least 1 (see :func:`_integer`)."""
-    number = _integer(name, value)
-    if number < 1:
-        raise InvalidConfigError(f"{name} must be >= 1, got {number}")
-    return number
 
 
 @dataclass(frozen=True)

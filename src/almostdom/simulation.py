@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, area_ratio
+from .calculus import GridFunction, GridSpec, _count, _integer, area_ratio
 from .coefficients import Direction, DominanceFamily, Family, default_grid
 from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteDrawError,
 )
-from .inference import InferenceConfig, _count, _coverage_study
+from .inference import InferenceConfig, _coverage_study
 
 __all__ = [
     "DoublePareto",
@@ -292,13 +292,13 @@ class MonteCarloStudy:
     grid_points: int = 1000
 
     def __post_init__(self):
-        n1, n2 = self.sizes
+        n1, n2 = (_integer("sizes", n) for n in self.sizes)
         if n1 < 2 or n2 < 2:
             raise InvalidConfigError(f"sample sizes must be >= 2, got {n1} and {n2}")
         if self.scheme is SamplingScheme.MATCHED and n1 != n2:
             raise InvalidConfigError("matched pairs need equal sample sizes")
         _count("n_reps", self.n_reps)
-        if self.grid_points < 2:
+        if _integer("grid_points", self.grid_points) < 2:
             raise InvalidConfigError(f"grid_points must be >= 2, got {self.grid_points}")
 
 

@@ -47,6 +47,12 @@ class TestGridSpec:
         with pytest.raises(InvalidConfigError):
             GridSpec(*args)
 
+    @pytest.mark.parametrize("n_points", [1000.5, 7.0, True, "5", None])
+    def test_non_integer_point_count(self, n_points):
+        with pytest.raises(InvalidConfigError, match="n_points must be an integer"):
+            GridSpec(n_points)
+        np.testing.assert_array_equal(GridSpec(np.int64(7)).nodes(), GridSpec(7).nodes())
+
 
 class TestGridFunction:
     def test_rejects_wrong_length(self):

@@ -56,6 +56,12 @@ class TestDominanceFamily:
         with pytest.raises(InvalidFamilyDegreeError):
             DominanceFamily.inverse_sd(2, Direction.DOWN)
 
+    @pytest.mark.parametrize("degree", [2.0, 1.5, True, "2", None])
+    def test_non_integer_degree(self, degree):
+        with pytest.raises(InvalidFamilyDegreeError, match="degree must be an integer"):
+            DominanceFamily(Family.LORENZ, degree)
+        assert DominanceFamily(Family.LORENZ, np.int64(2)) == DominanceFamily.lorenz(2)
+
     def test_operator_degree(self):
         assert DominanceFamily.lorenz(3).operator_degree == 3
         assert DominanceFamily.inverse_sd(3).operator_degree == 2

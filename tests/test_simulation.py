@@ -406,6 +406,16 @@ class TestMonteCarlo:
         with pytest.raises(NonFiniteDrawError):
             monte_carlo(study)
 
+    @pytest.mark.parametrize("sizes", [(10.5, 10), (60, 60.0), (True, 60), ("60", 60)])
+    def test_non_integer_sizes(self, sizes):
+        with pytest.raises(InvalidConfigError, match="sizes must be an integer"):
+            replace(self.study(2), scheme=SamplingScheme.INDEPENDENT, sizes=sizes)
+
+    @pytest.mark.parametrize("grid_points", [50.5, 200.0, True, "200", None])
+    def test_non_integer_grid_points(self, grid_points):
+        with pytest.raises(InvalidConfigError, match="grid_points must be an integer"):
+            replace(self.study(2), grid_points=grid_points)
+
     def test_needs_two_grid_points(self):
         # a one-point grid is a bad study, not a replicate that failed
         with pytest.raises(InvalidConfigError, match="grid_points"):
