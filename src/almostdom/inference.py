@@ -71,10 +71,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums, iterated_cumsum
+from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums
 from .coefficients import (
     CoefficientEstimate,
-    Direction,
     DominanceFamily,
     Family,
     coefficient,
@@ -551,13 +550,10 @@ def _sample_weights(side: _Side, g: np.ndarray) -> np.ndarray:
 def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
     """The :class:`_Weights` of ``sets`` for the replicates of ``prep``."""
     family = prep.family
-    masks = [mask for s in sets for mask in (s.plus, s.minus)]
-    # the adjoint of a pass summing up from the lower end sums down from
-    # the upper end, and the other way round
-    g = iterated_cumsum(
-        np.array(masks, dtype=float), prep.spec.step, family.operator_degree - 1,
-        downward=family.direction is Direction.UP, axis=1,
-    )
+    masks = np.array([mask for s in sets for mask in (s.plus, s.minus)], dtype=float)
+    # the adjoint of the family's passes: the same passes over the nodes in
+    # reverse order
+    g = family.integrate(masks[:, ::-1], prep.spec.step, axis=1)[:, ::-1]
     w1 = _sample_weights(prep.side1, g)
     # integrated quantiles are read at positions set by the sample size alone
     shared = family.kind is not Family.SD and prep.d1.n == prep.d2.n
