@@ -26,7 +26,9 @@ the plus and minus nodes are weighted sums over the resample, with
 per-observation weights worked out once per bootstrap for every
 contact-set estimate (:class:`_Weights`): for the SD family the weights of
 the drawn positions are summed, for the others the resample is sorted
-and its values weighted. Curve values are built only where the one-sided
+and its values weighted. Each sample's sums of the sample itself, taken
+once by the same code, are subtracted, so a resample equal to the sample
+gives exactly 0 there. Curve values are built only where the one-sided
 parts need them, at the zero nodes, and only when some estimate has one:
 one prefix reader sums the sorted values (or the counts of positions) in
 segments up to the nodes, or at many nodes in one running sum (see
