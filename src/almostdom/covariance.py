@@ -19,12 +19,12 @@ sample covariance, which equals the four-term mixture of within- and
 cross-sample covariances. The stochastic-dominance covariance comes from
 the empirical (joint) CDFs.
 
-:func:`lorenz_kernel` builds the dense G-by-G Lorenz kernel over the G grid
-nodes from n-by-G transform blocks. The dense reference kernels of the
-other families, and the route that integrates a kernel along both axes,
-live with the tests (``tests/reference.py``). Studentization needs only
-the diagonal of the integrated kernel, and :func:`std_curve_for` computes
-it without any n-by-G or G-by-G array. For the rank-based families a
+The dense reference kernels built from n-by-G transform blocks, and the
+route that integrates a kernel along both axes, live with the tests
+(``tests/reference.py``). Studentization needs only the diagonal of the
+integrated kernel, and :func:`std_curve_for` computes it without any
+n-by-G or G-by-G array; :func:`lorenz_kernel` takes the whole G-by-G Lorenz
+kernel from the same sums. For the rank-based families a
 transform depends on x only through its rank bin r (the number of nodes
 whose quantile is at most x) and is linear in x inside a bin (the
 integrated-CDF representation of Davidson and Duclos, 2000). The SD
@@ -63,10 +63,6 @@ __all__ = [
     "lorenz_kernel",
     "std_curve_for",
 ]
-
-# values per transform block of the dense kernels: 8 MB of float64
-_CHUNK_BUDGET = 1_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class CovKernel:
@@ -107,8 +103,8 @@ def _check_scheme(scheme: SamplingScheme, pairs, d1, d2) -> None:
 
 # Double-double arithmetic, about 32 significant digits. Under matched pairs
 # the studentization variance is a small difference of large terms where the
-# pairs nearly coincide: the combined transform of the dense kernels, and
-# the two samples' variances less twice their covariance on the rank-bin route.
+# pairs nearly coincide: the two samples' variances less twice their
+# covariance.
 
 
 def _two_sum(a, b):
@@ -182,12 +178,17 @@ class _Wide:
     def __getitem__(self, index) -> _Wide:
         return _Wide(self.hi[index], self.lo[index])
 
+    @property
+    def T(self) -> _Wide:
+        return _Wide(self.hi.T, self.lo.T)
+
     def cumsum(self) -> _Wide:
-        """Inclusive prefix sums: numpy's running sums, corrected by the
-        running sum of their exact rounding errors."""
-        total = np.cumsum(self.hi)
-        _, error = _two_sum(np.concatenate(([0.0], total[:-1])), self.hi)
-        return _Wide._normal(total, np.cumsum(error + self.lo))
+        """Inclusive prefix sums along the last axis: numpy's running sums,
+        corrected by the running sum of their exact rounding errors."""
+        total = np.cumsum(self.hi, axis=-1)
+        before = np.concatenate((np.zeros_like(total[..., :1]), total[..., :-1]), axis=-1)
+        _, error = _two_sum(before, self.hi)
+        return _Wide._normal(total, np.cumsum(error + self.lo, axis=-1))
 
     def total(self) -> _Wide:
         return self.cumsum()[-1]
@@ -203,95 +204,6 @@ class _Wide:
 
     def value(self) -> np.ndarray:
         return self.hi + self.lo
-
-
-def _lorenz_rows(
-    dist: EmpiricalDistribution, values: np.ndarray, nodes: np.ndarray
-) -> _Wide:
-    lor = _Wide(dist.lorenz(nodes)[:, None])
-    shifted = _Wide(values[None, :]) - dist.quantile(0.5)
-    return (lor * shifted - _min_rows(dist, values, nodes)) / dist.mean
-
-
-def _min_rows(
-    dist: EmpiricalDistribution, values: np.ndarray, nodes: np.ndarray
-) -> _Wide:
-    """``min(quantile, x)`` at the nodes by the observations, less its value
-    at the sample median. The shift changes each row by a constant, which
-    the covariance drops, and turns a constant sample into rows of exact
-    zeros; the double-double rows keep a matched combination that is a small
-    difference of two large transforms exact to its own rounding."""
-    rows = np.minimum(dist.quantile(nodes)[:, None], values[None, :])
-    return _Wide(rows) - dist.quantile(0.5)
-
-
-def _chunked_cov(make_block, n_obs, n_points) -> np.ndarray:
-    """Sample covariance of the blocks ``make_block(lo, hi)`` (nodes by
-    observations [lo, hi)). Chan et al.'s pairwise update merges each
-    chunk's mean and scatter into the running ones; every block is first
-    shifted by the first observation's column, so a node whose transform
-    is the same for every observation gets exact zeros."""
-    chunk = max(1, _CHUNK_BUDGET // n_points)
-    count = 0
-    mean = np.zeros(n_points)
-    scatter = np.zeros((n_points, n_points))
-    first = None
-    for lo in range(0, n_obs, chunk):
-        block = make_block(lo, min(lo + chunk, n_obs))
-        if first is None:
-            first = block[:, :1].copy()
-        block -= first
-        size = block.shape[1]
-        block_mean = block.mean(axis=1)
-        block -= block_mean[:, None]
-        scatter += block @ block.T
-        delta = block_mean - mean
-        total = count + size
-        if count:
-            scatter += np.outer(delta, delta) * (count * size / total)
-        mean += delta * (size / total)
-        count = total
-    return scatter / (n_obs - 1)
-
-
-def _transform_cov(transform, d1, d2, pairs, scheme, spec) -> np.ndarray:
-    """Covariance kernel of the per-observation ``transform`` (see
-    :func:`_lorenz_rows`) under ``scheme``."""
-    nodes = spec.nodes()
-    share1 = d1.n / (d1.n + d2.n)
-
-    if scheme is SamplingScheme.MATCHED:
-        w2, w1 = np.sqrt(share1), np.sqrt(1.0 - share1)
-
-        def combined(lo, hi):
-            block = w2 * transform(d2, pairs.x2[lo:hi], nodes) - w1 * transform(
-                d1, pairs.x1[lo:hi], nodes
-            )
-            return block.value()
-
-        return _chunked_cov(combined, pairs.n, spec.n_points)
-
-    def sample_cov(dist):
-        return _chunked_cov(
-            lambda lo, hi: transform(dist, dist.sorted_values[lo:hi], nodes).value(),
-            dist.n,
-            spec.n_points,
-        )
-
-    return (1.0 - share1) * sample_cov(d1) + share1 * sample_cov(d2)
-
-
-def lorenz_kernel(
-    d1: EmpiricalDistribution,
-    d2: EmpiricalDistribution,
-    pairs: PairedSample | None,
-    scheme: SamplingScheme,
-    spec: GridSpec,
-) -> CovKernel:
-    """Covariance kernel of the Lorenz-difference fluctuation process."""
-    _check_scheme(scheme, pairs, d1, d2)
-    matrix = _transform_cov(_lorenz_rows, d1, d2, pairs, scheme, spec)
-    return CovKernel(spec, matrix, Family.LORENZ, scheme)
 
 
 def _std(spec: GridSpec, var: np.ndarray) -> GridFunction:
@@ -431,10 +343,13 @@ class _Hinge:
 
     ``snap`` (SD) maps x to the index of the last node below it first;
     ``shift`` is subtracted from x where the integrated slope ``I(a)`` is
-    not zero, to keep the slope terms small.
+    not zero, to keep the slope terms small. x, the quantiles and the shift
+    are scaled by ``2**exponent``, exactly.
     """
 
-    def __init__(self, quant, lorenz, step, passes, mirror, shift=0.0, snap=None):
+    def __init__(self, quant, lorenz, step, passes, mirror, shift=0.0, snap=None, exponent=0):
+        quant, shift = np.ldexp(quant, exponent), np.ldexp(shift, exponent)
+        self.exponent = exponent
         slope = _Wide(lorenz)
         if mirror:
             quant, slope, shift = -quant[::-1], 1.0 - _Wide(lorenz[::-1]), -shift
@@ -462,6 +377,7 @@ class _Hinge:
         return values
 
     def observe(self, x: np.ndarray) -> _Block:
+        x = np.ldexp(x, self.exponent)
         if self.snap is not None:
             x = np.searchsorted(self.snap, x, side="left") - 1.0
         if self.mirror:
@@ -537,6 +453,35 @@ def _tally(sides: list[_Hinge], columns: list[np.ndarray]) -> _Tally:
     return tally
 
 
+def _pair_cross(sides: list[_Hinge], columns: list[np.ndarray]) -> _Wide:
+    """``sum (q1_j - x1)+ (q2_k - x2)+`` over the matched pairs ``columns``
+    at every pair of nodes (j, k), before any pass. A pair adds
+    ``(L1_j + c1)(L2_k + c2)``, with ``L = q - q_0`` and ``c = q_0 - x``,
+    where its ranks are at most j and k: two-dimensional prefix sums of the
+    count and the sums of c1, c2 and c1 c2 by the joint bin (r1, r2). A
+    block of pairs is summed over the few joint bins it fills."""
+    (a, b), width = sides, sides[0].n_points + 1
+    tables = count, sum1, sum2, product = [_Wide(np.zeros(width * width)) for _ in range(4)]
+    for lo in range(0, columns[0].size, _BLOCK):
+        sa, sb = (side.observe(x[lo : lo + _BLOCK]) for side, x in zip(sides, columns))
+        bins = sa.ranks * width + sb.ranks
+        filled = np.sort(bins)
+        filled = filled[np.diff(filled, prepend=-1) > 0]
+        local = np.searchsorted(filled, bins)
+        c1, c2 = _Wide(a.quant[0]) - sa.x, _Wide(b.quant[0]) - sb.x
+        for table, weights in zip(tables, (_Wide(np.ones(bins.size)), c1, c2, c1 * c2)):
+            part = _exact_sums(weights.hi, local, filled.size)
+            sums = table[filled] + part + _exact_sums(weights.lo, local, filled.size)
+            table.hi[filled], table.lo[filled] = sums.hi, sums.lo
+
+    def prefix(table):
+        table = _Wide(table.hi.reshape(width, width), table.lo.reshape(width, width))
+        return table[:-1, :-1].cumsum().T.cumsum().T
+
+    rows, cols = a.levels[0][:, None], b.levels[0]
+    return rows * cols * prefix(count) + rows * prefix(sum2) + cols * prefix(sum1) + prefix(product)
+
+
 def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
     """``sum_i H_j(x_i) H'_j(x'_i)`` at every node over the observations of
     sides i and k (matched pairs, or k = i)."""
@@ -587,38 +532,64 @@ def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
     return prod[passes, passes]
 
 
+def _square_cross(sides: list[_Hinge], tally: _Tally, i: int, hinge: _Wide) -> _Wide:
+    """``sum H_j(x) H_k(x)`` over side i's observations at every pair of nodes
+    (j, k), before any pass, from the sums at j = k (:func:`_cross`) and of
+    ``H_j`` (``hinge``): at j <= k, ``H_k = H_j + q_k - q_j`` where ``H_j > 0``."""
+    q = sides[i].levels[0]  # q - q_0
+    upper = _cross(sides, tally, i, i)[:, None] + (q - q[:, None]) * hinge[:, None]
+    index = np.arange(q.hi.size)
+    return upper.where(index[:, None] <= index, upper.T)
+
+
 def _scatter(
-    sides: list[_Hinge], tally: _Tally, i: int, k: int, n: int
+    sides: list[_Hinge], tally: _Tally, i: int, k: int, n: int, full: bool = False,
+    pair: _Wide | None = None,
 ) -> tuple[_Wide, np.ndarray]:
     """``n - 1`` times the sample covariance of sides i and k's integrated
     transforms over matched observations (k may be i), at every node, from
     ``T_j = I(slope)_j c + H_j`` up to a constant, with ``c`` the shifted
     x; and the sum of the magnitudes of its terms. A slope that is zero drops
-    its terms."""
+    its terms. With ``full`` (no pass) it is the covariance at every pair of
+    nodes, side i's node down the rows and side k's across the columns, and
+    ``pair`` is :func:`_pair_cross` of the two sides when they differ."""
     a, b = sides[i], sides[k]
-    mean_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
+    # a vector of side i down the rows of the outer products when full
+    col = (slice(None), None) if full else slice(None)
+    mean_a = hinge_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
     mean_b = b.weighted(tally.bins((k, "count")), tally.bins((k, "gap")))
-    terms = []
     if a.slope is not None:
         mean_a = mean_a + a.slope * tally.total((i, "centered", i))
     if b.slope is not None:
         mean_b = mean_b + b.slope * tally.total((k, "centered", k))
-    if a.slope is not None and b.slope is not None:
-        terms.append(a.slope * b.slope * tally.total(("cc", min(i, k), max(i, k))))
-    if a.slope is not None:
-        centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
-        terms.append(a.slope * b.weighted(*centered))
-    if b.slope is not None:
-        centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
-        terms.append(b.slope * a.weighted(*centered))
-    terms.append(_cross(sides, tally, i, k))
-    terms.append(-(mean_a * mean_b) / n)
-    return sum(terms[1:], terms[0]), sum(np.abs(term.hi) for term in terms)
+
+    def terms():  # made one at a time: each is G-by-G when full
+        if a.slope is not None and b.slope is not None:
+            yield a.slope[col] * b.slope * tally.total(("cc", min(i, k), max(i, k)))
+        if a.slope is not None:
+            centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
+            yield a.slope[col] * b.weighted(*centered)
+        if b.slope is not None:
+            centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
+            yield b.slope * a.weighted(*centered)[col]
+        if not full:
+            yield _cross(sides, tally, i, k)
+        elif i == k:
+            yield _square_cross(sides, tally, i, hinge_a)
+        else:
+            yield pair
+        yield -(mean_a[col] * mean_b) / n
+
+    total, size = _Wide(0.0), 0.0
+    for term in terms():
+        total, size = total + term, size + np.abs(term.hi)
+    return total, size
 
 
-def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
+def _rank_variance(family, d1, d2, pairs, scheme, spec, full=False) -> np.ndarray:
     """Per-node variance of the family's integrated transform under
-    ``scheme``, from rank-bin sums (SD from degree 2 up)."""
+    ``scheme``, from rank-bin sums (SD from degree 2 up); with ``full`` (at
+    operator degree 1) the covariance at every pair of nodes."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
     # the SD kernel is a population covariance, the rank families' a sample one
@@ -631,7 +602,10 @@ def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
         weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - ddof)
         columns = [pairs.x1, pairs.x2]
     lorenz = family.kind is Family.LORENZ
-    scales = (d1.mean, d2.mean) if lorenz else (1.0, 1.0)
+    # the Lorenz transform is scale-free: each sample is scaled by a power of
+    # two, exactly, to a mean of order 1, so that no product of values overflows
+    exponents = [-int(np.frexp(dist.mean)[1]) if lorenz else 0 for dist in (d1, d2)]
+    scales = [np.ldexp(d.mean, e) if lorenz else 1.0 for d, e in zip((d1, d2), exponents)]
     mirror = family.direction is Direction.DOWN
     passes = family.operator_degree - 1
     zero = np.zeros(spec.n_points)
@@ -647,21 +621,22 @@ def _rank_variance(family, d1, d2, pairs, scheme, spec) -> np.ndarray:
         sides = [
             _Hinge(
                 dist.quantile(nodes), dist.lorenz(nodes) if lorenz else zero,
-                spec.step, passes, mirror, shift=dist.mean,
+                spec.step, passes, mirror, shift=dist.mean, exponent=e,
             )
-            for dist in (d1, d2)
+            for dist, e in zip((d1, d2), exponents)
         ]
-    if matched:
-        tally = _tally(sides, columns)
-        scatters = {key: _scatter(sides, tally, *key, pairs.n) for key in weights}
-    else:
-        scatters = {
-            (i, i): _scatter([side], _tally([side], [x]), 0, 0, x.size)
-            for i, (side, x) in enumerate(zip(sides, columns))
-        }
+    tally = _tally(sides, columns) if matched else None
+    # taken before any other G-by-G array is held, for a lower peak
+    pair = _pair_cross(sides, columns) if full and matched else None
     var, size = _Wide(0.0), 0.0
     for (i, k), weight in weights.items():
-        scatter, magnitude = scatters[i, k]
+        if matched:
+            scatter, magnitude = _scatter(sides, tally, i, k, pairs.n, full, pair)
+        else:
+            side, x = sides[i], columns[i]
+            scatter, magnitude = _scatter([side], _tally([side], [x]), 0, 0, x.size, full)
+        if full and i != k:  # the cross covariance and its transpose
+            scatter, magnitude, weight = scatter + scatter.T, magnitude + magnitude.T, weight / 2
         weight = _Wide(weight) / (_Wide(scales[i]) * scales[k])
         var = var + scatter * weight
         size = size + magnitude * np.abs(weight.hi)
@@ -697,7 +672,9 @@ def std_curve_for(
     reference ``std_curve(isd_kernel(...))`` by 1e-9 to 1.9e-8 of the
     largest std for ISD 3 down and by at most 2.9e-12 for ISD 3 up, over
     ten seeds; that std is about 5e-10, far below the default ``xi0`` of
-    1e-3.
+    1e-3. A variance within 2**-90 of the magnitude of its terms reads 0: on
+    matched pairs ``x1 = (1, 2, 3)``, ``x2 = (1, 2, nextafter(3, 4))`` at
+    G = 2, Lorenz 1 gives stds of 0 where the dense kernel gives about 3e-17.
     """
     _check_scheme(scheme, pairs, d1, d2)
     # a variance that overflows is not finite, and _std raises; so is one
@@ -708,3 +685,25 @@ def std_curve_for(
         else:
             var = _rank_variance(family, d1, d2, pairs, scheme, spec)
     return _std(spec, var)
+
+
+def lorenz_kernel(
+    d1: EmpiricalDistribution,
+    d2: EmpiricalDistribution,
+    pairs: PairedSample | None,
+    scheme: SamplingScheme,
+    spec: GridSpec,
+) -> CovKernel:
+    """Covariance kernel of the Lorenz-difference fluctuation process at
+    every pair of nodes, from the rank-bin sums of :func:`std_curve_for`, in
+    O(n log G + G**2) time and O(block + G**2) memory: at G = 10**3 a call
+    peaks near 190 MB (independent) and 210 MB (matched) at n = 10**3 and
+    10**5 alike. It matches the dense ``lorenz_kernel`` of ``tests/reference.py``
+    within 3e-15 of its largest entry, ties included. An entry is exact to
+    about 2**-90 of the magnitude of its terms, the floor of
+    :func:`std_curve_for`: on tied Pareto pairs equal to about 1e-9 the error
+    reaches 6.3e-11 of the largest entry, and an entry below the floor reads 0.
+    """
+    _check_scheme(scheme, pairs, d1, d2)
+    matrix = _rank_variance(DominanceFamily.lorenz(1), d1, d2, pairs, scheme, spec, full=True)
+    return CovKernel(spec, matrix, Family.LORENZ, scheme)

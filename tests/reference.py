@@ -1,6 +1,6 @@
 """Reference paths that the tests check the package against.
 
-The dense covariance kernels of the inverse-SD and SD fluctuation
+The dense covariance kernels of the Lorenz, inverse-SD and SD fluctuation
 processes, and :func:`std_curve`, which pushes a kernel through a family's
 iterated-integration operator along both axes: the direct route to the
 curve that :func:`almostdom.covariance.std_curve_for` computes from
@@ -14,9 +14,103 @@ import numpy as np
 from almostdom import covariance, inference
 from almostdom.calculus import GridFunction, GridSpec
 from almostdom.coefficients import DominanceFamily, Family
-from almostdom.covariance import CovKernel
+from almostdom.covariance import CovKernel, _check_scheme, _Wide
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.rng import Scratch
+
+
+# values per transform block of the dense kernels: 8 MB of float64
+_CHUNK_BUDGET = 1_000_000
+
+
+def _lorenz_rows(
+    dist: EmpiricalDistribution, values: np.ndarray, nodes: np.ndarray
+) -> _Wide:
+    lor = _Wide(dist.lorenz(nodes)[:, None])
+    shifted = _Wide(values[None, :]) - dist.quantile(0.5)
+    return (lor * shifted - _min_rows(dist, values, nodes)) / dist.mean
+
+
+def _min_rows(
+    dist: EmpiricalDistribution, values: np.ndarray, nodes: np.ndarray
+) -> _Wide:
+    """``min(quantile, x)`` at the nodes by the observations, less its value
+    at the sample median. The shift changes each row by a constant, which
+    the covariance drops, and turns a constant sample into rows of exact
+    zeros; the double-double rows keep a matched combination that is a small
+    difference of two large transforms exact to its own rounding."""
+    rows = np.minimum(dist.quantile(nodes)[:, None], values[None, :])
+    return _Wide(rows) - dist.quantile(0.5)
+
+
+def _chunked_cov(make_block, n_obs, n_points) -> np.ndarray:
+    """Sample covariance of the blocks ``make_block(lo, hi)`` (nodes by
+    observations [lo, hi)). Chan et al.'s pairwise update merges each
+    chunk's mean and scatter into the running ones; every block is first
+    shifted by the first observation's column, so a node whose transform
+    is the same for every observation gets exact zeros."""
+    chunk = max(1, _CHUNK_BUDGET // n_points)
+    count = 0
+    mean = np.zeros(n_points)
+    scatter = np.zeros((n_points, n_points))
+    first = None
+    for lo in range(0, n_obs, chunk):
+        block = make_block(lo, min(lo + chunk, n_obs))
+        if first is None:
+            first = block[:, :1].copy()
+        block -= first
+        size = block.shape[1]
+        block_mean = block.mean(axis=1)
+        block -= block_mean[:, None]
+        scatter += block @ block.T
+        delta = block_mean - mean
+        total = count + size
+        if count:
+            scatter += np.outer(delta, delta) * (count * size / total)
+        mean += delta * (size / total)
+        count = total
+    return scatter / (n_obs - 1)
+
+
+def _transform_cov(transform, d1, d2, pairs, scheme, spec) -> np.ndarray:
+    """Covariance kernel of the per-observation ``transform`` (see
+    :func:`_lorenz_rows`) under ``scheme``."""
+    nodes = spec.nodes()
+    share1 = d1.n / (d1.n + d2.n)
+
+    if scheme is SamplingScheme.MATCHED:
+        w2, w1 = np.sqrt(share1), np.sqrt(1.0 - share1)
+
+        def combined(lo, hi):
+            block = w2 * transform(d2, pairs.x2[lo:hi], nodes) - w1 * transform(
+                d1, pairs.x1[lo:hi], nodes
+            )
+            return block.value()
+
+        return _chunked_cov(combined, pairs.n, spec.n_points)
+
+    def sample_cov(dist):
+        return _chunked_cov(
+            lambda lo, hi: transform(dist, dist.sorted_values[lo:hi], nodes).value(),
+            dist.n,
+            spec.n_points,
+        )
+
+    return (1.0 - share1) * sample_cov(d1) + share1 * sample_cov(d2)
+
+
+def lorenz_kernel(
+    d1: EmpiricalDistribution,
+    d2: EmpiricalDistribution,
+    pairs: PairedSample | None,
+    scheme: SamplingScheme,
+    spec: GridSpec,
+) -> CovKernel:
+    """Covariance kernel of the Lorenz-difference fluctuation process, from
+    dense n-by-G transform blocks."""
+    _check_scheme(scheme, pairs, d1, d2)
+    matrix = _transform_cov(_lorenz_rows, d1, d2, pairs, scheme, spec)
+    return CovKernel(spec, matrix, Family.LORENZ, scheme)
 
 
 def isd_kernel(
@@ -27,8 +121,8 @@ def isd_kernel(
     spec: GridSpec,
 ) -> CovKernel:
     """Covariance kernel of the integrated-quantile-difference process."""
-    covariance._check_scheme(scheme, pairs, d1, d2)
-    matrix = covariance._transform_cov(covariance._min_rows, d1, d2, pairs, scheme, spec)
+    _check_scheme(scheme, pairs, d1, d2)
+    matrix = _transform_cov(_min_rows, d1, d2, pairs, scheme, spec)
     return CovKernel(spec, matrix, Family.INVERSE_SD, scheme)
 
 
@@ -50,7 +144,7 @@ def sd_kernel(
     spec: GridSpec,
 ) -> CovKernel:
     """Covariance kernel of the CDF-difference process on the bounded domain."""
-    covariance._check_scheme(scheme, pairs, d1, d2)
+    _check_scheme(scheme, pairs, d1, d2)
     nodes = spec.nodes()
     f1 = d1.cdf(nodes)
     f2 = d2.cdf(nodes)

@@ -1113,6 +1113,27 @@ class TestCiCommand:
         np.testing.assert_array_equal(columns[3], diff.values)
         np.testing.assert_array_equal(columns[4], std.values)
 
+    def test_lorenz_record_does_not_depend_on_the_scale(self, tmp_path):
+        # the Lorenz curves and their studentization are scale-free; scaled
+        # by a power of two, whose squares overflow, the data give the same
+        # record
+        rng = np.random.default_rng(3)
+        x1 = rng.lognormal(0.0, 0.5, 200)
+        rows = np.column_stack([x1, rng.gamma(3.0, size=200) + 0.2 * x1])
+        records = []
+        for name, scale in (("plain", 1.0), ("scaled", 2.0**520)):
+            lines = ["x1,x2"] + [f"{float(a)!r},{float(b)!r}" for a, b in rows * scale]
+            path = write(tmp_path / f"{name}.csv", "\n".join(lines) + "\n")
+            out = tmp_path / f"{name}.json"
+            args = ["ci", "--family", "lorenz", "--m", "2", "--scheme", "matched", "--input",
+                    path, "--tn", "1", "--boot", "200", "--threads", "1", "--output", out]
+            assert run_cli(args) == 0
+            payload = json.loads(out.read_text())
+            del payload["runtime_ms"]
+            records.append(payload)
+        assert records[0] == records[1]
+        assert 0.0 < records[0]["ci_lo"] < 1.0 and records[0]["zero_nodes"] > 0
+
 
 class TestSimulateCommand:
     def test_preset_report(self, tmp_path):

@@ -17,6 +17,7 @@ from almostdom.errors import NumericOverflowError, SchemeMismatchError
 from almostdom.rng import child_rng
 from almostdom.simulation import DoublePareto
 
+import reference
 from reference import isd_kernel, sd_kernel, std_curve
 
 IND = SamplingScheme.INDEPENDENT
@@ -283,7 +284,7 @@ def studentization_cases(draw):
 
 
 BUILDERS = {
-    Family.LORENZ: lorenz_kernel,
+    Family.LORENZ: reference.lorenz_kernel,
     Family.INVERSE_SD: isd_kernel,
     Family.SD: sd_kernel,
 }
@@ -350,6 +351,13 @@ class TestStdCurveFor:
         np.testing.assert_allclose(
             fast[cancels] ** 2, var[cancels], rtol=0, atol=1e-12 * np.max(var) + floor
         )
+        if family.kind is Family.LORENZ:
+            # the kernel from rank-bin sums against the dense one, with the
+            # tolerance of the variances
+            dense = reference.lorenz_kernel(*data, spec).matrix
+            np.testing.assert_allclose(
+                lorenz_kernel(*data, spec).matrix, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
+            )
 
 
 class TestFastPath:
@@ -386,19 +394,20 @@ class TestFastPath:
         spec = GridSpec(25)
         fam = DominanceFamily.lorenz(2)
         fast = std_curve_for(fam, d1, d2, None, IND, spec)
-        slow = std_curve(lorenz_kernel(d1, d2, None, IND, spec), fam)
+        slow = std_curve(reference.lorenz_kernel(d1, d2, None, IND, spec), fam)
         np.testing.assert_allclose(fast.values, slow.values, atol=1e-12)
 
 
 class TestMultiChunk:
-    """Force several observation chunks, the last one shorter than the rest."""
+    """Force several observation chunks of the dense kernels, the last one
+    shorter than the rest."""
 
     N_POINTS = 16
     CHUNK = 13  # 50 pairs -> 13+13+13+11, 60 and 45 observations -> 8 and 6 left over
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(covariance, "_CHUNK_BUDGET", self.CHUNK * self.N_POINTS)
+        monkeypatch.setattr(reference, "_CHUNK_BUDGET", self.CHUNK * self.N_POINTS)
 
     def assert_close(self, actual, expected):
         np.testing.assert_allclose(
@@ -407,7 +416,7 @@ class TestMultiChunk:
 
     @pytest.mark.parametrize(
         "builder, transform",
-        [(lorenz_kernel, lorenz_transform), (isd_kernel, min_transform)],
+        [(reference.lorenz_kernel, lorenz_transform), (isd_kernel, min_transform)],
         ids=["lorenz", "isd"],
     )
     def test_kernels_match_brute_force(self, builder, transform):
@@ -639,6 +648,30 @@ def test_block_size_does_not_matter(block, monkeypatch):
             std_curve_for(family, *data).values, expected, rtol=0,
             atol=1e-13 * np.max(expected), err_msg=f"{family} {data[3]}",
         )
+
+
+def test_lorenz_scale_does_not_matter():
+    # the Lorenz transform is scale-free: data scaled by a power of two,
+    # whose squares overflow, give the same curves and kernel bit for bit
+    d1, d2 = make_data(44, 70, 70)
+    pairs = make_pairs(44, 70)
+    spec = GridSpec(40)
+
+    def results(scale):
+        p1, p2 = EmpiricalDistribution(pairs.x1 * scale), EmpiricalDistribution(pairs.x2 * scale)
+        cases = [
+            (EmpiricalDistribution(d1.sorted_values * scale),
+             EmpiricalDistribution(d2.sorted_values * scale), None, IND),
+            (p1, p2, PairedSample(pairs.x1 * scale, pairs.x2 * scale), MP),
+        ]
+        out = [lorenz_kernel(*data, spec).matrix for data in cases]
+        for degree in (1, 2):
+            family = DominanceFamily.lorenz(degree)
+            out += [std_curve_for(family, *data, spec).values for data in cases]
+        return out
+
+    for got, expected in zip(results(2.0**520), results(1.0)):
+        np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
