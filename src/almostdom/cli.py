@@ -590,8 +590,6 @@ def _cmd_measures(args):
     (values,) = _read_table(args.input, None, require_nonnegative=True)
     dist = EmpiricalDistribution(values)
     spec = GridSpec(args.grid, (0.0, 1.0))
-    if args.preference != "cubic":
-        raise InvalidConfigError(f"unknown preference {args.preference!r}")
     pref = cubic_preference()
     result = rank_measures(dist, pref, spec)
     record = {
@@ -745,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measures", help="welfare and inequality of one sample")
     p_meas.add_argument("--input", required=True, help="single-column CSV")
-    p_meas.add_argument("--preference", default="cubic")
+    p_meas.add_argument("--preference", choices=("cubic",), default="cubic")
     p_meas.add_argument("--grid", type=int, default=1000)
     _add_common_output(p_meas)
     p_meas.set_defaults(func=_cmd_measures)

@@ -142,6 +142,14 @@ class DominanceFamily:
         downward = self.direction is Direction.DOWN
         return iterated_cumsum(values, step, passes, downward, axis, out)
 
+    def orient(self, first: np.ndarray, second: np.ndarray, out=None) -> np.ndarray:
+        """``first - second`` for stochastic dominance, else ``second -
+        first``, in ``out`` when given: the first and second distribution's
+        curves combined as :func:`difference_curve` orients them."""
+        if self.kind is Family.SD:
+            return np.subtract(first, second, out=out)
+        return np.subtract(second, first, out=out)
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientEstimate:
@@ -280,11 +288,9 @@ def difference_curve(
     for stochastic dominance.
     """
     _check_grid(family, d1, d2, spec)
-    nodes = spec.nodes()
-    if family.kind is Family.SD:
-        base = d1.cdf(nodes) - d2.cdf(nodes)
-    else:
-        base = _base_values(family, d2, spec) - _base_values(family, d1, spec)
+    # the second curve first, so that its ZeroMeanError is the one raised
+    second = _base_values(family, d2, spec)
+    base = family.orient(_base_values(family, d1, spec), second)
     return _raise_degree(family, GridFunction(spec, base))
 
 

@@ -34,9 +34,9 @@ integration passes by recursions give the variance in O(n log G + p**2 G)
 time, plus O(p**2 n) for the cross terms of matched pairs, and
 O(block + p**2 G) memory beyond the inputs, p being the number of passes;
 SD at degree 1 (no pass) keeps the closed form from the CDFs, O(n + G).
-The observations are read once, in blocks of ``_BLOCK``, and each per-bin
-sum is exact (error-free extraction, summed by ``np.bincount``) until it
-is rounded to double-double. The recursions run in double-double
+The observations are read once, in blocks of ``rng._BLOCK``, and each
+per-bin sum is exact (error-free extraction, summed by ``np.bincount``)
+until it is rounded to double-double. The recursions run in double-double
 arithmetic: under matched pairs the variance is the two samples' variances
 less twice their covariance, which nearly cancel where the pairs nearly
 coincide.
@@ -57,6 +57,7 @@ from .errors import (
     NumericOverflowError,
     SchemeMismatchError,
 )
+from .rng import _BLOCK
 
 __all__ = [
     "CovKernel",
@@ -226,12 +227,6 @@ def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
         joint_diag = np.searchsorted(both_below, nodes, side="right") / pairs.n
         var -= 2.0 * np.sqrt(share1 * (1.0 - share1)) * (joint_diag - f1 * f2)
     return var
-
-
-# Observations are read in blocks of at most this many. A block's float64
-# temporaries are 64 KB each, half of glibc's default mmap threshold: they
-# reuse heap memory instead of faulting in fresh pages, and stay in L2.
-_BLOCK = 8192
 
 
 def _exact_sums(values: np.ndarray, ranks: np.ndarray, size: int) -> _Wide:

@@ -39,15 +39,16 @@ and does not grow with the number of replicates; every reduction over a
 row gives the same result whatever the number of rows in its chunk. A
 chunk holds ``2**15 // max(n, G)`` rows, so that each of its arrays stays
 within 256 KB and its working set within a 2 MB L2 cache, but at least 2
-rows. Each stage takes the arrays it writes by name from the bootstrap's
-:class:`~almostdom.rng.Scratch`, which allocates a buffer only when a
-name is asked for more values than it holds, so later chunks reuse the
-first one's pages; the bootstraps of one coverage study share one
-scratch. The exception is the SD family's count of positions, which
-``np.bincount`` allocates in a chunk with zero nodes. A replicate is used
-when its draw is finite; a Lorenz resample without a positive, finite
-mean gives a NaN draw, so it is dropped too. ``n_boot_effective`` counts
-the replicates used.
+rows. Each stage takes the arrays it writes by name from a
+:class:`~almostdom.rng.Scratch`, which allocates a buffer only when a name
+is asked for more values than it holds, so later chunks reuse the first
+one's pages. The caller that runs the replicates passes it in, as their
+shared state (``_Prepared``) is read-only: :func:`bootstrap_ci` makes one,
+and the bootstraps of one coverage study share one. The exception is the
+SD family's count of positions, which ``np.bincount`` allocates in a chunk
+with zero nodes. A replicate is used when its draw is finite; a Lorenz
+resample without a positive, finite mean gives a NaN draw, so it is
+dropped too. ``n_boot_effective`` counts the replicates used.
 
 Stages 1-3 are one interval step (:func:`_intervals`), shared by
 :func:`bootstrap_ci` and the coverage studies: threshold calibration
@@ -355,8 +356,7 @@ def _side(
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """State shared by all bootstrap replicates: read-only but for
-    ``scratch``, which their chunks build in, one after another."""
+    """State that all bootstrap replicates share, read-only: their scratch is an argument."""
 
     family: DominanceFamily
     scheme: SamplingScheme
@@ -370,7 +370,6 @@ class _Prepared:
     sums: tuple[float, float, float]
     root_n: float
     seed: int
-    scratch: Scratch
 
 
 def _prepare(
@@ -398,7 +397,6 @@ def _prepare(
         sums=_area_sums(est.difference),
         root_n=float(np.sqrt(est.effective_n)),
         seed=cfg.seed,
-        scratch=Scratch(),
     )
     return est, prep
 
@@ -549,7 +547,7 @@ def _sample_weights(side: _Side, g: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
+def _weights(prep: _Prepared, sets: tuple[ContactSets, ...], scratch: Scratch) -> _Weights:
     """The :class:`_Weights` of ``sets`` for the replicates of ``prep``."""
     family = prep.family
     masks = np.array([mask for s in sets for mask in (s.plus, s.minus)], dtype=float)
@@ -566,7 +564,7 @@ def _weights(prep: _Prepared, sets: tuple[ContactSets, ...]) -> _Weights:
     else:
         originals = tuple(side.sorted_values[None] for side in sides)
     # copied out of the scratch, where each chunk takes its own sums
-    base = _set_sums(prep, (w1, w2), originals, _means(prep, originals), prep.scratch).copy()
+    base = _set_sums(prep, (w1, w2), originals, _means(prep, originals), scratch).copy()
     zero = np.flatnonzero(np.any([s.zero for s in sets], axis=0))
     return _Weights(
         samples=(w1, w2),
@@ -638,17 +636,6 @@ def _means(prep: _Prepared, samples) -> tuple[np.ndarray | None, np.ndarray | No
     return tuple(out)
 
 
-def _oriented(prep: _Prepared, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The difference of the first and second sample's ``first`` and
-    ``second``, written over ``second``, in the orientation of the
-    family's difference curve (see
-    :func:`~almostdom.coefficients.difference_curve`): ``first - second``
-    for the SD family, else ``second - first``."""
-    if prep.family.kind is Family.SD:
-        return np.subtract(first, second, out=second)
-    return np.subtract(second, first, out=second)
-
-
 def _set_sums(prep: _Prepared, w_rows, samples, means, scratch: Scratch) -> np.ndarray:
     """Each sample's sums of the base curve of each row of ``samples``
     over the node sets whose per-observation weights are ``w_rows`` (see
@@ -678,7 +665,7 @@ def _weighted_sums(
     diff)`` over the node sets of ``weights``, one column each."""
     sums = _set_sums(prep, weights.samples, samples, means, scratch)
     sums -= weights.base
-    linear = _oriented(prep, *sums)
+    linear = prep.family.orient(*sums, out=sums[1])
     linear *= prep.root_n
     return linear
 
@@ -731,7 +718,7 @@ def _fluctuations(
         curve = _curve_rows(values, cut, scratch, out)
         if mean is not None:
             curve /= mean[:, None]
-    h = _oriented(prep, *curves)
+    h = prep.family.orient(*curves, out=curves[1])
     if prep.family.operator_degree > 1:
         prep.family.integrate(h, prep.spec.step, axis=1, out=h)
         # the first curve is spent once h is built, so h is read back there
@@ -743,12 +730,12 @@ def _fluctuations(
 
 
 def _chunk_draws(
-    prep: _Prepared, weights: _Weights, states: np.ndarray, size: int, lo: int
+    prep: _Prepared, weights: _Weights, states: np.ndarray, size: int, scratch: Scratch, lo: int
 ) -> list[np.ndarray]:
     """Derivative draws of the chunk of replicates from ``lo`` on (at most
     ``size`` of them) under each contact-set estimate of ``weights``, built
-    in ``prep.scratch``; a draw that is not finite is dropped. ``states``
-    holds the stream states of every replicate.
+    in ``scratch``; a draw that is not finite is dropped. ``states`` holds
+    the stream states of every replicate.
 
     Each draw is ``(d_pos * neg - pos * d_neg) / total**2`` at the curve's
     node sums ``pos``, ``neg`` and ``total``: ``d_pos`` is the fluctuation's
@@ -756,7 +743,6 @@ def _chunk_draws(
     nodes, and at each zero node the one adds ``max(h, 0)`` and the other
     ``max(-h, 0)``.
     """
-    scratch = prep.scratch
     samples = _resamples(prep, states[lo : lo + size], scratch)
     rows = len(samples[0])
     draws = []
@@ -780,7 +766,7 @@ def _chunk_draws(
 
 
 def _bootstrap_draws(
-    prep: _Prepared, sets: tuple[ContactSets, ...], n_boot: int, n_jobs: int
+    prep: _Prepared, sets: tuple[ContactSets, ...], n_boot: int, n_jobs: int, scratch: Scratch
 ) -> list[np.ndarray]:
     """Derivative draws of replicates ``0`` to ``n_boot - 1`` under each
     contact-set estimate in ``sets``, in replicate order.
@@ -788,13 +774,13 @@ def _bootstrap_draws(
     Replicates run in chunks of ``_CHUNK_BUDGET // max(n1, n2, G)`` rows,
     and at least 2; each chunk is folded into draws as soon as it is built.
     Every chunk reads its resamples through the weights of ``sets``,
-    worked out once, and builds them in ``prep.scratch``.
+    worked out once, and builds them in ``scratch``.
     """
     size = max(2, _CHUNK_BUDGET // max(prep.d1.n, prep.d2.n, prep.spec.n_points))
     # the streams are derived once for all chunks: the derivation's fixed
     # cost would exceed the draws of a chunk of a few rows
     states = stream_states(prep.seed, 0, n_boot)
-    chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets), states, size)
+    chunk_fn = partial(_chunk_draws, prep, _weights(prep, sets, scratch), states, size, scratch)
     chunks = list(_ordered_map(chunk_fn, range(0, n_boot, size), n_jobs))
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
@@ -805,17 +791,18 @@ def _intervals(
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     n_jobs: int,
+    scratch: Scratch,
 ) -> tuple[GridFunction, list[tuple[np.ndarray, float, float, tuple[float, float]]]]:
     """The studentization curve, and ``(sets, draws, q_lo, q_hi, ci)``
     under the contact sets ``sets`` of each threshold in ``thresholds``,
-    all read off the same ``cfg.n_boot`` replicates."""
+    all read off the same ``cfg.n_boot`` replicates, built in ``scratch``."""
     std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
     sets = tuple(
         contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
         for t_n in thresholds
     )
     results = []
-    for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs)):
+    for s, draws in zip(sets, _bootstrap_draws(prep, sets, cfg.n_boot, n_jobs, scratch)):
         if draws.size == 0:
             raise NonFiniteDrawError("every bootstrap replicate was degenerate")
         ordered = np.sort(draws)
@@ -849,7 +836,9 @@ def bootstrap_ci(
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
     est, prep = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
-    std, ((sets, draws, q_lo, q_hi, ci),) = _intervals(est, prep, cfg, (cfg.t_n,), n_jobs)
+    std, ((sets, draws, q_lo, q_hi, ci),) = _intervals(
+        est, prep, cfg, (cfg.t_n,), n_jobs, Scratch()
+    )
     return BootstrapResult(
         estimate=est,
         std=std,
@@ -907,7 +896,7 @@ def _study_replicate(
     try:
         dists, spec = source(child_rng(cfg.seed, rep, 0))
         est, prep = _prepare(*dists, family, scheme, spec, rep_cfg)
-        _, results = _intervals(est, replace(prep, scratch=scratch), rep_cfg, thresholds, 1)
+        _, results = _intervals(est, prep, rep_cfg, thresholds, 1, scratch)
     except (
         DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError
     ):

@@ -19,17 +19,19 @@ generation"), two steps of its 128-bit LCG, on pairs of uint64 arrays.
 :func:`draw_integers` then draws from those states what
 ``Generator.integers`` would, by numpy's 32-bit Lemire rule applied to
 the streams' raw 64-bit words, into the buffers of a :class:`Scratch`
-that a caller drawing chunk after chunk reuses. A stream with a rejected
-word is drawn again by ``Generator.integers`` on its state, so numpy's
-rejection loop is the only one. Both are checked against numpy itself in
-the tests.
+that a caller drawing chunk after chunk reuses. The scratch also holds the
+one generator whose bit generator is put at each stream in turn, so all
+per-call draw state lives in it: concurrent callers each pass their own.
+A stream with a rejected word is drawn again by ``Generator.integers`` on
+its state, so numpy's rejection loop is the only one. Both are checked
+against numpy itself in the tests.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +44,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# raw words read per random_raw call: 64 KB, below glibc's default 128 KB
-# mmap threshold
-_PIECE = 1 << 13
-# keys whose states are derived at once: the derivation holds a few dozen
-# arrays as long as the range it derives, so deriving a whole range at once
-# would hold many times the result
-_KEY_BLOCK = 1 << 13
-
-
-# the generator whose bit generator draw_integers puts at each stream in turn,
-# one per thread: seeding a PCG64 (about 15 us) costs more than a small
-# chunk's draws
-_thread = threading.local()
+# The most values a loop over a long axis takes at once: raw words per
+# random_raw call, keys whose states are derived together, observations per
+# covariance block. 8-byte arrays of this size (64 KB) stay below glibc's
+# default 128 KB mmap threshold, so they reuse heap memory instead of
+# faulting in fresh pages, and memory beyond a loop's result stays bounded.
+_BLOCK = 1 << 13
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
@@ -157,7 +152,8 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     ``state`` and then of ``inc``, such that
     ``PCG64(SeedSequence(seed, spawn_key=(b,))).state["state"]`` is
     ``{"state": w0 << 64 | w1, "inc": w2 << 64 | w3}``.
-    The keys are derived in blocks of at most ``_KEY_BLOCK``, so memory
+    The keys are derived in blocks of at most ``_BLOCK``: the derivation
+    holds a few dozen arrays as long as the block it derives, so memory
     beyond the result stays bounded however many streams there are.
     """
     seed_words = _words(operator.index(seed))
@@ -166,21 +162,22 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     start = lo
     while start < hi:
         width = len(_words(start))
-        stop = min(hi, 1 << (32 * width), start + _KEY_BLOCK)
+        stop = min(hi, 1 << (32 * width), start + _BLOCK)
         out[start - lo : stop - lo] = _states_of_width(seed_words, start, stop, width)
         start = stop
     return out
 
 
 class Scratch:
-    """Named buffers that calls made one after another reuse.
+    """Named buffers, and a generator, that calls made one after another reuse.
 
     :meth:`take` hands out a view of the buffer kept under a name, and
     allocates a new one only when a call asks for more values or another
     dtype than it holds, so a caller that asks for the same arrays chunk
     after chunk allocates them once. A name serves one array at a time: a
     view is valid until the next ``take`` of its name. A scratch pickles
-    empty, so each process that unpickles one fills its own.
+    empty, so each process that unpickles one fills its own. It serves one
+    caller at a time.
     """
 
     def __init__(self):
@@ -198,6 +195,12 @@ class Scratch:
             buffer = self._buffers[name] = np.empty(size, dtype)
         return buffer[:size].reshape(shape)
 
+    @cached_property
+    def generator(self) -> np.random.Generator:
+        """The generator :func:`draw_integers` puts at each stream in turn,
+        seeded once (about 15 us, more than a small chunk's draws)."""
+        return np.random.Generator(np.random.PCG64(0))
+
 
 def draw_integers(
     states: np.ndarray, sizes: tuple[tuple[int, int], ...], scratch: Scratch
@@ -209,8 +212,8 @@ def draw_integers(
     are taken from ``scratch`` (as ``"raw"`` and ``("draws", i)``), so the
     entries are valid until the next call that is given it.
 
-    One bit generator takes each stream's state and reads its raw 64-bit
-    words. numpy draws below such a ``high`` from 32-bit words, the low half
+    The scratch's generator takes each stream's state and reads its raw
+    64-bit words. numpy draws below such a ``high`` from 32-bit words, the low half
     of a raw word and then its high half, one per value: word ``w`` gives
     ``(w * high) >> 32`` unless ``(w * high) mod 2**32`` falls below
     ``2**32 mod high``, where it is rejected and the next word tried
@@ -219,17 +222,13 @@ def draw_integers(
     The rare streams with a rejected word are drawn again by
     ``Generator.integers`` itself.
     """
-    gen = getattr(_thread, "gen", None)
-    if gen is None:
-        gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
+    gen = scratch.generator
     bits, rows = gen.bit_generator, len(states)
     spans = [size if high > 1 else 0 for high, size in sizes]
     raw = scratch.take("raw", (rows, (sum(spans) + 1) // 2), np.uint64)
     width = raw.shape[1]
     keys = [(s0 << 64 | s1, s2 << 64 | s3) for s0, s1, s2, s3 in states.tolist()]
-    # in pieces whose arrays stay below glibc's mmap threshold, so that
-    # they reuse heap memory instead of faulting in fresh pages
-    pieces = [(start, min(_PIECE, width - start)) for start in range(0, width, _PIECE)]
+    pieces = [(start, min(_BLOCK, width - start)) for start in range(0, width, _BLOCK)]
     for row, key in enumerate(keys):
         bits.state = _pcg64_state(*key)
         for start, size in pieces:

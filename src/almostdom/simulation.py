@@ -62,8 +62,8 @@ class DoublePareto:
     """
 
     def __init__(self, alpha: float, beta: float, m_scale: float = 1.0):
-        if alpha <= 0 or beta <= 0 or m_scale <= 0:
-            raise InvalidConfigError("alpha, beta, and the scale must be positive")
+        if not all(0 < v < np.inf for v in (alpha, beta, m_scale)):
+            raise InvalidConfigError("alpha, beta, and the scale must be positive and finite")
         if alpha <= 2:
             warnings.warn(
                 f"alpha={alpha} <= 2: infinite variance, estimator asymptotics "
@@ -148,9 +148,11 @@ class DiscreteLaw:
         pairs = sorted((float(v), float(w)) for v, w in atoms)
         values = np.array([v for v, _ in pairs])
         probs = np.array([w for _, w in pairs])
-        if np.any(probs <= 0.0):
+        if not np.all(np.isfinite(values)):
+            raise InvalidConfigError("atom values must be finite")
+        if not np.all(probs > 0.0):
             raise InvalidConfigError("atom probabilities must be positive")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidConfigError(f"atom probabilities sum to {probs.sum()!r}, not 1")
         values.flags.writeable = False
         probs.flags.writeable = False
@@ -300,6 +302,8 @@ class MonteCarloStudy:
         _count("n_reps", self.n_reps)
         if _integer("grid_points", self.grid_points) < 2:
             raise InvalidConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not 0.0 <= self.true_c <= 1.0:
+            raise InvalidConfigError(f"true_c must lie in [0, 1], got {self.true_c}")
 
 
 @dataclass(frozen=True)

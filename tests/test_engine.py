@@ -148,7 +148,7 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
         inference.contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
         for t_n in (1e-12, 0.5, 1e12)
     )
-    all_draws = inference._bootstrap_draws(prep, estimates, cfg.n_boot, 1)
+    all_draws = inference._bootstrap_draws(prep, estimates, cfg.n_boot, 1, Scratch())
     for sets, draws in zip(estimates, all_draws):
         want_draws = inference._derivative_rows(want[ok], sets, prep.sums)
         scale = max(float(np.abs(want_draws).max(initial=0.0)), 1e-300)
@@ -205,7 +205,7 @@ def test_draws_are_numerical_deltas(case, points, seed):
     sets = inference.contact_sets(est.difference, std, est.effective_n, cfg)
     assume(np.array_equal(sets.zero, diff == 0.0))
     rows, ok = replicate_rows(prep, stream_states(cfg.seed, 0, cfg.n_boot))
-    (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1)
+    (draws,) = inference._bootstrap_draws(prep, (sets,), cfg.n_boot, 1, Scratch())
     assert draws.size == ok.sum()
     total = np.abs(diff).sum()
     gap = np.abs(diff[diff != 0.0]).min()
@@ -461,7 +461,7 @@ def test_a_huge_bootstrap_allocates_nothing_per_chunk_up_front(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="1000000 stream states"):
-            inference._bootstrap_draws(prep, sets, cfg.n_boot, 1)
+            inference._bootstrap_draws(prep, sets, cfg.n_boot, 1, Scratch())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,7 +495,7 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
         return pos
 
     monkeypatch.setattr(inference, "_positions", record)
-    (draws,) = inference._bootstrap_draws(prep, sets, cfg.n_boot, 1)
+    (draws,) = inference._bootstrap_draws(prep, sets, cfg.n_boot, 1, Scratch())
     monkeypatch.undo()
     assert [len(pos[0]) for _, pos, _ in seen] == [2, 2, 2, 2, 1]
     # one workspace, whose buffers every chunk writes into
@@ -531,7 +531,7 @@ def test_workspace_does_not_outlive_the_call():
     pairs = PairedSample(x1, 0.5 * x1 + rng.pareto(3.0, 5000) + 1.0)
     args = (pairs, DominanceFamily.lorenz(2), MP, GridSpec(100))
     cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=9)
-    bootstrap_ci(*args, cfg)  # builds the thread's scratch generator
+    bootstrap_ci(*args, cfg)  # a first call leaves what is built once per process
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

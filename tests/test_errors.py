@@ -20,10 +20,18 @@ from almostdom.errors import (
 )
 from almostdom.inference import ContactSets, InferenceConfig, _unpack, contact_sets, derivative
 from almostdom.rng import child_rng
-from almostdom.simulation import DiscreteLaw, DoublePareto, sample_dgp
+from almostdom.simulation import DiscreteLaw, DoublePareto, MonteCarloStudy, sample_dgp
 
 SPEC = GridSpec(4)
 MASK = np.array([True, False, False, False])
+
+
+def study(true_c):
+    return MonteCarloStudy(
+        DoublePareto(3.0, 1.5), DoublePareto(2.1, 3.0), DominanceFamily.lorenz(1),
+        SamplingScheme.MATCHED, (50, 50), InferenceConfig(t_n=1.0, seed=0), 10, true_c,
+    )
+
 
 CASES = {
     "grid_function_shape": (DomainError, lambda: GridFunction(SPEC, np.ones(3))),
@@ -41,10 +49,30 @@ CASES = {
         lambda: CovKernel(SPEC, np.eye(3), Family.LORENZ, SamplingScheme.MATCHED),
     ),
     "double_pareto_parameters": (InvalidConfigError, lambda: DoublePareto(3.0, -1.0)),
+    "double_pareto_nan_alpha": (InvalidConfigError, lambda: DoublePareto(np.nan, 1.5)),
+    "double_pareto_infinite_alpha": (InvalidConfigError, lambda: DoublePareto(np.inf, 1.5)),
+    "double_pareto_nan_beta": (InvalidConfigError, lambda: DoublePareto(3.0, np.nan)),
+    "double_pareto_infinite_beta": (InvalidConfigError, lambda: DoublePareto(3.0, np.inf)),
+    "double_pareto_nan_scale": (InvalidConfigError, lambda: DoublePareto(3.0, 1.5, np.nan)),
+    "double_pareto_infinite_scale": (
+        InvalidConfigError, lambda: DoublePareto(3.0, 1.5, np.inf)
+    ),
     "discrete_law_positive": (
         InvalidConfigError, lambda: DiscreteLaw([(0.0, 1.5), (1.0, -0.5)])
     ),
     "discrete_law_sum": (InvalidConfigError, lambda: DiscreteLaw([(0.0, 0.5), (1.0, 0.4)])),
+    "discrete_law_nan_probability": (
+        InvalidConfigError, lambda: DiscreteLaw([(1.0, np.nan), (2.0, 1.0)])
+    ),
+    "discrete_law_infinite_atom": (
+        InvalidConfigError, lambda: DiscreteLaw([(1.0, 0.5), (np.inf, 0.5)])
+    ),
+    "discrete_law_nan_atom": (
+        InvalidConfigError, lambda: DiscreteLaw([(1.0, 0.5), (np.nan, 0.5)])
+    ),
+    "monte_carlo_nan_truth": (InvalidConfigError, lambda: study(np.nan)),
+    "monte_carlo_truth_above_one": (InvalidConfigError, lambda: study(2.0)),
+    "monte_carlo_negative_truth": (InvalidConfigError, lambda: study(-1.0)),
     "sample_dgp_size": (
         InvalidConfigError, lambda: sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(0))
     ),

@@ -19,3 +19,11 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported)), "a name is listed twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_lists_every_library_name_once():
+    # the command line is its own entry point, not part of the package's names
+    library = [importlib.import_module(name) for name in MODULES[1:] if name != "almostdom.cli"]
+    listed = ["errors"] + [attr for module in library for attr in getattr(module, "__all__", [])]
+    assert almostdom.__all__ == listed
+    assert len(set(listed)) == len(listed)

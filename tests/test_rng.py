@@ -40,7 +40,7 @@ def test_states_of_numpy_integer_seeds():
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_states_across_a_block_edge(seed):
-    edge = rng._KEY_BLOCK
+    edge = rng._BLOCK
     whole = stream_states(seed, 0, edge + 3)
     for lo in (edge - 3, edge):
         np.testing.assert_array_equal(stream_states(seed, lo, edge + 3), whole[lo:])
@@ -111,8 +111,8 @@ def test_draws_match_generator(sizes):
 
 
 def test_draws_in_threads_match_serial():
-    # each thread keeps its own scratch generator, so concurrent calls do not
-    # read each other's streams
+    # each call's scratch holds its own generator, so concurrent calls do
+    # not read each other's streams
     states, sizes = stream_states(11, 0, 200), ((2000, 2000), (3, 3))
     want = draw_integers(states, sizes, Scratch())
     with ThreadPoolExecutor(max_workers=2) as pool:
