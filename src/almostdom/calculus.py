@@ -20,6 +20,7 @@ and stay defined where the scaled areas underflow to 0.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -62,6 +63,31 @@ def _count(name: str, value) -> int:
     return number
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float: any real number type but ``bool``, else InvalidConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _pair(name: str, value, convert) -> tuple:
+    """The two items of ``value``, each through ``convert(name, item)``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"{name} must be a pair, got {value!r}") from None
+    return convert(name, first), convert(name, second)
+
+
+def _member(kind: type, value, error: type[Exception] = InvalidConfigError):
+    """The member of the enum ``kind`` that ``value`` is or names, else ``error``."""
+    try:
+        return kind(value)
+    except ValueError:
+        names = ", ".join(repr(member.value) for member in kind)
+        raise error(f"{kind.__name__} must be one of {names}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A uniform midpoint grid with ``n_points`` nodes on ``domain``."""
@@ -72,12 +98,12 @@ class GridSpec:
     def __post_init__(self):
         if _integer("n_points", self.n_points) < 2:
             raise InvalidConfigError(f"n_points must be >= 2, got {self.n_points}")
-        lo, hi = self.domain
+        lo, hi = _pair("domain", self.domain, _real)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InvalidConfigError(f"domain must be a finite interval, got {self.domain}")
-        if float(hi) - float(lo) == np.inf:
+        if hi - lo == np.inf:
             raise InvalidConfigError(f"domain width overflows, got {self.domain}")
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
+        object.__setattr__(self, "domain", (lo, hi))
 
     @property
     def step(self) -> float:

@@ -32,6 +32,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import takewhile
 
 import numpy as np
 
@@ -92,100 +93,79 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _read_table(
-    path: str, header: str | None, require_nonnegative: bool
-) -> np.ndarray:
+def _read_table(path: str, header: str | None, require_nonnegative: bool) -> np.ndarray:
     """The data of a CSV file as a (columns, rows) float array, in file order.
 
-    ``header`` (``"x1,x2"`` or ``"group,value"``) is the required first
-    row, matched case-blind with its cells stripped; ``None`` reads one
-    column whose first row is a header when it is not a number. Rows whose
-    cells are all blank are skipped (in a single-column file, rows of at
-    most one cell), and every other row needs one cell per column. The
-    ``group`` column must hold 1 or 2; every other column must be
-    nonnegative under ``require_nonnegative``. The first faulty cell in
-    file order is reported, with 1-based row numbers that count the header.
-
-    A well-formed file is parsed in one C call (:func:`_parse_table`); any
-    other file, or one that call cannot parse, is read cell by cell
+    ``header`` (``"x1,x2"`` or ``"group,value"``) is the required first row,
+    matched case-blind with its cells stripped; ``None`` reads one column,
+    whose first row is a header when it is one cell that is not a number.
+    Rows of blank cells are skipped (in a single-column file, those of at
+    most one cell); every other row holds one cell per column, each keeping
+    the rules of :func:`_cell_fault`, and some row holds data (a row of each
+    group). The first fault in file order is reported, with 1-based row
+    numbers that count the header; a fault that ``csv`` finds, or that stops
+    the read, comes first. The file is read once; a body that ``np.loadtxt``
+    refuses in one call, or that breaks a cell rule, is read cell by cell
     (:func:`_scan_table`), which finds the fault. Both give the same table.
     """
+    lines = []
     try:
-        table = _parse_table(path, header, require_nonnegative)
-    except Exception:  # whatever the fault, the scan reports it
-        table = None
-    return _scan_table(path, header, require_nonnegative) if table is None else table
-
-
-def _parse_table(
-    path: str, header: str | None, require_nonnegative: bool
-) -> np.ndarray | None:
-    """:func:`_read_table` of a well-formed file, whose body ``np.loadtxt``
-    parses; None where a check fails.
-
-    The first row is read as :func:`_scan_table` reads it. numpy takes no
-    cell that ``float`` refuses: it splits each line at its commas (without
-    quoting, so a quoted cell fails to convert) and converts only ASCII
-    cells, without underscores. Nor does it read a cell past ``csv``'s
-    field size limit, which no line here exceeds.
-    """
-    names = header.split(",") if header else ["value"]
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        first = next(csv.reader(handle), None)
-        lines = handle.readlines()
-    if first is None or max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    if header:
-        if [cell.strip().lower() for cell in first] != names:
-            return None
-    elif len(first) > 1:
-        return None
-    elif first and _is_number(first[0]):
-        lines.insert(0, first[0] + "\n")  # a first row that is a number is data
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a body without rows warns; the scan reports it
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    if not rows.shape[0] or rows.shape[1] != len(names):
-        return None
-    table = rows.T
-    if header == "group,value":
-        group, checked = table[0], table[1:]
-        ones, twos = group == 1.0, group == 2.0
-        if not ((ones | twos).all() and ones.any() and twos.any()):
-            return None
-    else:
-        checked = table
-    if require_nonnegative and (checked < 0.0).any():
-        return None
-    return table
-
-
-def _scan_table(
-    path: str, header: str | None, require_nonnegative: bool
-) -> np.ndarray:
-    """:func:`_read_table`, reading each row and cell in turn."""
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet programs write
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+        try:
+            # utf-8-sig drops the byte-order mark that spreadsheet programs write
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                lines += handle  # on a fault, the lines read before it stay
+        except (OSError, UnicodeDecodeError):
+            list(csv.reader(lines))  # a fault csv finds before this one comes first
+            raise
+        table = _parse_table(path, lines, header, require_nonnegative)
     except FileNotFoundError:
         raise
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise AlmostDomError(f"cannot read {path}: {exc}") from exc
+    if header == "group,value":
+        if not ((table[0] == 1.0).any() and (table[0] == 2.0).any()):
+            raise CsvParseError("both groups need at least one row", row=1)
+    elif not table.shape[1]:
+        raise CsvParseError(f"{path} contains no data rows", row=1)
+    return table
+
+
+def _parse_table(path: str, lines: list[str], header: str | None, nonnegative: bool):
+    """:func:`_read_table` of the file's ``lines``, but for its row counts."""
     names = header.split(",") if header else ["value"]
-    width = len(names)
-    grouped = header == "group,value"
+    reader = csv.reader(lines)
+    first = next(reader, None)
     if header:
-        if not rows:
+        if first is None:
             raise CsvParseError(f"{path} is empty", row=1)
-        if [cell.strip().lower() for cell in rows[0]] != names:
-            hint = " (or pass two files)" if grouped else ""
+        if [cell.strip().lower() for cell in first] != names:
+            list(reader)  # a fault csv finds comes first: say, a cell past its size limit
+            hint = " (or pass two files)" if header == "group,value" else ""
             raise CsvParseError(
-                f"expected header {header!r}{hint}, got {','.join(rows[0])!r}", row=1
+                f"expected header {header!r}{hint}, got {','.join(first)!r}", row=1
             )
+    start = reader.line_num  # the lines of the header row
+    if not header and (first is None or len(first) != 1 or _is_number(first[0])):
+        start = 0
+    # numpy reads a cell past csv's field size limit, which the scan refuses
+    if max(map(len, lines), default=0) <= csv.field_size_limit():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a body without rows warns
+                rows = np.loadtxt(lines, delimiter=",", comments=None, skiprows=start, ndmin=2)
+            if rows.shape[1] == len(names) and _cell_fault(rows.ravel(), header, nonnegative) < 0:
+                return rows.T
+        except ValueError:  # numpy takes no cell that float refuses
+            pass
+    return _scan_table(lines[start:], 2 if start else 1, header, nonnegative)
+
+
+def _scan_table(lines: list[str], first: int, header: str | None, nonnegative: bool):
+    """:func:`_parse_table` of the body ``lines``, row ``first`` on, cell by cell."""
+    width = 2 if header else 1
+    rows = list(csv.reader(lines))  # a fault csv finds comes first
     numbers, cells = [], []
-    first = 2 if header else 1
-    for number, row in enumerate(rows[first - 1 :], start=first):
+    for number, row in enumerate(rows, start=first):
         if not any(map(str.strip, row)) and (width > 1 or len(row) <= 1):
             continue
         if len(row) != width:
@@ -193,40 +173,38 @@ def _scan_table(
             raise CsvParseError(f"row {number}: expected {expected}", row=number)
         numbers.append(number)
         cells += row
-    if not header and numbers[:1] == [1] and not _is_number(cells[0]):
-        del numbers[0], cells[0]
-
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
-        stop = len(cells)
-    except ValueError:
-        stop = next(k for k, text in enumerate(cells) if not _is_number(text))
-        values = np.fromiter(map(float, cells[:stop]), float, stop)
-    # a fault among the cells before the first unconvertible one comes first
-    group = grouped & (np.arange(stop) % width == 0)
-    negative = require_nonnegative & (values < 0.0)
-    faults = np.flatnonzero(np.where(group, (values != 1.0) & (values != 2.0), negative))
-    if faults.size or stop < len(cells):
-        k = int(faults[0]) if faults.size else stop
-        row, col = numbers[k // width], k % width + 1
-        if k == stop:
-            text = cells[k] if header else cells[k].strip()
-            raise CsvParseError(
-                f"row {row}, column {col}: {text!r} is not a number", row=row, col=col
-            )
-        if group[k]:
-            raise CsvParseError(f"row {row}: group must be 1 or 2", row=row, col=col)
-        raise NegativeValueError(
-            f"row {row}: negative value {float(values[k])!r} not allowed for this family",
-            row=row,
+    except ValueError:  # the cells before the first that is not a number
+        values = np.fromiter(map(float, takewhile(_is_number, cells)), float)
+    # a fault among those cells comes before the cell that is not a number
+    k = _cell_fault(values, header, nonnegative)
+    if k < 0 and values.size == len(cells):
+        return values.reshape(-1, width).T
+    k = values.size if k < 0 else k
+    row, col = numbers[k // width], k % width + 1
+    if k == values.size:
+        text = cells[k] if header else cells[k].strip()
+        raise CsvParseError(
+            f"row {row}, column {col}: {text!r} is not a number", row=row, col=col
         )
-    table = values.reshape(-1, width).T
-    if grouped:
-        if not ((table[0] == 1.0).any() and (table[0] == 2.0).any()):
-            raise CsvParseError("both groups need at least one row", row=1)
-    elif not numbers:
-        raise CsvParseError(f"{path} contains no data rows", row=1)
-    return table
+    if header == "group,value" and col == 1:
+        raise CsvParseError(f"row {row}: group must be 1 or 2", row=row, col=col)
+    raise NegativeValueError(
+        f"row {row}: negative value {float(values[k])!r} not allowed for this family",
+        row=row,
+    )
+
+
+def _cell_fault(values: np.ndarray, header: str | None, nonnegative: bool) -> int:
+    """The index of the first of a table's cells (``values``, in file order)
+    that breaks a rule, else -1: a ``group,value`` table's group cells are 1
+    or 2, and under ``nonnegative`` no other cell is negative."""
+    bad = values < 0.0 if nonnegative else np.zeros(values.shape, bool)
+    if header == "group,value":
+        group = values[::2]
+        bad[::2] = (group != 1.0) & (group != 2.0)
+    return int(bad.argmax()) if bad.any() else -1
 
 
 def load_csv(
@@ -372,19 +350,8 @@ for _name, _beta in zip("abcd", (8, 6, 4, 2)):
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
-
-def _family_from_args(args) -> DominanceFamily:
-    kind = {"lorenz": Family.LORENZ, "isd": Family.INVERSE_SD, "sd": Family.SD}[
-        args.family
-    ]
-    direction = Direction.UP if args.dir == "up" else Direction.DOWN
-    return DominanceFamily(kind, args.m, direction)
-
-
-def _scheme_from_args(args) -> SamplingScheme:
-    return (
-        SamplingScheme.MATCHED if args.scheme == "matched" else SamplingScheme.INDEPENDENT
-    )
+# the sampling schemes by their names on the command line
+_SCHEMES = {"ind": SamplingScheme.INDEPENDENT, "matched": SamplingScheme.MATCHED}
 
 
 def _threads(args) -> int:
@@ -409,17 +376,19 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _load_data(args, family: DominanceFamily):
-    scheme = _scheme_from_args(args)
+def _load_data(args):
+    """``(family, data, d1, d2, pairs, scheme, spec)`` as the arguments give them."""
+    family = DominanceFamily(args.family, args.m, args.dir)
+    scheme = _SCHEMES[args.scheme]
     nonneg = family.kind in (Family.LORENZ, Family.INVERSE_SD)
     data = load_csv(args.input, scheme, args.input2, require_nonnegative=nonneg)
     d1, d2, pairs = _unpack(data, scheme)
     if args.domain is None:
-        return data, d1, d2, pairs, scheme, default_grid(family, d1, d2, args.grid)
+        return family, data, d1, d2, pairs, scheme, default_grid(family, d1, d2, args.grid)
     parts = _parse_floats(args.domain, "--domain")
     if len(parts) != 2:
         raise InvalidConfigError(f"--domain needs exactly two numbers: {args.domain!r}")
-    return data, d1, d2, pairs, scheme, GridSpec(args.grid, (parts[0], parts[1]))
+    return family, data, d1, d2, pairs, scheme, GridSpec(args.grid, tuple(parts))
 
 
 def _fit_curves(family, d1, d2, pairs, scheme, spec, std=None) -> dict[str, np.ndarray]:
@@ -448,8 +417,7 @@ def _fit_curves(family, d1, d2, pairs, scheme, spec, std=None) -> dict[str, np.n
 
 
 def _cmd_estimate(args):
-    family = _family_from_args(args)
-    _, d1, d2, pairs, scheme, spec = _load_data(args, family)
+    family, _, d1, d2, pairs, scheme, spec = _load_data(args)
     est = coefficient(family, d1, d2, spec)
     report = {
         "family": family.kind.value,
@@ -470,22 +438,13 @@ def _cmd_estimate(args):
 
 
 def _cmd_ci(args):
-    family = _family_from_args(args)
-    data, d1, d2, pairs, scheme, spec = _load_data(args, family)
+    family, data, d1, d2, pairs, scheme, spec = _load_data(args)
     n_jobs = _threads(args)
-    if args.tn is not None and args.tune:
-        raise InvalidConfigError("pass either --tn or --tune, not both")
-    if args.tn is None and not args.tune:
-        raise InvalidConfigError("ci needs either --tn or --tune")
     cfg = InferenceConfig(
-        t_n=args.tn if args.tn is not None else 1.0,
-        seed=args.seed,
-        xi0=args.xi0,
-        n_boot=args.boot,
-        alpha=args.alpha,
-        clamp_to_unit=not args.no_clamp,
+        t_n=1.0 if args.tune else args.tn, seed=args.seed, xi0=args.xi0, n_boot=args.boot,
+        alpha=args.alpha, clamp_to_unit=not args.no_clamp,
     )
-    if args.tn is None:
+    if args.tune:
         selected = select_tuning(
             data, family, scheme, spec, cfg,
             _parse_floats(args.candidates, "--candidates"),
@@ -525,7 +484,7 @@ def _cmd_simulate(args):
         dgp1=preset["dgp1"],
         dgp2=preset["dgp2"],
         family=family,
-        scheme=_scheme_from_args(args),
+        scheme=_SCHEMES[args.scheme],
         sizes=(args.n1, args.n2),
         cfg=cfg,
         n_reps=args.reps,
@@ -565,8 +524,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_tune(args):
-    family = _family_from_args(args)
-    data, d1, d2, pairs, scheme, spec = _load_data(args, family)
+    family, data, d1, d2, pairs, scheme, spec = _load_data(args)
     cfg = InferenceConfig(t_n=1.0, seed=args.seed, xi0=args.xi0, alpha=args.alpha)
     candidates = _parse_floats(args.candidates, "--candidates")
     table = tuning_table(
@@ -628,21 +586,20 @@ def _add_common_output(parser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
         help="worker processes; 0 = all cores (default from ALMOSTDOM_THREADS)",
     )
 
 
 def _add_family_and_data(parser) -> None:
-    parser.add_argument("--family", choices=("lorenz", "isd", "sd"), required=True)
+    parser.add_argument("--family", choices=[kind.value for kind in Family], required=True)
     parser.add_argument("--m", type=int, default=1, help="dominance degree")
-    parser.add_argument("--dir", choices=("up", "down"), default="up")
-    parser.add_argument("--scheme", choices=("ind", "matched"), required=True)
-    parser.add_argument("--input", required=True, help="CSV input file")
     parser.add_argument(
-        "--input2", help="second single-column file (independent scheme)"
+        "--dir", choices=[way.value for way in Direction], default=Direction.UP.value
     )
-    parser.add_argument("--grid", type=int, default=1000, help="grid points")
+    parser.add_argument("--scheme", choices=_SCHEMES, required=True)
+    parser.add_argument("--input", required=True, help="CSV input file")
+    parser.add_argument("--input2", help="second single-column file (independent scheme)")
+    parser.add_argument("--grid", type=int, default=GridSpec.n_points, help="grid points")
     parser.add_argument(
         "--domain",
         metavar="LO,HI",
@@ -650,15 +607,22 @@ def _add_family_and_data(parser) -> None:
     )
 
 
-def _add_inference(parser) -> None:
-    parser.add_argument("--tn", type=float, help="studentization threshold")
-    parser.add_argument(
-        "--tune", action="store_true", help="calibrate the threshold first"
-    )
-    parser.add_argument("--boot", type=int, default=1000, help="bootstrap replicates")
-    parser.add_argument("--alpha", type=float, default=0.05)
+def _add_config(parser, xi0: bool = True) -> None:
+    """The ``InferenceConfig`` settings that every command with one takes."""
+    parser.add_argument("--alpha", type=float, default=InferenceConfig.alpha)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--xi0", type=float, default=0.001)
+    if xi0:
+        parser.add_argument("--xi0", type=float, default=InferenceConfig.xi0)
+
+
+def _add_inference(parser) -> None:
+    threshold = parser.add_mutually_exclusive_group(required=True)
+    threshold.add_argument("--tn", type=float, help="studentization threshold")
+    threshold.add_argument("--tune", action="store_true", help="calibrate the threshold first")
+    parser.add_argument(
+        "--boot", type=int, default=InferenceConfig.n_boot, help="bootstrap replicates"
+    )
+    _add_config(parser)
     parser.add_argument(
         "--no-clamp", action="store_true", help="do not intersect the CI with [0, 1]"
     )
@@ -688,10 +652,7 @@ class _Parser(argparse.ArgumentParser):
         args = list(sys.argv[1:] if args is None else args)
         for i in reversed(range(1, len(args))):
             flag = str(args[i - 1])
-            if (
-                len(flag) > 3 and "--domain".startswith(flag)
-                and re.match(r"-\.?\d", str(args[i]))
-            ):
+            if len(flag) > 3 and "--domain".startswith(flag) and re.match(r"-\.?\d", str(args[i])):
                 args[i - 1 : i + 1] = [f"--domain={args[i]}"]
         return super().parse_known_args(args, namespace)
 
@@ -720,23 +681,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo coverage for a preset")
     p_sim.add_argument("--preset", choices=sorted(PRESETS), required=True)
-    p_sim.add_argument("--scheme", choices=("ind", "matched"), default="matched")
+    p_sim.add_argument("--scheme", choices=_SCHEMES, default="matched")
     p_sim.add_argument("--n1", type=int, required=True)
     p_sim.add_argument("--n2", type=int, required=True)
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--boot", type=int, default=1000)
+    p_sim.add_argument("--boot", type=int, default=InferenceConfig.n_boot)
     p_sim.add_argument("--tn", type=float, required=True)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--grid", type=int, default=1000)
+    _add_config(p_sim, xi0=False)
+    p_sim.add_argument("--grid", type=int, default=MonteCarloStudy.grid_points)
     _add_common_output(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_tune = sub.add_parser("tune", help="calibrate the studentization threshold")
     _add_family_and_data(p_tune)
-    p_tune.add_argument("--alpha", type=float, default=0.05)
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument("--xi0", type=float, default=0.001)
+    _add_config(p_tune)
     _add_tuning(p_tune)
     _add_common_output(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
@@ -744,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas = sub.add_parser("measures", help="welfare and inequality of one sample")
     p_meas.add_argument("--input", required=True, help="single-column CSV")
     p_meas.add_argument("--preference", choices=("cubic",), default="cubic")
-    p_meas.add_argument("--grid", type=int, default=1000)
+    p_meas.add_argument("--grid", type=int, default=GridSpec.n_points)
     _add_common_output(p_meas)
     p_meas.set_defaults(func=_cmd_measures)
 

@@ -30,6 +30,7 @@ from .calculus import (
     GridFunction,
     GridSpec,
     _integer,
+    _member,
     area_ratio,
     iterated_cumsum,
     negative_area,
@@ -37,6 +38,7 @@ from .calculus import (
 )
 from .empirical import EmpiricalDistribution
 from .errors import (
+    DegenerateCurvesError,
     InvalidConfigError,
     InvalidFamilyDegreeError,
     NumericOverflowError,
@@ -74,11 +76,12 @@ class Direction(Enum):
 class DominanceFamily:
     """A dominance criterion: family kind, degree, and integration direction.
 
-    Valid combinations: Lorenz with degree >= 1 (at degree 1 the two
-    directions coincide and are normalized to UP); inverse stochastic
-    dominance with degree >= 2 (degree 2 is upward only); stochastic
-    dominance with degree >= 1 (direction does not apply and is
-    normalized to UP).
+    ``kind`` and ``direction`` are stored as enum members, given either as
+    members or by their values (``"lorenz"``, ``"down"``). Valid
+    combinations: Lorenz with degree >= 1 (at degree 1 the two directions
+    coincide and are normalized to UP); inverse stochastic dominance with
+    degree >= 2 (degree 2 is upward only); stochastic dominance with
+    degree >= 1 (direction does not apply and is normalized to UP).
     """
 
     kind: Family
@@ -86,6 +89,9 @@ class DominanceFamily:
     direction: Direction = Direction.UP
 
     def __post_init__(self):
+        for name, kind in (("kind", Family), ("direction", Direction)):
+            member = _member(kind, getattr(self, name), InvalidFamilyDegreeError)
+            object.__setattr__(self, name, member)
         if _integer("degree", self.degree, InvalidFamilyDegreeError) < 1:
             raise InvalidFamilyDegreeError(f"degree must be >= 1, got {self.degree}")
         if self.kind is Family.INVERSE_SD:
@@ -205,12 +211,13 @@ def default_grid(
     n_points: int = 1000,
 ) -> GridSpec:
     """The natural grid for a family: [0, 1] for rank-based families, the
-    pooled sample hull for stochastic dominance."""
+    pooled sample hull for stochastic dominance (DegenerateCurvesError when
+    that is a single point: the samples are indistinguishable)."""
     if family.kind is Family.SD:
         lo = min(d1.sorted_values[0], d2.sorted_values[0])
         hi = max(d1.sorted_values[-1], d2.sorted_values[-1])
         if lo == hi:
-            raise InvalidConfigError("pooled sample is a single point; no domain")
+            raise DegenerateCurvesError("pooled sample is a single point; no domain")
         return GridSpec(n_points, (float(lo), float(hi)))
     return GridSpec(n_points, (0.0, 1.0))
 

@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums
+from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums, _real
 from .coefficients import (
     CoefficientEstimate,
     DominanceFamily,
@@ -144,12 +144,12 @@ class InferenceConfig:
     clamp_to_unit: bool = True
 
     def __post_init__(self):
-        if not self.t_n > 0:
+        if not _real("t_n", self.t_n) > 0:
             raise InvalidConfigError(f"t_n must be positive, got {self.t_n}")
-        if not self.xi0 > 0:
+        if not _real("xi0", self.xi0) > 0:
             raise InvalidConfigError(f"xi0 must be positive, got {self.xi0}")
         _count("n_boot", self.n_boot)
-        if not 0.0 < self.alpha < 0.5:
+        if not 0.0 < _real("alpha", self.alpha) < 0.5:
             raise InvalidConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         seed = _integer("seed", self.seed)
         if not 0 <= seed < 2**64:

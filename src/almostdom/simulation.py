@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _count, _integer, area_ratio
+from .calculus import GridFunction, GridSpec, _count, _integer, _member, _pair, _real, area_ratio
 from .coefficients import Direction, DominanceFamily, Family, default_grid
 from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from .errors import (
@@ -62,7 +62,8 @@ class DoublePareto:
     """
 
     def __init__(self, alpha: float, beta: float, m_scale: float = 1.0):
-        if not all(0 < v < np.inf for v in (alpha, beta, m_scale)):
+        params = (_real("alpha", alpha), _real("beta", beta), _real("m_scale", m_scale))
+        if not all(0 < v < np.inf for v in params):
             raise InvalidConfigError("alpha, beta, and the scale must be positive and finite")
         if alpha <= 2:
             warnings.warn(
@@ -70,9 +71,7 @@ class DoublePareto:
                 "are not guaranteed",
                 stacklevel=2,
             )
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.m_scale = float(m_scale)
+        self.alpha, self.beta, self.m_scale = params
         # mass below the scale point; the quantile branches split here
         self._junction = self.alpha / (self.alpha + self.beta)
 
@@ -145,17 +144,18 @@ class DiscreteLaw:
     """A finitely supported law given as (value, probability) atoms."""
 
     def __init__(self, atoms):
-        pairs = sorted((float(v), float(w)) for v, w in atoms)
-        values = np.array([v for v, _ in pairs])
-        probs = np.array([w for _, w in pairs])
+        try:
+            pairs = sorted(_pair("atom", atom, _real) for atom in atoms)
+        except TypeError:  # atoms cannot be iterated
+            raise InvalidConfigError(f"atoms must be pairs, got {atoms!r}") from None
+        values, probs = np.array(pairs, dtype=float).reshape(-1, 2).T.copy()
         if not np.all(np.isfinite(values)):
             raise InvalidConfigError("atom values must be finite")
         if not np.all(probs > 0.0):
             raise InvalidConfigError("atom probabilities must be positive")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise InvalidConfigError(f"atom probabilities sum to {probs.sum()!r}, not 1")
-        values.flags.writeable = False
-        probs.flags.writeable = False
+        values.flags.writeable = probs.flags.writeable = False
         self.values = values
         self.probs = probs
         self._cum = np.cumsum(probs)
@@ -281,7 +281,8 @@ def population_coefficient(
 
 @dataclass(frozen=True)
 class MonteCarloStudy:
-    """One simulation cell: a DGP pair, a family, sizes, and inference settings."""
+    """One simulation cell: a DGP pair, a family, sizes, and inference settings;
+    ``scheme`` may be a :class:`SamplingScheme` value (``"matched"``)."""
 
     dgp1: object
     dgp2: object
@@ -294,7 +295,8 @@ class MonteCarloStudy:
     grid_points: int = 1000
 
     def __post_init__(self):
-        n1, n2 = (_integer("sizes", n) for n in self.sizes)
+        object.__setattr__(self, "scheme", _member(SamplingScheme, self.scheme))
+        n1, n2 = _pair("sizes", self.sizes, _integer)
         if n1 < 2 or n2 < 2:
             raise InvalidConfigError(f"sample sizes must be >= 2, got {n1} and {n2}")
         if self.scheme is SamplingScheme.MATCHED and n1 != n2:
@@ -302,7 +304,7 @@ class MonteCarloStudy:
         _count("n_reps", self.n_reps)
         if _integer("grid_points", self.grid_points) < 2:
             raise InvalidConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not 0.0 <= self.true_c <= 1.0:
+        if not 0.0 <= _real("true_c", self.true_c) <= 1.0:
             raise InvalidConfigError(f"true_c must lie in [0, 1], got {self.true_c}")
 
 
@@ -335,11 +337,7 @@ def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
     x2 = study.dgp2.sample(n2, rng)
     pairs = PairedSample(x1, x2) if study.scheme is SamplingScheme.MATCHED else None
     d1, d2 = EmpiricalDistribution(x1), EmpiricalDistribution(x2)
-    try:
-        spec = default_grid(study.family, d1, d2, study.grid_points)
-    except InvalidConfigError as exc:  # an SD sample pooled into a single point
-        raise DegenerateCurvesError(str(exc)) from exc
-    return (d1, d2, pairs), spec
+    return (d1, d2, pairs), default_grid(study.family, d1, d2, study.grid_points)
 
 
 def run_replicates(

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from almostdom.cli import PRESETS, ReportRecord, load_csv, main
 from almostdom.coefficients import DominanceFamily, difference_curve
 from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from almostdom.errors import CsvParseError, DomainError, NegativeValueError
+from almostdom.errors import AlmostDomError, CsvParseError, DomainError, NegativeValueError
 from almostdom.rng import child_rng
 from almostdom.simulation import DiscreteLaw
 
@@ -33,12 +34,16 @@ MP = SamplingScheme.MATCHED
 
 NOT_A_NUMBER = "row {row}, column {col}: {text!r} is not a number"
 NEGATIVE = "row {row}: negative value {value} not allowed for this family"
+LONG_CELL = "4" * (csv.field_size_limit() + 1)
+TOO_LONG = f"cannot read {{path}}: field larger than field limit ({csv.field_size_limit()})"
 
 # (id, layout, file texts, require_nonnegative, expected). The layout is
 # "pairs" (matched, x1,x2), "groups" (independent, group,value) or "two"
 # (independent, two single-column files). ``expected`` is the loaded columns,
 # or (error class, row, col, message) with {path} standing for the first
-# file. Recorded with the row-by-row reader the table reader replaced.
+# file. Each outcome was recorded with the reader in use before the current
+# one: the row-by-row reader, or for the long-cell cases the one that read
+# a file twice.
 LOAD_CASES = [
     ("whitespace", "pairs", [" X1 , x2 \n 1 , 2.5 \n\t3,4 \n"], True,
      [[1.0, 3.0], [2.5, 4.0]]),
@@ -121,6 +126,12 @@ LOAD_CASES = [
       "expected header 'group,value' (or pass two files), got 'x1,x2'")),
     ("nan-cell", "pairs", ["x1,x2\n1,2\nnan,3\n"], True,
      (DomainError, None, None, "first coordinate contains non-finite values")),
+    # a cell past csv's field size limit is reported before the faults of
+    # any row, the header's among them
+    ("wrong-header-then-long-cell", "pairs", ["a,b\n1,2\n3," + LONG_CELL + "\n"], False,
+     (AlmostDomError, None, None, TOO_LONG)),
+    ("ragged-single-then-long-cell", "two", ["1\n2,3\n" + LONG_CELL + "\n", "4\n"], False,
+     (AlmostDomError, None, None, TOO_LONG)),
 ]
 
 
@@ -284,6 +295,16 @@ def read_outcome(reader, path, header, nonneg):
     return table.shape, table.strides, table.dtype, table.tobytes()
 
 
+def scanned(*args):
+    """``_read_table`` with every body read cell by cell."""
+    with mock.patch.object(almostdom.cli.np, "loadtxt", side_effect=ValueError):
+        return almostdom.cli._read_table(*args)
+
+
+class Scanned(Exception):
+    """Raised in place of the cell-by-cell scan."""
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table_files())
 def test_table_parse_matches_the_scan(case):
@@ -292,7 +313,7 @@ def test_table_parse_matches_the_scan(case):
         path = Path(tmp) / "data.csv"
         path.write_bytes(data)
         got = read_outcome(almostdom.cli._read_table, str(path), header, nonneg)
-        want = read_outcome(almostdom.cli._scan_table, str(path), header, nonneg)
+        want = read_outcome(scanned, str(path), header, nonneg)
     assert got == want
 
 
@@ -307,10 +328,10 @@ def test_table_parse_matches_the_scan(case):
 )
 def test_well_formed_tables_parse_in_one_call(text, header, tmp_path):
     path = write(tmp_path / "data.csv", text)
-    table = almostdom.cli._parse_table(path, header, False)
-    assert table is not None
+    with mock.patch.object(almostdom.cli, "_scan_table", side_effect=Scanned):
+        table = almostdom.cli._read_table(path, header, False)
     assert read_outcome(lambda *args: table, path, header, False) == read_outcome(
-        almostdom.cli._scan_table, path, header, False
+        scanned, path, header, False
     )
 
 
@@ -329,14 +350,14 @@ def test_well_formed_tables_parse_in_one_call(text, header, tmp_path):
     ids=["group-3", "one-group", "negative", "no-rows", "header", "width", "quoted", "long"],
 )
 def test_faulty_tables_go_to_the_scan(text, header, nonneg, tmp_path):
-    # each file fails one check of the one-call parse and must reach the
-    # scan; the quoted file is well-formed, but only the scan reads quotes
+    # each file breaks a rule that the one-call parse does not take: its
+    # body goes to the scan, or a rule that both share reports it (the
+    # header, and the row counts); the quoted file is well-formed, but
+    # only the scan reads quotes
     path = write(tmp_path / "data.csv", text)
-    try:
-        table = almostdom.cli._parse_table(path, header, nonneg)
-    except ValueError:
-        table = None
-    assert table is None
+    with mock.patch.object(almostdom.cli, "_scan_table", side_effect=Scanned):
+        outcome = read_outcome(almostdom.cli._read_table, path, header, nonneg)
+    assert outcome[0] is Scanned or outcome[:1] + outcome[2:] == (CsvParseError, 1, None)
 
 
 class TestReportRecord:
@@ -435,6 +456,17 @@ class TestEstimateCommand:
             ["estimate", "--family", "lorenz", "--scheme", "matched", "--input", path]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--family", "sd"], ["--family", "sd", "--domain", "0,10"], ["--family", "lorenz"]],
+    )
+    def test_identical_samples_exit_two(self, extra, tmp_path, capsys):
+        # three equal pairs pool into one point, which leaves sd no default
+        # domain; every family reads the samples as indistinguishable
+        path = write(tmp_path / "same.csv", "x1,x2\n3,3\n3,3\n3,3\n")
+        assert run_cli(["estimate", "--scheme", "matched", "--input", path, *extra]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_negative_data_exit_code(self, tmp_path):
         path = write(tmp_path / "neg.csv", "x1,x2\n1,2\n-1,3\n")

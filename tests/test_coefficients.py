@@ -62,6 +62,35 @@ class TestDominanceFamily:
             DominanceFamily(Family.LORENZ, degree)
         assert DominanceFamily(Family.LORENZ, np.int64(2)) == DominanceFamily.lorenz(2)
 
+    def test_names_give_the_members(self):
+        family = DominanceFamily("lorenz", 2, "down")
+        assert family.kind is Family.LORENZ and family.direction is Direction.DOWN
+        assert family == DominanceFamily.lorenz(2, Direction.DOWN)
+        assert DominanceFamily("isd", 3) == DominanceFamily.inverse_sd(3)
+        assert DominanceFamily("sd", 2, "down").direction is Direction.UP
+
+    def test_a_named_family_has_the_members_coefficient(self):
+        # a direction named "down" once ran the upward family, and a kind
+        # named "lorenz" the SD family
+        rng = np.random.default_rng(1)
+        d1 = EmpiricalDistribution(rng.pareto(3, 400) + 1)
+        d2 = EmpiricalDistribution(rng.pareto(2.2, 400) + 1)
+        spec = GridSpec(200)
+        down = coefficient(DominanceFamily.lorenz(2, Direction.DOWN), d1, d2, spec).c_hat
+        assert down != coefficient(DominanceFamily.lorenz(2), d1, d2, spec).c_hat
+        for kind in (Family.LORENZ, "lorenz"):
+            family = DominanceFamily(kind, 2, "down")
+            assert coefficient(family, d1, d2, spec).c_hat == down
+
+    @pytest.mark.parametrize(
+        "kind, direction",
+        [("foo", "up"), ("LORENZ", "up"), (Direction.UP, "up"), (Family.LORENZ, "sideways"),
+         (Family.SD, "Down"), (Family.LORENZ, Family.SD)],
+    )
+    def test_unknown_names(self, kind, direction):
+        with pytest.raises(InvalidFamilyDegreeError, match="must be one of"):
+            DominanceFamily(kind, 2, direction)
+
     def test_operator_degree(self):
         assert DominanceFamily.lorenz(3).operator_degree == 3
         assert DominanceFamily.inverse_sd(3).operator_degree == 2

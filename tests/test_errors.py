@@ -73,6 +73,18 @@ CASES = {
     "monte_carlo_nan_truth": (InvalidConfigError, lambda: study(np.nan)),
     "monte_carlo_truth_above_one": (InvalidConfigError, lambda: study(2.0)),
     "monte_carlo_negative_truth": (InvalidConfigError, lambda: study(-1.0)),
+    # parameters that are not numbers, or not pairs
+    "double_pareto_text_alpha": (InvalidConfigError, lambda: DoublePareto("3", 1.5)),
+    "discrete_law_text_atom": (InvalidConfigError, lambda: DiscreteLaw([("a", 1.0)])),
+    "discrete_law_not_atoms": (InvalidConfigError, lambda: DiscreteLaw(5)),
+    "monte_carlo_no_truth": (InvalidConfigError, lambda: study(None)),
+    "inference_text_threshold": (InvalidConfigError, lambda: InferenceConfig(t_n="1", seed=0)),
+    "inference_no_trim": (InvalidConfigError, lambda: InferenceConfig(t_n=1.0, seed=0, xi0=None)),
+    "inference_text_alpha": (
+        InvalidConfigError, lambda: InferenceConfig(t_n=1.0, seed=0, alpha="0.1")
+    ),
+    "grid_text_domain": (InvalidConfigError, lambda: GridSpec(10, ("a", 1))),
+    "grid_one_ended_domain": (InvalidConfigError, lambda: GridSpec(10, (0,))),
     "sample_dgp_size": (
         InvalidConfigError, lambda: sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(0))
     ),

@@ -421,6 +421,25 @@ class TestMonteCarlo:
         with pytest.raises(InvalidConfigError, match="grid_points"):
             replace(self.study(2), grid_points=1)
 
+    def test_a_named_scheme_runs_its_study(self):
+        # "matched" once ran the independent study, whose coverage differs here
+        preset = PRESETS["ldc-a"]
+        laws, family = (preset["dgp1"], preset["dgp2"]), preset["family"]
+        cfg = InferenceConfig(t_n=0.001, seed=3, n_boot=20)
+        true_c = population_coefficient(*laws, family)
+        study = MonteCarloStudy(*laws, family, MP, (60, 60), cfg, 10, true_c, 100)
+        named = replace(study, scheme="matched")
+        assert named.scheme is MP
+        assert monte_carlo(named) == monte_carlo(study)
+        independent = replace(study, scheme=SamplingScheme.INDEPENDENT)
+        assert replace(study, scheme="independent") == independent
+        assert monte_carlo(independent).cr != monte_carlo(study).cr
+
+    @pytest.mark.parametrize("scheme", ["paired", "MATCHED", None, DominanceFamily.sd(1)])
+    def test_unknown_scheme(self, scheme):
+        with pytest.raises(InvalidConfigError, match="SamplingScheme must be one of"):
+            replace(self.study(2), scheme=scheme)
+
     def test_matched_needs_equal_sizes(self):
         first, second = sdc_laws(2)
         cfg = InferenceConfig(t_n=0.1, seed=0)
