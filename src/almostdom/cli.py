@@ -36,7 +36,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .calculus import GridSpec
+from .calculus import GridSpec, _member
 from .coefficients import (
     Direction,
     DominanceFamily,
@@ -48,13 +48,8 @@ from .coefficients import (
     family_curves,
     rank_measures,
 )
-from .covariance import std_curve_for
-from .empirical import (
-    EmpiricalDistribution,
-    PairedSample,
-    Sample,
-    SamplingScheme,
-)
+from .covariance import _std_curve
+from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from .errors import (
     AlmostDomError,
     CsvParseError,
@@ -62,13 +57,7 @@ from .errors import (
     InvalidConfigError,
     NegativeValueError,
 )
-from .inference import (
-    InferenceConfig,
-    _unpack,
-    bootstrap_ci,
-    select_tuning,
-    tuning_table,
-)
+from .inference import InferenceConfig, _unpack, bootstrap_ci, select_tuning, tuning_table
 from .simulation import (
     DiscreteLaw,
     DoublePareto,
@@ -213,14 +202,15 @@ def load_csv(
     path2: str | None = None,
     require_nonnegative: bool = False,
 ):
-    """Load sample data per the sampling scheme.
+    """Load sample data per the sampling scheme, a :class:`SamplingScheme`
+    member or its value (:class:`InvalidConfigError` for any other).
 
     Matched pairs: ``path`` has header ``x1,x2``. Independent samples:
     either ``path`` has header ``group,value`` with groups 1 and 2, or
     ``path`` and ``path2`` are single-column files. Row numbers in errors
     are 1-based and count the header.
     """
-    if scheme is SamplingScheme.MATCHED:
+    if _member(SamplingScheme, scheme) is SamplingScheme.MATCHED:
         if path2 is not None:
             raise InvalidConfigError("matched scheme takes a single two-column file")
         x1, x2 = _read_table(path, "x1,x2", require_nonnegative)
@@ -391,10 +381,10 @@ def _load_data(args):
     return family, data, d1, d2, pairs, scheme, GridSpec(args.grid, tuple(parts))
 
 
-def _fit_curves(family, d1, d2, pairs, scheme, spec, std=None) -> dict[str, np.ndarray]:
+def _fit_curves(family, d1, d2, pairs, spec, std=None) -> dict[str, np.ndarray]:
     """The ``--emit-curves`` columns of a fit; ``std`` is computed when not given."""
     if std is None:
-        std = std_curve_for(family, d1, d2, pairs, scheme, spec)
+        std = _std_curve(family, d1, d2, pairs, spec)
     curve1, curve2 = family_curves(family, d1, d2, spec)
     return {
         "p": spec.nodes(),
@@ -417,7 +407,7 @@ def _fit_curves(family, d1, d2, pairs, scheme, spec, std=None) -> dict[str, np.n
 
 
 def _cmd_estimate(args):
-    family, _, d1, d2, pairs, scheme, spec = _load_data(args)
+    family, _, d1, d2, pairs, _, spec = _load_data(args)
     est = coefficient(family, d1, d2, spec)
     report = {
         "family": family.kind.value,
@@ -434,7 +424,7 @@ def _cmd_estimate(args):
         "domain_lo": spec.domain[0],
         "domain_hi": spec.domain[1],
     }
-    return report, partial(_fit_curves, family, d1, d2, pairs, scheme, spec), 0
+    return report, partial(_fit_curves, family, d1, d2, pairs, spec), 0
 
 
 def _cmd_ci(args):
@@ -471,7 +461,7 @@ def _cmd_ci(args):
         minus_nodes=result.minus_nodes,
         zero_nodes=result.zero_nodes,
     )
-    curves = partial(_fit_curves, family, d1, d2, pairs, scheme, spec, result.std)
+    curves = partial(_fit_curves, family, d1, d2, pairs, spec, result.std)
     return record.to_dict(), curves, 3 if args.strict and result.boundary else 0
 
 
@@ -541,7 +531,7 @@ def _cmd_tune(args):
         }
         for t, cov in zip(table.candidates, table.coverage)
     ]
-    return rows, partial(_fit_curves, family, d1, d2, pairs, scheme, spec), 0
+    return rows, partial(_fit_curves, family, d1, d2, pairs, spec), 0
 
 
 def _cmd_measures(args):

@@ -48,15 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec
+from .calculus import GridFunction, GridSpec, _member
 from .coefficients import Direction, DominanceFamily, Family
 from .empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from .errors import (
-    DomainError,
-    InvalidConfigError,
-    NumericOverflowError,
-    SchemeMismatchError,
-)
+from .errors import DomainError, InvalidConfigError, NumericOverflowError, SchemeMismatchError
 from .rng import _BLOCK
 
 __all__ = [
@@ -88,7 +83,11 @@ class CovKernel:
         object.__setattr__(self, "matrix", matrix)
 
 
-def _check_scheme(scheme: SamplingScheme, pairs, d1, d2) -> None:
+def _check_scheme(scheme, pairs, d1, d2) -> SamplingScheme:
+    """The :class:`SamplingScheme` member that ``scheme`` is or names, checked
+    against the data: matched pairs take the :class:`PairedSample` of ``d1``
+    and ``d2``, independent samples take ``pairs`` None."""
+    scheme = _member(SamplingScheme, scheme)
     if scheme is SamplingScheme.MATCHED:
         if pairs is None:
             raise SchemeMismatchError("matched-pairs kernels need the paired sample")
@@ -98,8 +97,7 @@ def _check_scheme(scheme: SamplingScheme, pairs, d1, d2) -> None:
             )
     elif pairs is not None:
         raise SchemeMismatchError("independent scheme does not take a paired sample")
-    if d1.n < 2 or d2.n < 2:
-        raise InvalidConfigError("covariance estimation needs at least 2 observations")
+    return scheme
 
 
 # Double-double arithmetic, about 32 significant digits. Under matched pairs
@@ -213,16 +211,16 @@ def _std(spec: GridSpec, var: np.ndarray) -> GridFunction:
     return GridFunction(spec, np.sqrt(np.maximum(var, 0.0)))
 
 
-def _sd_variance(d1, d2, pairs, scheme, spec) -> np.ndarray:
-    """Per-node variance of the SD fluctuation process at degree 1 under
-    ``scheme``, from the CDFs in O(n + G): the diagonal of the dense SD
-    kernel (``sd_kernel`` in ``tests/reference.py``)."""
+def _sd_variance(d1, d2, pairs, spec) -> np.ndarray:
+    """Per-node variance of the SD fluctuation process at degree 1, from the
+    CDFs in O(n + G): the diagonal of the dense SD kernel (``sd_kernel`` in
+    ``tests/reference.py``)."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
     f1 = d1.cdf(nodes)
     f2 = d2.cdf(nodes)
     var = (1.0 - share1) * f1 * (1.0 - f1) + share1 * f2 * (1.0 - f2)
-    if scheme is SamplingScheme.MATCHED:
+    if pairs is not None:
         both_below = np.sort(np.maximum(pairs.x1, pairs.x2))
         joint_diag = np.searchsorted(both_below, nodes, side="right") / pairs.n
         var -= 2.0 * np.sqrt(share1 * (1.0 - share1)) * (joint_diag - f1 * f2)
@@ -581,17 +579,17 @@ def _scatter(
     return total, size
 
 
-def _rank_variance(family, d1, d2, pairs, scheme, spec, full=False) -> np.ndarray:
-    """Per-node variance of the family's integrated transform under
-    ``scheme``, from rank-bin sums (SD from degree 2 up); with ``full`` (at
-    operator degree 1) the covariance at every pair of nodes."""
+def _rank_variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
+    """Per-node variance of the family's integrated transform, from rank-bin
+    sums (SD from degree 2 up); with ``full`` (at operator degree 1) the
+    covariance at every pair of nodes."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
     # the SD kernel is a population covariance, the rank families' a sample one
     ddof = 0 if family.kind is Family.SD else 1
     # the weight of the scatter of samples (i, k) in the variance
     weights = {(0, 0): (1.0 - share1) / (d1.n - ddof), (1, 1): share1 / (d2.n - ddof)}
-    matched = scheme is SamplingScheme.MATCHED
+    matched = pairs is not None
     columns = [d1.sorted_values, d2.sorted_values]
     if matched:
         weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - ddof)
@@ -640,6 +638,24 @@ def _rank_variance(family, d1, d2, pairs, scheme, spec, full=False) -> np.ndarra
     return var[::-1] if mirror else var
 
 
+def _variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
+    """The :func:`_sd_variance` or :func:`_rank_variance` of ``family``, of
+    data whose scheme is checked (matched pairs when ``pairs`` is given)."""
+    if d1.n < 2 or d2.n < 2:
+        raise InvalidConfigError("covariance estimation needs at least 2 observations")
+    if family.kind is Family.SD and family.degree == 1:
+        return _sd_variance(d1, d2, pairs, spec)
+    return _rank_variance(family, d1, d2, pairs, spec, full)
+
+
+def _std_curve(family, d1, d2, pairs, spec) -> GridFunction:
+    """:func:`std_curve_for` of data whose scheme is checked (see :func:`_variance`)."""
+    # a variance that overflows is not finite, and _std raises; so is one
+    # whose Lorenz weight divides by sample means that multiply to zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _std(spec, _variance(family, d1, d2, pairs, spec))
+
+
 def std_curve_for(
     family: DominanceFamily,
     d1: EmpiricalDistribution,
@@ -651,6 +667,8 @@ def std_curve_for(
     """Studentization curve for a family: the pointwise standard deviation
     of its fluctuation process raised by the family's integration passes
     (``std_curve`` of the family's dense kernel in ``tests/reference.py``).
+    ``scheme`` is a :class:`SamplingScheme` or its value, checked against
+    ``pairs`` (see :func:`_check_scheme`).
 
     Every family above SD degree 1 takes the per-node variance of the
     integrated transform from rank-bin sums, at every degree, in both
@@ -672,14 +690,7 @@ def std_curve_for(
     G = 2, Lorenz 1 gives stds of 0 where the dense kernel gives about 3e-17.
     """
     _check_scheme(scheme, pairs, d1, d2)
-    # a variance that overflows is not finite, and _std raises; so is one
-    # whose Lorenz weight divides by sample means that multiply to zero
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if family.kind is Family.SD and family.degree == 1:
-            var = _sd_variance(d1, d2, pairs, scheme, spec)
-        else:
-            var = _rank_variance(family, d1, d2, pairs, scheme, spec)
-    return _std(spec, var)
+    return _std_curve(family, d1, d2, pairs, spec)
 
 
 def lorenz_kernel(
@@ -690,7 +701,8 @@ def lorenz_kernel(
     spec: GridSpec,
 ) -> CovKernel:
     """Covariance kernel of the Lorenz-difference fluctuation process at
-    every pair of nodes, from the rank-bin sums of :func:`std_curve_for`, in
+    every pair of nodes, from the rank-bin sums of :func:`std_curve_for`
+    under ``scheme`` as it takes it (the kernel stores the member), in
     O(n log G + G**2) time and O(block + G**2) memory: at G = 10**3 a call
     peaks near 190 MB (independent) and 210 MB (matched) at n = 10**3 and
     10**5 alike. It matches the dense ``lorenz_kernel`` of ``tests/reference.py``
@@ -699,6 +711,6 @@ def lorenz_kernel(
     :func:`std_curve_for`: on tied Pareto pairs equal to about 1e-9 the error
     reaches 6.3e-11 of the largest entry, and an entry below the floor reads 0.
     """
-    _check_scheme(scheme, pairs, d1, d2)
-    matrix = _rank_variance(DominanceFamily.lorenz(1), d1, d2, pairs, scheme, spec, full=True)
+    scheme = _check_scheme(scheme, pairs, d1, d2)
+    matrix = _variance(DominanceFamily.lorenz(1), d1, d2, pairs, spec, full=True)
     return CovKernel(spec, matrix, Family.LORENZ, scheme)

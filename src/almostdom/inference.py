@@ -74,14 +74,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import GridFunction, GridSpec, _count, _integer, _node_sums, _real
-from .coefficients import (
-    CoefficientEstimate,
-    DominanceFamily,
-    Family,
-    coefficient,
-)
-from .covariance import std_curve_for
+from .calculus import GridFunction, GridSpec, _count, _integer, _member, _node_sums, _real
+from .coefficients import CoefficientEstimate, DominanceFamily, Family, coefficient
+from .covariance import _std_curve
 from .empirical import (
     EmpiricalDistribution,
     PairedSample,
@@ -292,16 +287,24 @@ def _inf_quantile(ordered: np.ndarray, beta: float) -> float:
     return float(ordered[k - 1])
 
 
+def _distributions(data):
+    """``(d1, d2, pairs)`` of a :class:`PairedSample`, or of a pair of
+    samples with ``pairs`` None: the two empirical distributions."""
+    if isinstance(data, PairedSample):
+        return EmpiricalDistribution(data.x1), EmpiricalDistribution(data.x2), data
+    first, second = data
+    return build_empirical(first), build_empirical(second), None
+
+
 def _unpack(data, scheme: SamplingScheme):
-    """Build the two empirical distributions (and pairs, when matched)."""
-    if scheme is SamplingScheme.MATCHED:
+    """``(d1, d2, pairs)`` of the data of a public entry, under ``scheme``, a
+    :class:`SamplingScheme` member or its value: converted here once and
+    checked against ``data``. Below this point matched means ``pairs`` is
+    not None."""
+    if _member(SamplingScheme, scheme) is SamplingScheme.MATCHED:
         if not isinstance(data, PairedSample):
             raise SchemeMismatchError("matched scheme needs a PairedSample")
-        return (
-            EmpiricalDistribution(data.x1),
-            EmpiricalDistribution(data.x2),
-            data,
-        )
+        return _distributions(data)
     if isinstance(data, PairedSample):
         raise SchemeMismatchError("independent scheme takes two separate samples")
     try:
@@ -310,7 +313,7 @@ def _unpack(data, scheme: SamplingScheme):
         raise SchemeMismatchError(
             "independent scheme needs a (sample, sample) pair"
         ) from exc
-    return build_empirical(first), build_empirical(second), None
+    return _distributions((first, second))
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +362,6 @@ class _Prepared:
     """State that all bootstrap replicates share, read-only: their scratch is an argument."""
 
     family: DominanceFamily
-    scheme: SamplingScheme
     spec: GridSpec
     d1: EmpiricalDistribution
     d2: EmpiricalDistribution
@@ -377,7 +379,6 @@ def _prepare(
     d2: EmpiricalDistribution,
     pairs: PairedSample | None,
     family: DominanceFamily,
-    scheme: SamplingScheme,
     spec: GridSpec,
     cfg: InferenceConfig,
 ) -> tuple[CoefficientEstimate, _Prepared]:
@@ -386,7 +387,6 @@ def _prepare(
     est = coefficient(family, d1, d2, spec)
     prep = _Prepared(
         family=family,
-        scheme=scheme,
         spec=spec,
         d1=d1,
         d2=d2,
@@ -406,7 +406,7 @@ def _draw_sizes(prep: _Prepared) -> tuple[tuple[int, int], ...]:
     one resample: pair indices when matched, else indices into each
     sample's order statistics (first, then second)."""
     n1, n2 = prep.d1.n, prep.d2.n
-    return ((n1, n1),) if prep.scheme is SamplingScheme.MATCHED else ((n1, n1), (n2, n2))
+    return ((n1, n1),) if prep.pairs is not None else ((n1, n1), (n2, n2))
 
 
 def _draw_indices(
@@ -420,13 +420,14 @@ def _draw_indices(
 
 def _resample(prep: _Prepared, rng: np.random.Generator):
     """One resample of the prepared data (pairs jointly when matched, else
-    each sample on its own), unpacked (see :func:`_unpack`), and its grid."""
+    each sample on its own) as ``(d1, d2, pairs)`` (see
+    :func:`_distributions`), and its grid."""
     idx1, idx2 = _draw_indices(prep, rng)
     if prep.pairs is not None:
         data = PairedSample(prep.pairs.x1[idx1], prep.pairs.x2[idx2])
     else:
         data = prep.d1.sorted_values[idx1], prep.d2.sorted_values[idx2]
-    return _unpack(data, prep.scheme), prep.spec
+    return _distributions(data), prep.spec
 
 
 def _ordered_map(fn, items, n_jobs: int):
@@ -796,7 +797,7 @@ def _intervals(
     """The studentization curve, and ``(sets, draws, q_lo, q_hi, ci)``
     under the contact sets ``sets`` of each threshold in ``thresholds``,
     all read off the same ``cfg.n_boot`` replicates, built in ``scratch``."""
-    std = std_curve_for(prep.family, prep.d1, prep.d2, prep.pairs, prep.scheme, prep.spec)
+    std = _std_curve(prep.family, prep.d1, prep.d2, prep.pairs, prep.spec)
     sets = tuple(
         contact_sets(est.difference, std, est.effective_n, replace(cfg, t_n=t_n))
         for t_n in thresholds
@@ -835,7 +836,7 @@ def bootstrap_ci(
     ``c_hat - q(alpha) / sqrt(effective_n)``, the lower bound is
     ``c_hat - q(1 - alpha) / sqrt(effective_n)``.
     """
-    est, prep = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
+    est, prep = _prepare(*_unpack(data, scheme), family, spec, cfg)
     std, ((sets, draws, q_lo, q_hi, ci),) = _intervals(
         est, prep, cfg, (cfg.t_n,), n_jobs, Scratch()
     )
@@ -874,7 +875,6 @@ class TuningTable:
 def _study_replicate(
     source,
     family: DominanceFamily,
-    scheme: SamplingScheme,
     cfg: InferenceConfig,
     thresholds: tuple[float, ...],
     truth: float,
@@ -895,20 +895,18 @@ def _study_replicate(
     rep_cfg = replace(cfg, seed=child_seed(cfg.seed, rep, 1))
     try:
         dists, spec = source(child_rng(cfg.seed, rep, 0))
-        est, prep = _prepare(*dists, family, scheme, spec, rep_cfg)
+        est, prep = _prepare(*dists, family, spec, rep_cfg)
         _, results = _intervals(est, prep, rep_cfg, thresholds, 1, scratch)
-    except (
-        DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError
-    ):
+    except (DegenerateCurvesError, ZeroMeanError, NumericOverflowError, NonFiniteDrawError):
         return float("nan"), None
     return est.c_hat, np.array([lo <= truth <= hi for *_, (lo, hi) in results])
 
 
-def _coverage_study(source, family, scheme, cfg, thresholds, truth, n_reps, n_jobs):
+def _coverage_study(source, family, cfg, thresholds, truth, n_reps, n_jobs):
     """:func:`_study_replicate` of replicates ``0`` to ``n_reps - 1``, in
     replicate order, whose bootstraps share one scratch (one per task
     batch of a pool worker)."""
-    rep_fn = partial(_study_replicate, source, family, scheme, cfg, thresholds, truth, Scratch())
+    rep_fn = partial(_study_replicate, source, family, cfg, thresholds, truth, Scratch())
     return list(_ordered_map(rep_fn, range(n_reps), n_jobs))
 
 
@@ -942,9 +940,9 @@ def tuning_table(
     n_cal_boot = _count("n_cal_boot", n_cal_boot)
     for t_n in candidates:  # a bad candidate is a bad request, whatever the data
         replace(cfg, t_n=t_n)
-    estimate, base = _prepare(*_unpack(data, scheme), family, scheme, spec, cfg)
+    estimate, base = _prepare(*_unpack(data, scheme), family, spec, cfg)
     results = _coverage_study(
-        partial(_resample, base), family, scheme, replace(cfg, n_boot=n_cal_boot),
+        partial(_resample, base), family, replace(cfg, n_boot=n_cal_boot),
         candidates, estimate.c_hat, n_cal_reps, n_jobs,
     )
     covered = [row for _, row in results if row is not None]

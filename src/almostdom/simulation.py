@@ -23,14 +23,9 @@ import numpy as np
 
 from .calculus import GridFunction, GridSpec, _count, _integer, _member, _pair, _real, area_ratio
 from .coefficients import Direction, DominanceFamily, Family, default_grid
-from .empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
-from .errors import (
-    DegenerateCurvesError,
-    DomainError,
-    InvalidConfigError,
-    NonFiniteDrawError,
-)
-from .inference import InferenceConfig, _coverage_study
+from .empirical import PairedSample, Sample, SamplingScheme
+from .errors import DegenerateCurvesError, DomainError, InvalidConfigError, NonFiniteDrawError
+from .inference import InferenceConfig, _coverage_study, _distributions
 
 __all__ = [
     "DoublePareto",
@@ -282,7 +277,9 @@ def population_coefficient(
 @dataclass(frozen=True)
 class MonteCarloStudy:
     """One simulation cell: a DGP pair, a family, sizes, and inference settings;
-    ``scheme`` may be a :class:`SamplingScheme` value (``"matched"``)."""
+    ``scheme`` may be a :class:`SamplingScheme` value (``"matched"``), stored
+    as the member; each replicate's data are drawn as matched pairs or as two
+    samples by it, and from there on whether they hold pairs says which."""
 
     dgp1: object
     dgp2: object
@@ -335,8 +332,8 @@ def _simulate_data(study: MonteCarloStudy, rng: np.random.Generator):
     n1, n2 = study.sizes
     x1 = study.dgp1.sample(n1, rng)
     x2 = study.dgp2.sample(n2, rng)
-    pairs = PairedSample(x1, x2) if study.scheme is SamplingScheme.MATCHED else None
-    d1, d2 = EmpiricalDistribution(x1), EmpiricalDistribution(x2)
+    data = PairedSample(x1, x2) if study.scheme is SamplingScheme.MATCHED else (x1, x2)
+    d1, d2, pairs = _distributions(data)
     return (d1, d2, pairs), default_grid(study.family, d1, d2, study.grid_points)
 
 
@@ -350,7 +347,7 @@ def run_replicates(
     be evaluated has estimate ``nan`` and is not covered.
     """
     results = _coverage_study(
-        partial(_simulate_data, study), study.family, study.scheme, study.cfg,
+        partial(_simulate_data, study), study.family, study.cfg,
         (study.cfg.t_n,), study.true_c, study.n_reps, n_jobs,
     )
     estimates = np.array([est for est, _ in results], dtype=float)

@@ -22,7 +22,7 @@ import almostdom.inference
 from almostdom.calculus import GridSpec
 from almostdom.cli import PRESETS, ReportRecord, load_csv, main
 from almostdom.coefficients import DominanceFamily, difference_curve
-from almostdom.covariance import std_curve_for
+from almostdom.covariance import _std_curve, std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import AlmostDomError, CsvParseError, DomainError, NegativeValueError
 from almostdom.rng import child_rng
@@ -153,6 +153,17 @@ class TestLoadCsv:
         s1, s2 = load_csv(path, IND)
         np.testing.assert_array_equal(s1.values, [5.0])
         np.testing.assert_array_equal(s2.values, [7.0])
+
+    def test_a_named_scheme_reads_its_layout(self, tmp_path):
+        # "matched" once took the independent route and asked for a group,value header
+        path = write(tmp_path / "pairs.csv", "x1,x2\n1,2\n3,4\n")
+        named, given = load_csv(path, "matched"), load_csv(path, MP)
+        assert isinstance(named, PairedSample)
+        assert (named.x1.tobytes(), named.x2.tobytes()) == (given.x1.tobytes(), given.x2.tobytes())
+        path = write(tmp_path / "groups.csv", "group,value\n1,5\n2,7\n1,6\n")
+        named, given = load_csv(path, "independent"), load_csv(path, IND)
+        for got, want in zip(named, given, strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_two_single_column_files(self, tmp_path):
         p1 = write(tmp_path / "a.csv", "value\n1\n2\n")
@@ -1126,10 +1137,10 @@ class TestCiCommand:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return std_curve_for(*args, **kwargs)
+            return _std_curve(*args, **kwargs)
 
-        monkeypatch.setattr(almostdom.inference, "std_curve_for", counted)
-        monkeypatch.setattr(almostdom.cli, "std_curve_for", counted)
+        monkeypatch.setattr(almostdom.inference, "_std_curve", counted)
+        monkeypatch.setattr(almostdom.cli, "_std_curve", counted)
         curves = tmp_path / "curves.csv"
         args = self.args(matched_file, tmp_path / "r.json") + ["--emit-curves", curves]
         assert run_cli(args) == 0

@@ -114,6 +114,41 @@ class TestLorenzKernel:
             lorenz_kernel(d1, d2, pairs, IND, GridSpec(8))
 
 
+class TestNamedSchemes:
+    """A scheme's value takes the same route as its member."""
+
+    def data(self):
+        pairs = make_pairs(26, 30)
+        marginals = EmpiricalDistribution(pairs.x1), EmpiricalDistribution(pairs.x2)
+        return {MP: (*marginals, pairs), IND: (*make_data(26, 30, 25), None)}
+
+    @pytest.mark.parametrize("family", [
+        DominanceFamily.sd(1), DominanceFamily.sd(2), DominanceFamily.lorenz(1),
+        DominanceFamily.inverse_sd(3, Direction.DOWN),
+    ])
+    def test_std_curve_for(self, family):
+        # "matched" once took the independent route: it refused the pairs,
+        # and studentized without them
+        data = self.data()
+        spec = GridSpec(40, (0.0, 12.0)) if family.kind is Family.SD else GridSpec(40)
+        for member in (MP, IND):
+            named = std_curve_for(family, *data[member][:2], data[member][2], member.value, spec)
+            given = std_curve_for(family, *data[member][:2], data[member][2], member, spec)
+            assert named.values.tobytes() == given.values.tobytes()
+        with pytest.raises(SchemeMismatchError):
+            std_curve_for(family, *data[IND][:2], None, "matched", spec)
+
+    def test_lorenz_kernel(self):
+        data, spec = self.data(), GridSpec(24)
+        for member in (MP, IND):
+            named = lorenz_kernel(*data[member], member.value, spec)
+            assert named.scheme is member
+            given = lorenz_kernel(*data[member], member, spec)
+            assert named.matrix.tobytes() == given.matrix.tobytes()
+        with pytest.raises(SchemeMismatchError):
+            lorenz_kernel(*data[IND][:2], None, "matched", spec)
+
+
 class TestIsdKernel:
     def test_constant_samples_vanish(self):
         d = EmpiricalDistribution(np.full(15, 2.0))

@@ -130,9 +130,7 @@ def test_rows_match_reference(family, scheme, x1, x2, points, seed):
     cfg = InferenceConfig(t_n=0.5, seed=seed, n_boot=6)
     try:
         spec = grid_for(family, data, scheme, points)
-        est, prep = inference._prepare(
-            *inference._unpack(data, scheme), family, scheme, spec, cfg
-        )
+        est, prep = inference._prepare(*inference._unpack(data, scheme), family, spec, cfg)
         std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     except (DegenerateCurvesError, ZeroMeanError, ValueError):
         assume(False)
@@ -197,7 +195,7 @@ def test_draws_are_numerical_deltas(case, points, seed):
     cfg = InferenceConfig(t_n=1e-12, seed=seed, n_boot=8)
     spec = GridSpec(points, domain)
     try:
-        est, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
+        est, prep = inference._prepare(*inference._unpack(pairs, MP), family, spec, cfg)
     except DegenerateCurvesError:
         assume(False)
     diff = est.difference.values
@@ -320,7 +318,7 @@ def test_positions_are_the_generator_draws(scheme, n1, n2):
     data = make_data(scheme, rng.random(n1) + 1.0, 2.0 * rng.random(n2) + 1.0)
     family, spec = DominanceFamily.sd(1), GridSpec(10, (0.0, 3.0))
     cfg = InferenceConfig(t_n=1.0, seed=2**64 - 5)
-    _, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
+    _, prep = inference._prepare(*inference._unpack(data, scheme), family, spec, cfg)
     pos1, pos2 = inference._positions(prep, stream_states(cfg.seed, 0, 20), Scratch())
     for b in range(20):
         idx1, idx2 = inference._draw_indices(prep, child_rng(cfg.seed, b))
@@ -450,7 +448,7 @@ def test_a_huge_bootstrap_allocates_nothing_per_chunk_up_front(monkeypatch):
     pairs = PairedSample(x1, 0.5 * x1 + rng.pareto(3.0, 200) + 1.0)
     family, spec = DominanceFamily.lorenz(1), GridSpec(10_000)
     cfg = InferenceConfig(t_n=1.0, seed=0, n_boot=10**6)
-    est, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
+    est, prep = inference._prepare(*inference._unpack(pairs, MP), family, spec, cfg)
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, MP, spec)
     sets = (inference.contact_sets(est.difference, std, est.effective_n, cfg),)
 
@@ -482,7 +480,7 @@ def test_workspace_is_reused_across_chunks_above_4096(monkeypatch, family, schem
     data = make_data(scheme, x1, x2)
     spec = grid_for(family, data, scheme, 50)
     cfg = InferenceConfig(t_n=0.5, seed=12, n_boot=9)
-    est, prep = inference._prepare(*inference._unpack(data, scheme), family, scheme, spec, cfg)
+    est, prep = inference._prepare(*inference._unpack(data, scheme), family, spec, cfg)
     std = std_curve_for(family, prep.d1, prep.d2, prep.pairs, scheme, spec)
     sets = (inference.contact_sets(est.difference, std, est.effective_n, cfg),)
     chunk_rows(monkeypatch, data, scheme, spec, 2)
@@ -671,7 +669,7 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
     pairs = zero_heavy_pairs()
     family, spec = DominanceFamily.lorenz(1), GridSpec(20)
     cfg = InferenceConfig(t_n=0.5, seed=5, n_boot=40)
-    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, cfg)
+    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, spec, cfg)
     failed = int(np.isnan(reference_rows(prep, cfg.n_boot)).any(axis=1).sum())
     assert 0 < failed < cfg.n_boot
     whole = bootstrap_ci(pairs, family, MP, spec, cfg)
@@ -686,7 +684,7 @@ def test_non_finite_replicate():
     pairs = PairedSample(np.array([1e308, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
     family, spec = DominanceFamily.inverse_sd(2), GridSpec(10)
     skipping = InferenceConfig(t_n=0.5, seed=0, n_boot=30)
-    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, MP, spec, skipping)
+    _, prep = inference._prepare(*inference._unpack(pairs, MP), family, spec, skipping)
     with np.errstate(over="ignore", invalid="ignore"):
         rows, ok = replicate_rows(prep, stream_states(skipping.seed, 0, 30))
     assert 0 < ok.sum() < 30 and np.all(np.isfinite(rows[ok]))

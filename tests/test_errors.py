@@ -1,6 +1,7 @@
 """Bad arguments raise the package's own error types, not plain ValueError."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from almostdom.calculus import GridFunction, GridSpec
 from almostdom.cli import load_csv
 from almostdom.coefficients import DominanceFamily, Family, cubic_preference, rank_measures
-from almostdom.covariance import CovKernel, std_curve_for
+from almostdom.covariance import CovKernel, lorenz_kernel, std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import (
     AlmostDomError,
@@ -18,12 +19,38 @@ from almostdom.errors import (
     NumericOverflowError,
     SchemeMismatchError,
 )
-from almostdom.inference import ContactSets, InferenceConfig, _unpack, contact_sets, derivative
+from almostdom.inference import (
+    ContactSets,
+    InferenceConfig,
+    _unpack,
+    bootstrap_ci,
+    contact_sets,
+    derivative,
+    select_tuning,
+    tuning_table,
+)
 from almostdom.rng import child_rng
 from almostdom.simulation import DiscreteLaw, DoublePareto, MonteCarloStudy, sample_dgp
 
 SPEC = GridSpec(4)
 MASK = np.array([True, False, False, False])
+SAMPLES = (np.array([1.0, 2.0, 4.0]), np.array([2.0, 3.0, 3.5]))
+MARGINALS = tuple(EmpiricalDistribution(x) for x in SAMPLES)
+CFG = InferenceConfig(t_n=1.0, seed=0, n_boot=5)
+# each public entry that takes a sampling scheme, called with ``scheme`` on
+# independent samples
+SCHEME_ENTRIES = {
+    "bootstrap_ci": lambda s: bootstrap_ci(SAMPLES, DominanceFamily.lorenz(1), s, SPEC, CFG),
+    "tuning_table": lambda s: tuning_table(
+        SAMPLES, DominanceFamily.lorenz(1), s, SPEC, CFG, [1.0], 2, 5
+    ),
+    "select_tuning": lambda s: select_tuning(
+        SAMPLES, DominanceFamily.lorenz(1), s, SPEC, CFG, [1.0], 2, 5
+    ),
+    "std_curve_for": lambda s: std_curve_for(DominanceFamily.sd(1), *MARGINALS, None, s, SPEC),
+    "lorenz_kernel": lambda s: lorenz_kernel(*MARGINALS, None, s, SPEC),
+    "load_csv": lambda s: load_csv("no-such-file.csv", s),
+}
 
 
 def study(true_c):
@@ -88,6 +115,12 @@ CASES = {
     "sample_dgp_size": (
         InvalidConfigError, lambda: sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(0))
     ),
+    # a scheme that is neither a member nor a member's value
+    **{
+        f"{name}_scheme_{scheme}": (InvalidConfigError, partial(entry, scheme))
+        for name, entry in SCHEME_ENTRIES.items()
+        for scheme in ("paired", 1)
+    },
 }
 
 

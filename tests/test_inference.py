@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from almostdom.calculus import GridFunction, GridSpec, area_ratio, negative_area, positive_area
-from almostdom.coefficients import Direction, DominanceFamily, coefficient, default_grid
+from almostdom.coefficients import Direction, DominanceFamily, Family, coefficient, default_grid
 from almostdom.empirical import EmpiricalDistribution, PairedSample, Sample, SamplingScheme
 from almostdom.errors import (
     GridMismatchError,
@@ -473,6 +473,56 @@ class TestBootstrapCi:
                 w.append(res.ci[1] - res.ci[0])
             widths[n] = np.median(w)
         assert widths[4000] < widths[1000]
+
+
+def named_scheme_data():
+    rng = np.random.default_rng(1)
+    x1, x2 = rng.pareto(3, 200) + 1, rng.pareto(2.2, 200) + 1
+    return {MP: PairedSample(x1, x2), IND: (Sample(x1), Sample(x2))}
+
+
+class TestNamedSchemes:
+    """A scheme's value takes the same route as its member."""
+
+    FAM, SPEC = DominanceFamily.lorenz(1), GridSpec(100)
+    CFG = InferenceConfig(t_n=1.0, seed=3, n_boot=50)
+
+    def test_bootstrap_ci(self):
+        # "matched" once took the independent route: it refused the pairs,
+        # and ran the independent analysis on two samples
+        data = named_scheme_data()
+        for member in (MP, IND):
+            named = bootstrap_ci(data[member], self.FAM, member.value, self.SPEC, self.CFG)
+            given = bootstrap_ci(data[member], self.FAM, member, self.SPEC, self.CFG)
+            assert named.draws.tobytes() == given.draws.tobytes()
+            assert named.std.values.tobytes() == given.std.values.tobytes()
+            assert (named.ci, named.q_lo, named.q_hi) == (given.ci, given.q_lo, given.q_hi)
+        with pytest.raises(SchemeMismatchError):
+            bootstrap_ci(data[IND], self.FAM, "matched", self.SPEC, self.CFG)
+
+    def test_tuning(self):
+        data = named_scheme_data()
+        cal = ([0.1, 1.0, 10.0], 4, 20)
+        for member in (MP, IND):
+            table = tuning_table(data[member], self.FAM, member, self.SPEC, self.CFG, *cal)
+            named = tuning_table(data[member], self.FAM, member.value, self.SPEC, self.CFG, *cal)
+            assert named == table
+            assert select_tuning(
+                data[member], self.FAM, member.value, self.SPEC, self.CFG, *cal
+            ) == table.selected
+        with pytest.raises(SchemeMismatchError):
+            tuning_table(data[IND], self.FAM, "matched", self.SPEC, self.CFG, *cal)
+
+    @pytest.mark.parametrize("family", [
+        DominanceFamily.sd(1), DominanceFamily.sd(2), DominanceFamily.lorenz(2),
+        DominanceFamily.inverse_sd(3, Direction.DOWN),
+    ])
+    def test_one_observation_needs_a_second(self, family):
+        # the interval's studentization keeps the rule that std_curve_for checks
+        single = (Sample([1.0]), Sample([2.0, 3.0, 5.0]))
+        with pytest.raises(InvalidConfigError, match="2 observations"):
+            spec = GridSpec(10, (0.0, 6.0)) if family.kind is Family.SD else GridSpec(10)
+            bootstrap_ci(single, family, IND, spec, self.CFG)
 
 
 class TestSelectTuning:
