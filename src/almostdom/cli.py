@@ -295,16 +295,6 @@ def _emit(payload: dict | list[dict], fmt: str, output: str | None) -> None:
         print(text)
 
 
-def _write_curves(path: str, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for i in range(arrays[0].size):
-            writer.writerow([f"{a[i]:.17g}" for a in arrays])
-
-
 # ---------------------------------------------------------------------------
 # Presets
 
@@ -708,7 +698,9 @@ def main(argv=None) -> int:
         for record in report if isinstance(report, list) else [report]:
             record["runtime_ms"] = runtime_ms
         if args.emit_curves:
-            _write_curves(args.emit_curves, curves())
+            columns = curves()
+            rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+            _emit(rows, "csv", args.emit_curves)
         _emit(report, args.format, args.output)
         return code
     except (OSError, AlmostDomError) as exc:

@@ -156,6 +156,13 @@ class DominanceFamily:
             return np.subtract(first, second, out=out)
         return np.subtract(second, first, out=out)
 
+    def compared(self, base: np.ndarray) -> np.ndarray:
+        """``1 - base`` for downward Lorenz, else ``base``: one distribution's base
+        curve as the family compares it (the complements cancel in :meth:`orient`)."""
+        if self.kind is Family.LORENZ and self.direction is Direction.DOWN:
+            return 1.0 - base
+        return base
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientEstimate:
@@ -208,7 +215,7 @@ def default_grid(
     family: DominanceFamily,
     d1: EmpiricalDistribution,
     d2: EmpiricalDistribution,
-    n_points: int = 1000,
+    n_points: int = GridSpec.n_points,
 ) -> GridSpec:
     """The natural grid for a family: [0, 1] for rank-based families, the
     pooled sample hull for stochastic dominance (DegenerateCurvesError when
@@ -266,16 +273,13 @@ def family_curves(
 ) -> tuple[GridFunction, GridFunction]:
     """The two degree-raised curves the family compares (first, second).
 
-    For the Lorenz family these are the iterated Lorenz curves; for
-    inverse SD the iterated integrated quantiles; for SD the iterated
-    CDFs. Mainly useful for plotting.
+    These are the iterated Lorenz curves upward and the iterated
+    complements ``1 - L`` downward (:meth:`DominanceFamily.compared`), the
+    iterated integrated quantiles for inverse SD, and the iterated CDFs for
+    SD. Mainly useful for plotting.
     """
     _check_grid(family, d1, d2, spec)
-    b1 = GridFunction(spec, _base_values(family, d1, spec))
-    b2 = GridFunction(spec, _base_values(family, d2, spec))
-    if family.kind is Family.LORENZ and family.direction is Direction.DOWN:
-        one = GridFunction(spec, np.ones(spec.n_points))
-        b1, b2 = one - b1, one - b2
+    b1, b2 = (GridFunction(spec, family.compared(_base_values(family, d, spec))) for d in (d1, d2))
     return _raise_degree(family, b1), _raise_degree(family, b2)
 
 

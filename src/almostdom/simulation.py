@@ -227,17 +227,18 @@ def population_curves(
     """``(spec, curve1, curve2, diff)``: the oracle's curves on ``n_points`` nodes.
 
     Rank-based families integrate the quantiles on [0, 1] (Lorenz curves
-    over the analytic mean) and build ``diff`` from curve2 - curve1; the SD
-    family takes the CDFs of two discrete laws on their pooled support and
-    builds ``diff`` from curve1 - curve2. ``diff`` is integrated from the
-    difference of the base curves, not subtracted after integration.
+    over the analytic mean); the SD family takes the CDFs of two discrete
+    laws on their pooled support. As in the fit, each curve is its base
+    curve as :meth:`DominanceFamily.compared` gives it (``1 - L`` for
+    downward Lorenz), and ``diff`` is integrated from the base curves as
+    :meth:`DominanceFamily.orient` combines them.
     """
     passes = family.operator_degree - 1
     down = family.direction is Direction.DOWN
     if family.kind is Family.SD:
         spec = GridSpec(n_points, _pooled_support(dgp1, dgp2))
         base1, base2 = dgp1.cdf(spec.nodes()), dgp2.cdf(spec.nodes())
-        base = base1 - base2
+        base = family.orient(base1, base2)
     else:
         spec = GridSpec(n_points, (0.0, 1.0))
         q1 = np.asarray(dgp1.quantile(spec.nodes()), dtype=float)
@@ -247,12 +248,11 @@ def population_curves(
         if family.kind is Family.LORENZ:
             base1 = base1 / dgp1.mean()
             base2 = base2 / dgp2.mean()
-            base = base2 - base1
+            base = family.orient(base1, base2)
         else:
             base = np.cumsum(q2 - q1) * spec.step
-    curve1, curve2, diff = (
-        _iterate(values, spec.step, passes, down) for values in (base1, base2, base)
-    )
+    bases = (family.compared(base1), family.compared(base2), base)
+    curve1, curve2, diff = (_iterate(values, spec.step, passes, down) for values in bases)
     return spec, curve1, curve2, diff
 
 
@@ -289,7 +289,7 @@ class MonteCarloStudy:
     cfg: InferenceConfig
     n_reps: int
     true_c: float
-    grid_points: int = 1000
+    grid_points: int = GridSpec.n_points
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _member(SamplingScheme, self.scheme))

@@ -1489,3 +1489,4 @@ def test_record_layout(command, fmt, matched_file, tmp_path):
     assert len(times) == (2 if command == "tune" else 1)
     assert len(set(times)) == 1 and times[0] >= 0.0
     assert next(csv.reader(curves.read_text().splitlines())) == columns
+    assert b"\r" not in curves.read_bytes()

@@ -10,8 +10,16 @@ from scipy.integrate import quad
 
 from almostdom import simulation
 from almostdom.cli import PRESETS
-from almostdom.coefficients import Direction, DominanceFamily
-from almostdom.empirical import SamplingScheme
+from almostdom.calculus import GridSpec
+from almostdom.coefficients import (
+    Direction,
+    DominanceFamily,
+    coefficient,
+    default_grid,
+    difference_curve,
+    family_curves,
+)
+from almostdom.empirical import EmpiricalDistribution, SamplingScheme
 from almostdom.errors import (
     DegenerateCurvesError,
     DomainError,
@@ -26,6 +34,7 @@ from almostdom.simulation import (
     MonteCarloStudy,
     monte_carlo,
     population_coefficient,
+    population_curves,
     run_replicates,
     sample_dgp,
 )
@@ -253,20 +262,67 @@ class TestPopulationCoefficient:
         assert 0.0 <= value <= 1.0
 
 
+# Fit and oracle curves on the same laws and grid: seed 30, 2e5 draws per
+# law, G = 1000, and a tolerance of 0.05 of the oracle curves' largest
+# magnitude, all fixed before the first run. Sampling error and the
+# oracle's midpoint sums leave at most 0.015 of it (ISD 2 up, at the heavy
+# tail's top node); comparing the downward Lorenz complements 1 - L with L
+# itself misses by 0.33 of 0.67.
+CURVE_LAWS = {
+    "lorenz": (DoublePareto(3.0, 1.5), DoublePareto(2.1, 2.0)),
+    "isd": (DoublePareto(2.1, 1.5), DoublePareto(200.0, 2.2)),
+    "sd": sdc_laws(2),
+}
+CURVE_FAMILIES = [
+    DominanceFamily.lorenz(1),
+    DominanceFamily.lorenz(2),
+    DominanceFamily.lorenz(2, Direction.DOWN),
+    DominanceFamily.lorenz(3),
+    DominanceFamily.lorenz(3, Direction.DOWN),
+    DominanceFamily.inverse_sd(2),
+    DominanceFamily.inverse_sd(3),
+    DominanceFamily.inverse_sd(3, Direction.DOWN),
+    DominanceFamily.sd(1),
+    DominanceFamily.sd(2),
+]
+
+
+@pytest.fixture(scope="module")
+def curve_samples():
+    rng = child_rng(30, 0)
+    return {
+        kind: [EmpiricalDistribution(law.sample(200_000, rng)) for law in laws]
+        for kind, laws in CURVE_LAWS.items()
+    }
+
+
 class TestEstimatorConsistency:
     def test_large_sample_tracks_population_value(self):
         # one seeded 100k draw of the heavy-tailed pair lands close to the
         # population coefficient 0.04703
-        from almostdom.calculus import GridSpec
-        from almostdom.coefficients import coefficient
-        from almostdom.empirical import EmpiricalDistribution
-
         dp1, dp2 = DoublePareto(3.0, 1.5), DoublePareto(2.1, 2.0)
         rng = child_rng(1, 0)
         d1 = EmpiricalDistribution(dp1.sample(100_000, rng))
         d2 = EmpiricalDistribution(dp2.sample(100_000, rng))
         c_hat = coefficient(DominanceFamily.lorenz(1), d1, d2, GridSpec(1000)).c_hat
         assert abs(c_hat - 0.04703) < 0.01
+
+    @pytest.mark.parametrize(
+        "family",
+        CURVE_FAMILIES,
+        ids=lambda f: f"{f.kind.value}{f.degree}-{f.direction.value}",
+    )
+    def test_fit_and_oracle_curves_agree(self, family, curve_samples):
+        d1, d2 = curve_samples[family.kind.value]
+        spec = default_grid(family, d1, d2, 1000)
+        fit = [curve.values for curve in family_curves(family, d1, d2, spec)]
+        fit.append(difference_curve(family, d1, d2, spec).values)
+        laws = CURVE_LAWS[family.kind.value]
+        oracle_spec, *oracle = population_curves(*laws, family, spec.n_points)
+        assert oracle_spec == spec
+        scale = max(np.abs(oracle[0]).max(), np.abs(oracle[1]).max())
+        for name, got, want in zip(("curve1", "curve2", "diff"), fit, oracle):
+            assert np.abs(got - want).max() <= 0.05 * scale, name
 
 
 class TestMonteCarlo:
