@@ -1,4 +1,4 @@
-"""Studentization curves, and the Lorenz covariance kernel.
+"""Studentization curves.
 
 Each dominance family has a limiting Gaussian fluctuation process for its
 estimated base curve. Contact sets are studentized by the pointwise
@@ -23,11 +23,10 @@ The dense reference kernels built from n-by-G transform blocks, and the
 route that integrates a kernel along both axes, live with the tests
 (``tests/reference.py``). Studentization needs only the diagonal of the
 integrated kernel, and :func:`std_curve_for` computes it without any
-n-by-G or G-by-G array; :func:`lorenz_kernel` takes the whole G-by-G Lorenz
-kernel from the same sums. For the rank-based families a
-transform depends on x only through its rank bin r (the number of nodes
-whose quantile is at most x) and is linear in x inside a bin (the
-integrated-CDF representation of Davidson and Duclos, 2000). The SD
+n-by-G or G-by-G array. For the rank-based families a transform depends
+on x only through its rank bin r (the number of nodes whose quantile is at
+most x) and is linear in x inside a bin (the integrated-CDF
+representation of Davidson and Duclos, 2000). The SD
 transform after p >= 1 passes depends on x through its bin alone: it is
 the same hinge in node-index coordinates. Per-bin sums carried through the
 integration passes by recursions give the variance in O(n log G + p**2 G)
@@ -51,53 +50,26 @@ import numpy as np
 from .calculus import GridFunction, GridSpec, _member
 from .coefficients import Direction, DominanceFamily, Family
 from .empirical import EmpiricalDistribution, PairedSample, SamplingScheme
-from .errors import DomainError, InvalidConfigError, NumericOverflowError, SchemeMismatchError
+from .errors import InvalidConfigError, NumericOverflowError, SchemeMismatchError
 from .rng import _BLOCK
 
-__all__ = [
-    "CovKernel",
-    "lorenz_kernel",
-    "std_curve_for",
-]
-
-@dataclass(frozen=True, eq=False)
-class CovKernel:
-    """Estimated covariance kernel of a family's fluctuation process."""
-
-    spec: GridSpec
-    matrix: np.ndarray
-    family_kind: Family
-    scheme: SamplingScheme
-
-    def __post_init__(self):
-        n = self.spec.n_points
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.shape != (n, n):
-            raise DomainError(f"kernel must be {n}x{n}, got {matrix.shape}")
-        # enforce exact symmetry and a nonnegative diagonal; the inputs are
-        # symmetric up to BLAS rounding and the diagonal feeds a square root
-        matrix = 0.5 * (matrix + matrix.T)
-        diag = np.diag_indices(n)
-        matrix[diag] = np.maximum(matrix[diag], 0.0)
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+__all__ = ["std_curve_for"]
 
 
-def _check_scheme(scheme, pairs, d1, d2) -> SamplingScheme:
-    """The :class:`SamplingScheme` member that ``scheme`` is or names, checked
-    against the data: matched pairs take the :class:`PairedSample` of ``d1``
-    and ``d2``, independent samples take ``pairs`` None."""
+def _check_scheme(scheme, pairs, d1, d2) -> None:
+    """Check that ``scheme`` is a :class:`SamplingScheme` member or names one,
+    and that the data fit it: matched pairs take the :class:`PairedSample` of
+    ``d1`` and ``d2``, independent samples take ``pairs`` None."""
     scheme = _member(SamplingScheme, scheme)
     if scheme is SamplingScheme.MATCHED:
         if pairs is None:
-            raise SchemeMismatchError("matched-pairs kernels need the paired sample")
+            raise SchemeMismatchError("the matched scheme needs the paired sample")
         if pairs.n != d1.n or pairs.n != d2.n:
             raise SchemeMismatchError(
                 "paired sample size differs from the marginal distributions"
             )
     elif pairs is not None:
         raise SchemeMismatchError("independent scheme does not take a paired sample")
-    return scheme
 
 
 # Double-double arithmetic, about 32 significant digits. Under matched pairs
@@ -176,10 +148,6 @@ class _Wide:
 
     def __getitem__(self, index) -> _Wide:
         return _Wide(self.hi[index], self.lo[index])
-
-    @property
-    def T(self) -> _Wide:
-        return _Wide(self.hi.T, self.lo.T)
 
     def cumsum(self) -> _Wide:
         """Inclusive prefix sums along the last axis: numpy's running sums,
@@ -446,35 +414,6 @@ def _tally(sides: list[_Hinge], columns: list[np.ndarray]) -> _Tally:
     return tally
 
 
-def _pair_cross(sides: list[_Hinge], columns: list[np.ndarray]) -> _Wide:
-    """``sum (q1_j - x1)+ (q2_k - x2)+`` over the matched pairs ``columns``
-    at every pair of nodes (j, k), before any pass. A pair adds
-    ``(L1_j + c1)(L2_k + c2)``, with ``L = q - q_0`` and ``c = q_0 - x``,
-    where its ranks are at most j and k: two-dimensional prefix sums of the
-    count and the sums of c1, c2 and c1 c2 by the joint bin (r1, r2). A
-    block of pairs is summed over the few joint bins it fills."""
-    (a, b), width = sides, sides[0].n_points + 1
-    tables = count, sum1, sum2, product = [_Wide(np.zeros(width * width)) for _ in range(4)]
-    for lo in range(0, columns[0].size, _BLOCK):
-        sa, sb = (side.observe(x[lo : lo + _BLOCK]) for side, x in zip(sides, columns))
-        bins = sa.ranks * width + sb.ranks
-        filled = np.sort(bins)
-        filled = filled[np.diff(filled, prepend=-1) > 0]
-        local = np.searchsorted(filled, bins)
-        c1, c2 = _Wide(a.quant[0]) - sa.x, _Wide(b.quant[0]) - sb.x
-        for table, weights in zip(tables, (_Wide(np.ones(bins.size)), c1, c2, c1 * c2)):
-            part = _exact_sums(weights.hi, local, filled.size)
-            sums = table[filled] + part + _exact_sums(weights.lo, local, filled.size)
-            table.hi[filled], table.lo[filled] = sums.hi, sums.lo
-
-    def prefix(table):
-        table = _Wide(table.hi.reshape(width, width), table.lo.reshape(width, width))
-        return table[:-1, :-1].cumsum().T.cumsum().T
-
-    rows, cols = a.levels[0][:, None], b.levels[0]
-    return rows * cols * prefix(count) + rows * prefix(sum2) + cols * prefix(sum1) + prefix(product)
-
-
 def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
     """``sum_i H_j(x_i) H'_j(x'_i)`` at every node over the observations of
     sides i and k (matched pairs, or k = i)."""
@@ -525,64 +464,40 @@ def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
     return prod[passes, passes]
 
 
-def _square_cross(sides: list[_Hinge], tally: _Tally, i: int, hinge: _Wide) -> _Wide:
-    """``sum H_j(x) H_k(x)`` over side i's observations at every pair of nodes
-    (j, k), before any pass, from the sums at j = k (:func:`_cross`) and of
-    ``H_j`` (``hinge``): at j <= k, ``H_k = H_j + q_k - q_j`` where ``H_j > 0``."""
-    q = sides[i].levels[0]  # q - q_0
-    upper = _cross(sides, tally, i, i)[:, None] + (q - q[:, None]) * hinge[:, None]
-    index = np.arange(q.hi.size)
-    return upper.where(index[:, None] <= index, upper.T)
-
-
 def _scatter(
-    sides: list[_Hinge], tally: _Tally, i: int, k: int, n: int, full: bool = False,
-    pair: _Wide | None = None,
+    sides: list[_Hinge], tally: _Tally, i: int, k: int, n: int
 ) -> tuple[_Wide, np.ndarray]:
     """``n - 1`` times the sample covariance of sides i and k's integrated
     transforms over matched observations (k may be i), at every node, from
     ``T_j = I(slope)_j c + H_j`` up to a constant, with ``c`` the shifted
     x; and the sum of the magnitudes of its terms. A slope that is zero drops
-    its terms. With ``full`` (no pass) it is the covariance at every pair of
-    nodes, side i's node down the rows and side k's across the columns, and
-    ``pair`` is :func:`_pair_cross` of the two sides when they differ."""
+    its terms."""
     a, b = sides[i], sides[k]
-    # a vector of side i down the rows of the outer products when full
-    col = (slice(None), None) if full else slice(None)
-    mean_a = hinge_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
+    mean_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
     mean_b = b.weighted(tally.bins((k, "count")), tally.bins((k, "gap")))
     if a.slope is not None:
         mean_a = mean_a + a.slope * tally.total((i, "centered", i))
     if b.slope is not None:
         mean_b = mean_b + b.slope * tally.total((k, "centered", k))
-
-    def terms():  # made one at a time: each is G-by-G when full
-        if a.slope is not None and b.slope is not None:
-            yield a.slope[col] * b.slope * tally.total(("cc", min(i, k), max(i, k)))
-        if a.slope is not None:
-            centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
-            yield a.slope[col] * b.weighted(*centered)
-        if b.slope is not None:
-            centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
-            yield b.slope * a.weighted(*centered)[col]
-        if not full:
-            yield _cross(sides, tally, i, k)
-        elif i == k:
-            yield _square_cross(sides, tally, i, hinge_a)
-        else:
-            yield pair
-        yield -(mean_a[col] * mean_b) / n
-
+    terms = []
+    if a.slope is not None and b.slope is not None:
+        terms.append(a.slope * b.slope * tally.total(("cc", min(i, k), max(i, k))))
+    if a.slope is not None:
+        centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
+        terms.append(a.slope * b.weighted(*centered))
+    if b.slope is not None:
+        centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
+        terms.append(b.slope * a.weighted(*centered))
+    terms += [_cross(sides, tally, i, k), -(mean_a * mean_b) / n]
     total, size = _Wide(0.0), 0.0
-    for term in terms():
+    for term in terms:
         total, size = total + term, size + np.abs(term.hi)
     return total, size
 
 
-def _rank_variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
+def _rank_variance(family, d1, d2, pairs, spec) -> np.ndarray:
     """Per-node variance of the family's integrated transform, from rank-bin
-    sums (SD from degree 2 up); with ``full`` (at operator degree 1) the
-    covariance at every pair of nodes."""
+    sums (SD from degree 2 up)."""
     nodes = spec.nodes()
     share1 = d1.n / (d1.n + d2.n)
     # the SD kernel is a population covariance, the rank families' a sample one
@@ -619,17 +534,13 @@ def _rank_variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
             for dist, e in zip((d1, d2), exponents)
         ]
     tally = _tally(sides, columns) if matched else None
-    # taken before any other G-by-G array is held, for a lower peak
-    pair = _pair_cross(sides, columns) if full and matched else None
     var, size = _Wide(0.0), 0.0
     for (i, k), weight in weights.items():
         if matched:
-            scatter, magnitude = _scatter(sides, tally, i, k, pairs.n, full, pair)
+            scatter, magnitude = _scatter(sides, tally, i, k, pairs.n)
         else:
             side, x = sides[i], columns[i]
-            scatter, magnitude = _scatter([side], _tally([side], [x]), 0, 0, x.size, full)
-        if full and i != k:  # the cross covariance and its transpose
-            scatter, magnitude, weight = scatter + scatter.T, magnitude + magnitude.T, weight / 2
+            scatter, magnitude = _scatter([side], _tally([side], [x]), 0, 0, x.size)
         weight = _Wide(weight) / (_Wide(scales[i]) * scales[k])
         var = var + scatter * weight
         size = size + magnitude * np.abs(weight.hi)
@@ -638,14 +549,14 @@ def _rank_variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
     return var[::-1] if mirror else var
 
 
-def _variance(family, d1, d2, pairs, spec, full=False) -> np.ndarray:
+def _variance(family, d1, d2, pairs, spec) -> np.ndarray:
     """The :func:`_sd_variance` or :func:`_rank_variance` of ``family``, of
     data whose scheme is checked (matched pairs when ``pairs`` is given)."""
     if d1.n < 2 or d2.n < 2:
         raise InvalidConfigError("covariance estimation needs at least 2 observations")
     if family.kind is Family.SD and family.degree == 1:
         return _sd_variance(d1, d2, pairs, spec)
-    return _rank_variance(family, d1, d2, pairs, spec, full)
+    return _rank_variance(family, d1, d2, pairs, spec)
 
 
 def _std_curve(family, d1, d2, pairs, spec) -> GridFunction:
@@ -692,25 +603,3 @@ def std_curve_for(
     _check_scheme(scheme, pairs, d1, d2)
     return _std_curve(family, d1, d2, pairs, spec)
 
-
-def lorenz_kernel(
-    d1: EmpiricalDistribution,
-    d2: EmpiricalDistribution,
-    pairs: PairedSample | None,
-    scheme: SamplingScheme,
-    spec: GridSpec,
-) -> CovKernel:
-    """Covariance kernel of the Lorenz-difference fluctuation process at
-    every pair of nodes, from the rank-bin sums of :func:`std_curve_for`
-    under ``scheme`` as it takes it (the kernel stores the member), in
-    O(n log G + G**2) time and O(block + G**2) memory: at G = 10**3 a call
-    peaks near 190 MB (independent) and 210 MB (matched) at n = 10**3 and
-    10**5 alike. It matches the dense ``lorenz_kernel`` of ``tests/reference.py``
-    within 3e-15 of its largest entry, ties included. An entry is exact to
-    about 2**-90 of the magnitude of its terms, the floor of
-    :func:`std_curve_for`: on tied Pareto pairs equal to about 1e-9 the error
-    reaches 6.3e-11 of the largest entry, and an entry below the floor reads 0.
-    """
-    scheme = _check_scheme(scheme, pairs, d1, d2)
-    matrix = _variance(DominanceFamily.lorenz(1), d1, d2, pairs, spec, full=True)
-    return CovKernel(spec, matrix, Family.LORENZ, scheme)

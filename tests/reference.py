@@ -1,26 +1,53 @@
 """Reference paths that the tests check the package against.
 
-The dense covariance kernels of the Lorenz, inverse-SD and SD fluctuation
-processes, and :func:`std_curve`, which pushes a kernel through a family's
-iterated-integration operator along both axes: the direct route to the
-curve that :func:`almostdom.covariance.std_curve_for` computes from
-rank-bin sums. And :func:`replicate_rows`, the scaled fluctuation curves
-of bootstrap replicates at every grid node, which the engine's draws are
-checked against.
+The dense covariance kernels (:class:`CovKernel`) of the Lorenz, inverse-SD
+and SD fluctuation processes, and :func:`std_curve`, which pushes a kernel
+through a family's iterated-integration operator along both axes: the
+direct route to the curve that :func:`almostdom.covariance.std_curve_for`
+computes from rank-bin sums. And :func:`replicate_rows`, the scaled
+fluctuation curves of bootstrap replicates at every grid node, which the
+engine's draws are checked against.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from almostdom import covariance, inference
 from almostdom.calculus import GridFunction, GridSpec
 from almostdom.coefficients import DominanceFamily, Family
-from almostdom.covariance import CovKernel, _check_scheme, _Wide
+from almostdom.covariance import _check_scheme, _Wide
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
+from almostdom.errors import DomainError
 from almostdom.rng import Scratch
 
 
 # values per transform block of the dense kernels: 8 MB of float64
 _CHUNK_BUDGET = 1_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class CovKernel:
+    """Covariance kernel of a family's fluctuation process at every pair of
+    nodes."""
+
+    spec: GridSpec
+    matrix: np.ndarray
+    family_kind: Family
+    scheme: SamplingScheme
+
+    def __post_init__(self):
+        n = self.spec.n_points
+        matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.shape != (n, n):
+            raise DomainError(f"kernel must be {n}x{n}, got {matrix.shape}")
+        # enforce exact symmetry and a nonnegative diagonal; the inputs are
+        # symmetric up to BLAS rounding and the diagonal feeds a square root
+        matrix = 0.5 * (matrix + matrix.T)
+        diag = np.diag_indices(n)
+        matrix[diag] = np.maximum(matrix[diag], 0.0)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
 
 def _lorenz_rows(

@@ -20,7 +20,7 @@ from almostdom.coefficients import (
     default_grid,
     rank_measures,
 )
-from almostdom.covariance import lorenz_kernel
+from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.inference import InferenceConfig, bootstrap_ci, contact_sets, derivative, select_tuning
 from almostdom.rng import child_rng
@@ -31,6 +31,8 @@ from almostdom.simulation import (
     monte_carlo,
     population_coefficient,
 )
+
+import reference
 
 MP = SamplingScheme.MATCHED
 IND = SamplingScheme.INDEPENDENT
@@ -153,8 +155,8 @@ def test_06_kernel_vs_monte_carlo_variance():
     spec = GridSpec(101)  # node 51 sits exactly at p = 0.5
     node = int(np.argmin(np.abs(spec.nodes() - 0.5)))
     assert spec.nodes()[node] == 0.5
-    kernel = lorenz_kernel(d1, d2, None, IND, spec)
-    estimate = kernel.matrix[node, node]
+    # the kernel's diagonal: the squared Lorenz 1 studentization
+    estimate = std_curve_for(DominanceFamily.lorenz(1), d1, d2, None, IND, spec).values[node] ** 2
 
     def transform(dp, x, p):
         quantile = dp.quantile(p)
@@ -261,7 +263,8 @@ def test_08_property_suite():
     )
 
     # kernel symmetry at 1e-9 and PSD on 50 random quadratic forms
-    kernel = lorenz_kernel(d1, d2, None, IND, GridSpec(64))
+    # the dense reference kernel, the one std_curve_for is checked against
+    kernel = reference.lorenz_kernel(d1, d2, None, IND, GridSpec(64))
     matrix = kernel.matrix
     prop("kernel-symmetry", bool(np.max(np.abs(matrix - matrix.T)) < 1e-9))
     floor = -1e-6 * np.max(np.abs(matrix))

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from almostdom import covariance
 from almostdom.calculus import GridSpec, iterated_cumsum
 from almostdom.coefficients import Direction, DominanceFamily, Family
-from almostdom.covariance import CovKernel, lorenz_kernel, std_curve_for
+from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import NumericOverflowError, SchemeMismatchError
 from almostdom.rng import child_rng
 from almostdom.simulation import DoublePareto
 
 import reference
-from reference import isd_kernel, sd_kernel, std_curve
+from reference import CovKernel, isd_kernel, sd_kernel, std_curve
 
 IND = SamplingScheme.INDEPENDENT
 MP = SamplingScheme.MATCHED
@@ -48,11 +48,17 @@ def min_transform(dist, values, nodes):
     return np.minimum(dist.quantile(nodes)[:, None], values[None, :])
 
 
+def lorenz_variance(d1, d2, pairs, scheme, spec):
+    """The diagonal of the Lorenz kernel: the squared Lorenz 1 studentization."""
+    return std_curve_for(DominanceFamily.lorenz(1), d1, d2, pairs, scheme, spec).values ** 2
+
+
 class TestLorenzKernel:
+    """The Lorenz kernel's diagonal from rank-bin sums, and the dense kernel."""
+
     def test_constant_samples_vanish(self):
         d = EmpiricalDistribution(np.full(20, 3.0))
-        kernel = lorenz_kernel(d, d, None, IND, GridSpec(50))
-        assert np.max(np.abs(kernel.matrix)) < 1e-14
+        assert np.max(lorenz_variance(d, d, None, IND, GridSpec(50))) < 1e-14
 
     def test_matches_brute_force_independent(self):
         d1, d2 = make_data(20)
@@ -62,8 +68,8 @@ class TestLorenzKernel:
         expected = (1 - share1) * np.cov(
             lorenz_transform(d1, d1.sorted_values, nodes)
         ) + share1 * np.cov(lorenz_transform(d2, d2.sorted_values, nodes))
-        kernel = lorenz_kernel(d1, d2, None, IND, spec)
-        np.testing.assert_allclose(kernel.matrix, expected, atol=1e-12)
+        variance = lorenz_variance(d1, d2, None, IND, spec)
+        np.testing.assert_allclose(variance, np.diagonal(expected), atol=1e-12)
 
     def test_matches_brute_force_matched(self):
         pairs = make_pairs(21)
@@ -74,12 +80,12 @@ class TestLorenzKernel:
         combined = np.sqrt(0.5) * lorenz_transform(d2, pairs.x2, nodes) - np.sqrt(
             0.5
         ) * lorenz_transform(d1, pairs.x1, nodes)
-        kernel = lorenz_kernel(d1, d2, pairs, MP, spec)
-        np.testing.assert_allclose(kernel.matrix, np.cov(combined), atol=1e-12)
+        variance = lorenz_variance(d1, d2, pairs, MP, spec)
+        np.testing.assert_allclose(variance, np.diagonal(np.cov(combined)), atol=1e-12)
 
     def test_symmetry_and_psd(self):
         d1, d2 = make_data(22, 80, 70)
-        kernel = lorenz_kernel(d1, d2, None, IND, GridSpec(64))
+        kernel = reference.lorenz_kernel(d1, d2, None, IND, GridSpec(64))
         matrix = kernel.matrix
         np.testing.assert_allclose(matrix, matrix.T, atol=1e-9)
         rng = child_rng(22, 5)
@@ -97,21 +103,21 @@ class TestLorenzKernel:
         spec = GridSpec(21)
         k = 10  # node exactly at 0.5
         assert spec.nodes()[k] == pytest.approx(0.5)
-        kernel = lorenz_kernel(d, d, None, IND, spec)
+        variance = lorenz_variance(d, d, None, IND, spec)
         mc_rng = child_rng(23, 1)
         x = dp.sample(500_000, mc_rng)
         quant = dp.quantile(0.5)
         lor = dp.cum_quantile(0.5) / dp.mean()
         transform = (lor * x - np.minimum(quant, x)) / dp.mean()
-        assert kernel.matrix[k, k] == pytest.approx(transform.var(), rel=0.05)
+        assert variance[k] == pytest.approx(transform.var(), rel=0.05)
 
     def test_scheme_mismatch(self):
         d1, d2 = make_data(24, 30, 30)
         pairs = make_pairs(24, 30)
         with pytest.raises(SchemeMismatchError):
-            lorenz_kernel(d1, d2, None, MP, GridSpec(8))
+            lorenz_variance(d1, d2, None, MP, GridSpec(8))
         with pytest.raises(SchemeMismatchError):
-            lorenz_kernel(d1, d2, pairs, IND, GridSpec(8))
+            lorenz_variance(d1, d2, pairs, IND, GridSpec(8))
 
 
 class TestNamedSchemes:
@@ -137,16 +143,6 @@ class TestNamedSchemes:
             assert named.values.tobytes() == given.values.tobytes()
         with pytest.raises(SchemeMismatchError):
             std_curve_for(family, *data[IND][:2], None, "matched", spec)
-
-    def test_lorenz_kernel(self):
-        data, spec = self.data(), GridSpec(24)
-        for member in (MP, IND):
-            named = lorenz_kernel(*data[member], member.value, spec)
-            assert named.scheme is member
-            given = lorenz_kernel(*data[member], member, spec)
-            assert named.matrix.tobytes() == given.matrix.tobytes()
-        with pytest.raises(SchemeMismatchError):
-            lorenz_kernel(*data[IND][:2], None, "matched", spec)
 
 
 class TestIsdKernel:
@@ -246,7 +242,7 @@ class TestStdCurve:
     def test_degree_one_is_sqrt_diagonal(self):
         d1, d2 = make_data(30)
         spec = GridSpec(32)
-        kernel = lorenz_kernel(d1, d2, None, IND, spec)
+        kernel = reference.lorenz_kernel(d1, d2, None, IND, spec)
         curve = std_curve(kernel, DominanceFamily.lorenz(1))
         np.testing.assert_allclose(
             curve.values, np.sqrt(np.diagonal(kernel.matrix)), atol=1e-15
@@ -267,7 +263,7 @@ class TestStdCurve:
     def test_scaling(self):
         d1, d2 = make_data(31)
         spec = GridSpec(24)
-        kernel = lorenz_kernel(d1, d2, None, IND, spec)
+        kernel = reference.lorenz_kernel(d1, d2, None, IND, spec)
         fam = DominanceFamily.lorenz(2, Direction.DOWN)
         base = std_curve(kernel, fam)
         c = 3.7
@@ -386,13 +382,6 @@ class TestStdCurveFor:
         np.testing.assert_allclose(
             fast[cancels] ** 2, var[cancels], rtol=0, atol=1e-12 * np.max(var) + floor
         )
-        if family.kind is Family.LORENZ:
-            # the kernel from rank-bin sums against the dense one, with the
-            # tolerance of the variances
-            dense = reference.lorenz_kernel(*data, spec).matrix
-            np.testing.assert_allclose(
-                lorenz_kernel(*data, spec).matrix, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense))
-            )
 
 
 class TestFastPath:
@@ -687,7 +676,7 @@ def test_block_size_does_not_matter(block, monkeypatch):
 
 def test_lorenz_scale_does_not_matter():
     # the Lorenz transform is scale-free: data scaled by a power of two,
-    # whose squares overflow, give the same curves and kernel bit for bit
+    # whose squares overflow, give the same curves bit for bit
     d1, d2 = make_data(44, 70, 70)
     pairs = make_pairs(44, 70)
     spec = GridSpec(40)
@@ -699,11 +688,11 @@ def test_lorenz_scale_does_not_matter():
              EmpiricalDistribution(d2.sorted_values * scale), None, IND),
             (p1, p2, PairedSample(pairs.x1 * scale, pairs.x2 * scale), MP),
         ]
-        out = [lorenz_kernel(*data, spec).matrix for data in cases]
-        for degree in (1, 2):
-            family = DominanceFamily.lorenz(degree)
-            out += [std_curve_for(family, *data, spec).values for data in cases]
-        return out
+        return [
+            std_curve_for(DominanceFamily.lorenz(degree), *data, spec).values
+            for degree in (1, 2)
+            for data in cases
+        ]
 
     for got, expected in zip(results(2.0**520), results(1.0)):
         np.testing.assert_array_equal(got, expected)

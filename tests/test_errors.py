@@ -8,8 +8,8 @@ import pytest
 
 from almostdom.calculus import GridFunction, GridSpec
 from almostdom.cli import load_csv
-from almostdom.coefficients import DominanceFamily, Family, cubic_preference, rank_measures
-from almostdom.covariance import CovKernel, lorenz_kernel, std_curve_for
+from almostdom.coefficients import DominanceFamily, cubic_preference, rank_measures
+from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import (
     AlmostDomError,
@@ -48,7 +48,6 @@ SCHEME_ENTRIES = {
         SAMPLES, DominanceFamily.lorenz(1), s, SPEC, CFG, [1.0], 2, 5
     ),
     "std_curve_for": lambda s: std_curve_for(DominanceFamily.sd(1), *MARGINALS, None, s, SPEC),
-    "lorenz_kernel": lambda s: lorenz_kernel(*MARGINALS, None, s, SPEC),
     "load_csv": lambda s: load_csv("no-such-file.csv", s),
 }
 
@@ -70,10 +69,6 @@ CASES = {
     ),
     "contact_sets_partition": (
         DomainError, lambda: ContactSets(MASK, ~MASK, MASK)
-    ),
-    "cov_kernel_shape": (
-        DomainError,
-        lambda: CovKernel(SPEC, np.eye(3), Family.LORENZ, SamplingScheme.MATCHED),
     ),
     "double_pareto_parameters": (InvalidConfigError, lambda: DoublePareto(3.0, -1.0)),
     "double_pareto_nan_alpha": (InvalidConfigError, lambda: DoublePareto(np.nan, 1.5)),
