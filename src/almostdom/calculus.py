@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     DegenerateCurvesError,
     DomainError,
-    GridMismatchError,
     InvalidConfigError,
     NumericOverflowError,
 )
@@ -120,8 +119,7 @@ class GridSpec:
 class GridFunction:
     """A real-valued function tabulated on a :class:`GridSpec`.
 
-    Immutable value data: combining two grid functions requires identical
-    specs (:class:`~almostdom.errors.GridMismatchError` otherwise).
+    Immutable value data; ``c * f`` scales the values by a real ``c``.
     """
 
     spec: GridSpec
@@ -138,23 +136,6 @@ class GridFunction:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def _require_same_grid(self, other: "GridFunction") -> None:
-        if self.spec != other.spec:
-            raise GridMismatchError(
-                f"grids differ: {self.spec} vs {other.spec}"
-            )
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.spec, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.spec, self.values - other.values)
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.spec, -self.values)
 
     def __mul__(self, scalar: float) -> "GridFunction":
         return GridFunction(self.spec, self.values * float(scalar))

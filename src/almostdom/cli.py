@@ -681,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measures", help="welfare and inequality of one sample")
     p_meas.add_argument("--input", required=True, help="single-column CSV")
-    p_meas.add_argument("--preference", choices=("cubic",), default="cubic")
     p_meas.add_argument("--grid", type=int, default=GridSpec.n_points)
     _add_common_output(p_meas)
     p_meas.set_defaults(func=_cmd_measures)

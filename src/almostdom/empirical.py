@@ -92,20 +92,9 @@ class PairedSample:
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairedSample":
-        arr = np.asarray(pairs, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DomainError(f"expected an (n, 2) array of pairs, got shape {arr.shape}")
-        return cls(arr[:, 0], arr[:, 1])
-
     @property
     def n(self) -> int:
         return self.x1.size
-
-    def joint_ecdf(self, x: float, x2: float) -> float:
-        """Fraction of pairs with first coordinate <= x and second <= x2."""
-        return float(np.mean((self.x1 <= x) & (self.x2 <= x2)))
 
 
 class EmpiricalDistribution:

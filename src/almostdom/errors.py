@@ -39,7 +39,7 @@ class SchemeMismatchError(AlmostDomError, ValueError):
 
 
 class GridMismatchError(AlmostDomError, ValueError):
-    """Two grid functions with different grids were combined."""
+    """Curves or contact sets on different grids were passed together."""
 
 
 class NonFiniteDrawError(AlmostDomError, ArithmeticError):

@@ -23,14 +23,13 @@ import numpy as np
 
 from .calculus import GridFunction, GridSpec, _count, _integer, _member, _pair, _real, area_ratio
 from .coefficients import Direction, DominanceFamily, Family, default_grid
-from .empirical import PairedSample, Sample, SamplingScheme
+from .empirical import PairedSample, SamplingScheme
 from .errors import DegenerateCurvesError, DomainError, InvalidConfigError, NonFiniteDrawError
 from .inference import InferenceConfig, _coverage_study, _distributions
 
 __all__ = [
     "DoublePareto",
     "DiscreteLaw",
-    "sample_dgp",
     "population_coefficient",
     "population_curves",
     "MonteCarloStudy",
@@ -178,13 +177,6 @@ class DiscreteLaw:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.values, size=n, p=self.probs)
-
-
-def sample_dgp(dgp, n: int, rng: np.random.Generator) -> Sample:
-    """Draw n iid values from a DGP (inverse-CDF for continuous laws)."""
-    if n < 1:
-        raise InvalidConfigError(f"sample size must be >= 1, got {n}")
-    return Sample(dgp.sample(n, rng))
 
 
 def _iterate(values: np.ndarray, step: float, passes: int, downward: bool) -> np.ndarray:

@@ -666,9 +666,13 @@ class TestBadInput:
         [
             (["ci", "--tn", "1", "--boot", "5"], "abc", "ALMOSTDOM_THREADS must be an integer"),
             (["tune", "--candidates", "a,b"], "1", "--candidates must be comma-separated"),
+            (["tune", "--candidates", ","], "1", "--candidates is empty"),
             (["estimate", "--domain", "1,2,3"], "1", "--domain needs exactly two numbers"),
         ],
-        ids=["threads-env-not-int", "candidates-not-numbers", "domain-three-numbers"],
+        ids=[
+            "threads-env-not-int", "candidates-not-numbers", "candidates-empty",
+            "domain-three-numbers",
+        ],
     )
     def test_one_error_line_per_bad_setting(self, argv, threads, named, matched_file,
                                             monkeypatch, capsys):
@@ -1389,10 +1393,7 @@ class TestMeasuresCommand:
     def test_two_point_hand_values(self, tmp_path):
         path = write(tmp_path / "vals.csv", "value\n0\n2\n")
         out = tmp_path / "meas.json"
-        code = run_cli(
-            ["measures", "--input", path, "--preference", "cubic", "--output", out]
-        )
-        assert code == 0
+        assert run_cli(["measures", "--input", path, "--output", out]) == 0
         payload = json.loads(out.read_text())
         assert payload["mean"] == 1.0
         assert payload["welfare"] == pytest.approx(0.25, abs=1e-4)
@@ -1410,9 +1411,12 @@ class TestMeasuresCommand:
         )
 
     def test_unknown_preference(self, tmp_path):
+        # the preference is always the cubic one, so there is no option to pick it
         path = write(tmp_path / "vals.csv", "1\n2\n")
-        code = run_cli(["measures", "--input", path, "--preference", "linear"])
-        assert code == 1
+        code, out, err, _ = run_quietly(["measures", "--input", path, "--preference", "cubic"])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--preference" in lines[0]
 
     @pytest.mark.parametrize(
         "text, grid",

@@ -169,7 +169,7 @@ class TestDifferenceCurve:
         fam = DominanceFamily.lorenz(3, Direction.DOWN)
         diff = difference_curve(fam, d1, d2, spec)
         c1, c2 = family_curves(fam, d1, d2, spec)
-        np.testing.assert_allclose(diff.values, (c1 - c2).values, atol=1e-12)
+        np.testing.assert_allclose(diff.values, c1.values - c2.values, atol=1e-12)
 
     def test_upward_isd_curves(self):
         rng = child_rng(13, 0)
@@ -179,7 +179,7 @@ class TestDifferenceCurve:
         fam = DominanceFamily.inverse_sd(3)
         diff = difference_curve(fam, d1, d2, spec)
         c1, c2 = family_curves(fam, d1, d2, spec)
-        np.testing.assert_allclose(diff.values, (c2 - c1).values, atol=1e-12)
+        np.testing.assert_allclose(diff.values, c2.values - c1.values, atol=1e-12)
 
 
 class TestCoefficient:

@@ -171,25 +171,10 @@ class TestCdf:
 
 
 class TestPairedSample:
-    def test_joint_ecdf_examples(self):
-        pairs = PairedSample(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert pairs.joint_ecdf(1.5, 1.5) == 0.5
-        assert pairs.joint_ecdf(np.inf, np.inf) == 1.0
-
-    def test_joint_ecdf_brute_count(self):
-        pairs = PairedSample(np.array([1.0, 2.0, 3.0]), np.array([4.0, 3.0, 2.0]))
-        expected = (
-            sum(1 for a, b in zip(pairs.x1, pairs.x2) if a <= 2.0 and b <= 3.0) / 3
-        )
-        assert pairs.joint_ecdf(2.0, 3.0) == expected == pytest.approx(1 / 3)
-
-    def test_monotone_in_each_argument(self):
-        rng = child_rng(8, 0)
-        pairs = PairedSample(rng.normal(size=40), rng.normal(size=40))
-        xs = np.linspace(-3, 3, 10)
-        vals = np.array([[pairs.joint_ecdf(a, b) for b in xs] for a in xs])
-        assert np.all(np.diff(vals, axis=0) >= 0)
-        assert np.all(np.diff(vals, axis=1) >= 0)
+    def test_sizes(self):
+        # bench/tracing.py counts the rows that load_csv returns through ``n``
+        assert Sample([1.0, 2.0, 3.0]).n == 3
+        assert PairedSample([1.0, 2.0], [3.0, 4.0]).n == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,16 +187,10 @@ class TestPairedSample:
             lambda: Sample(np.ones((2, 2))),
             lambda: PairedSample([1.0, np.inf], [1.0, 2.0]),
             lambda: PairedSample([1.0], [1.0, 2.0]),
-            lambda: PairedSample.from_pairs([1.0, 2.0, 3.0]),
             lambda: EmpiricalDistribution([1.0, np.nan]),
         ],
-        ids=["nan-sample", "2d-sample", "inf-pair", "length", "pair-shape", "nan-empirical"],
+        ids=["nan-sample", "2d-sample", "inf-pair", "length", "nan-empirical"],
     )
     def test_bad_data_is_domain_error(self, build):
         with pytest.raises(DomainError):
             build()
-
-    def test_from_pairs(self):
-        pairs = PairedSample.from_pairs([(1.0, 2.0), (3.0, 4.0)])
-        np.testing.assert_array_equal(pairs.x1, [1.0, 3.0])
-        np.testing.assert_array_equal(pairs.x2, [2.0, 4.0])

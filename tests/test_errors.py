@@ -13,6 +13,7 @@ from almostdom.covariance import std_curve_for
 from almostdom.empirical import EmpiricalDistribution, PairedSample, SamplingScheme
 from almostdom.errors import (
     AlmostDomError,
+    DegenerateCurvesError,
     DomainError,
     GridMismatchError,
     InvalidConfigError,
@@ -29,8 +30,7 @@ from almostdom.inference import (
     select_tuning,
     tuning_table,
 )
-from almostdom.rng import child_rng
-from almostdom.simulation import DiscreteLaw, DoublePareto, MonteCarloStudy, sample_dgp
+from almostdom.simulation import DiscreteLaw, DoublePareto, MonteCarloStudy
 
 SPEC = GridSpec(4)
 MASK = np.array([True, False, False, False])
@@ -107,9 +107,6 @@ CASES = {
     ),
     "grid_text_domain": (InvalidConfigError, lambda: GridSpec(10, ("a", 1))),
     "grid_one_ended_domain": (InvalidConfigError, lambda: GridSpec(10, (0,))),
-    "sample_dgp_size": (
-        InvalidConfigError, lambda: sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(0))
-    ),
     # a scheme that is neither a member nor a member's value
     **{
         f"{name}_scheme_{scheme}": (InvalidConfigError, partial(entry, scheme))
@@ -130,6 +127,7 @@ def test_typed_error(name):
 DIFF = GridFunction(SPEC, np.array([1.0, -1.0, 0.5, 0.0]))
 SETS = ContactSets(MASK, ~MASK, np.zeros(4, dtype=bool))
 PAIRS = PairedSample(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 4.0]))
+PAIRS_OF_FOUR = PairedSample(np.array([1.0, 2.0, 3.0, 5.0]), np.array([2.0, 1.0, 4.0, 3.0]))
 DISTS = (EmpiricalDistribution(PAIRS.x1), EmpiricalDistribution(PAIRS.x2))
 # ISD 3 variances near (1e160)**2 overflow the float range
 HUGE = tuple(EmpiricalDistribution(d.sorted_values * 1e160) for d in DISTS)
@@ -149,6 +147,9 @@ GUARDS = {
     "derivative_sets_size": (
         GridMismatchError, lambda: derivative(DIFF, ContactSets(WIDE, ~WIDE, ~WIDE), DIFF)
     ),
+    "derivative_zero_curve": (
+        DegenerateCurvesError, lambda: derivative(DIFF, SETS, GridFunction(SPEC, np.zeros(4)))
+    ),
     "unpack_not_a_pair": (
         SchemeMismatchError, lambda: _unpack(np.ones(3), SamplingScheme.INDEPENDENT)
     ),
@@ -156,6 +157,12 @@ GUARDS = {
         SchemeMismatchError,
         lambda: std_curve_for(
             DominanceFamily.inverse_sd(2), *DISTS, None, SamplingScheme.MATCHED, SPEC
+        ),
+    ),
+    "std_pairs_size": (
+        SchemeMismatchError,
+        lambda: std_curve_for(
+            DominanceFamily.inverse_sd(2), *DISTS, PAIRS_OF_FOUR, SamplingScheme.MATCHED, SPEC
         ),
     ),
     "std_overflow": (

@@ -255,7 +255,7 @@ def test_derivative_is_the_limit_of_difference_quotients(case):
     total = positive_area(diff) + negative_area(diff)
     spread = np.abs(h.values).sum() * step
     for eps in (1e-4, 1e-6):
-        moved = diff + h * eps
+        moved = GridFunction(diff.spec, diff.values + h.values * eps)
         quotient = (area_ratio(moved) - area_ratio(diff)) / eps
         moved_total = positive_area(moved) + negative_area(moved)
         bound = 2 * eps * spread**2 / (total * moved_total)

@@ -36,7 +36,6 @@ from almostdom.simulation import (
     population_coefficient,
     population_curves,
     run_replicates,
-    sample_dgp,
 )
 
 MP = SamplingScheme.MATCHED
@@ -141,21 +140,22 @@ class TestDiscreteLaw:
 
     def test_single_atom_sampling(self):
         law = DiscreteLaw([(5.0, 1.0)])
-        sample = sample_dgp(law, 3, child_rng(62, 0))
-        np.testing.assert_array_equal(sample.values, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(law.sample(3, child_rng(62, 0)), [5.0, 5.0, 5.0])
 
 
 class TestSampleDgp:
+    """Draws through a law's own ``sample(n, rng)``."""
+
     def test_seeded_repeat_identical(self):
         dp = DoublePareto(3.0, 1.5)
-        a = sample_dgp(dp, 50, child_rng(63, 0)).values
-        b = sample_dgp(dp, 50, child_rng(63, 0)).values
+        a = dp.sample(50, child_rng(63, 0))
+        b = dp.sample(50, child_rng(63, 0))
         np.testing.assert_array_equal(a, b)
 
     def test_kolmogorov_distance(self):
         dp = DoublePareto(3.0, 1.5)
         n = 1_000_000
-        values = np.sort(sample_dgp(dp, n, child_rng(64, 0)).values)
+        values = np.sort(dp.sample(n, child_rng(64, 0)))
         cdf_at_points = dp.cdf(values)
         grid = np.arange(1, n + 1) / n
         distance = max(
@@ -163,10 +163,6 @@ class TestSampleDgp:
             np.max(np.abs(cdf_at_points - (grid - 1 / n))),
         )
         assert distance < 0.002
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            sample_dgp(DoublePareto(3.0, 1.5), 0, child_rng(65, 0))
 
 
 def step_sdc_by_unique(dgp1, dgp2):
