@@ -254,9 +254,9 @@ class _Tally:
             part = _exact_sums(weights.hi, ranks, size) + _exact_sums(weights.lo, ranks, size)
         self.sums[key] = self.sums[key] + part if key in self.sums else part
 
-    def bins(self, key) -> _Wide:
-        """The sums of ranks 0..n_points - 1."""
-        return self.sums[key][:-1]
+    def bins(self, key) -> _Wide | float:
+        """The sums of ranks 0..n_points - 1; 0 for a key never added."""
+        return self.sums[key][:-1] if key in self.sums else 0.0
 
     def total(self, key) -> _Wide:
         return self.sums[key].total()
@@ -371,76 +371,74 @@ class _Hinge:
         return self.integrate(base.cumsum())
 
 
-def _tally(sides: list[_Hinge], columns: list[np.ndarray]) -> _Tally:
+def _tally(sides: list[_Hinge], d1, d2, pairs) -> _Tally:
     """Every per-bin sum the scatters of ``sides`` need, in one pass over
-    their observations ``columns`` (one sample, or the matched pairs).
+    the observations: the matched pairs together, or each independent
+    sample over its own length.
 
-    Keys: ``(i, name)`` and ``(i, name, k)`` are sums by side i's ranks;
-    ``("joint", ...)`` sums by the rank where both sides of a pair are on;
-    ``("cc", i, k)`` totals of the products of the centered values.
+    Each key is ``(i, k, name, ...)``, a sum over the pairs of sides i and
+    k, with a sample's own sums under ``(i, i, ...)``. ``count``, ``gap``
+    (side i's) and ``gap gap`` sum by the rank where both sides are on;
+    ``centered`` and ``gap centered`` (side i's gap) sum side k's centered
+    values by side i's ranks; ``cc`` totals the products of the centered
+    values (k >= i); ``state`` and ``state gap`` sum side i's state as side
+    k turns on, alone and times k's gap, by k's ranks. A sample carries no
+    state over from itself: ``(i, i, "state", ...)`` is never added.
     """
     tally = _Tally(sides[0].n_points)
-    for lo in range(0, columns[0].size, _BLOCK):
-        seen = [side.observe(x[lo : lo + _BLOCK]) for side, x in zip(sides, columns)]
-        for i, s in enumerate(seen):
-            tally.add((i, "count"), s.ranks)
-            tally.add((i, "gap"), s.ranks, s.gap)
-            tally.add((i, "gap gap"), s.ranks, s.gap * s.gap)
-            for k, t in enumerate(seen):
-                if t.centered is not None:
-                    tally.add((i, "centered", k), s.ranks, t.centered)
-                    tally.add((i, "gap centered", k), s.ranks, s.gap * t.centered)
-                    if k >= i and s.centered is not None:
-                        tally.add(("cc", i, k), None, s.centered * t.centered)
-        if len(sides) == 2:
-            (a, b), (sa, sb) = sides, seen
-            both = np.maximum(sa.ranks, sb.ranks)  # the first node where both are on
-            top = np.minimum(both, a.n_points - 1)
-            gap_a = _Wide(a.quant[top]) - sa.x
-            gap_b = _Wide(b.quant[top]) - sb.x
-            tally.add(("joint", "count"), both)
-            tally.add(("joint", "gap", 0), both, gap_a)
-            tally.add(("joint", "gap", 1), both, gap_b)
-            tally.add(("joint", "gap gap"), both, gap_a * gap_b)
-            # each side's state as the other turns on, by the other's rank,
-            # alone and times the other's gap
-            for level in range(1, a.passes + 1):
-                state_a = a.state(sa, sb.ranks - 1, level)
-                state_b = b.state(sb, sa.ranks - 1, level)
-                tally.add((1, "state", level), sb.ranks, state_a)
-                tally.add((1, "state gap", level), sb.ranks, state_a * sb.gap)
-                tally.add((0, "state", level), sa.ranks, state_b)
-                tally.add((0, "state gap", level), sa.ranks, state_b * sa.gap)
+    columns = (d1.sorted_values, d2.sorted_values) if pairs is None else (pairs.x1, pairs.x2)
+    for group in ((0,), (1,)) if pairs is None else ((0, 1),):
+        for lo in range(0, columns[group[0]].size, _BLOCK):
+            seen = {i: sides[i].observe(columns[i][lo : lo + _BLOCK]) for i in group}
+            for i, s in seen.items():
+                tally.add((i, i, "count"), s.ranks)
+                tally.add((i, i, "gap"), s.ranks, s.gap)
+                tally.add((i, i, "gap gap"), s.ranks, s.gap * s.gap)
+                for k, t in seen.items():
+                    if t.centered is not None:
+                        tally.add((i, k, "centered"), s.ranks, t.centered)
+                        tally.add((i, k, "gap centered"), s.ranks, s.gap * t.centered)
+                        if k >= i and s.centered is not None:
+                            tally.add((i, k, "cc"), None, s.centered * t.centered)
+            if len(seen) == 2:
+                (a, b), (sa, sb) = sides, seen.values()
+                both = np.maximum(sa.ranks, sb.ranks)  # the first node where both are on
+                top = np.minimum(both, a.n_points - 1)
+                gap_a = _Wide(a.quant[top]) - sa.x
+                gap_b = _Wide(b.quant[top]) - sb.x
+                tally.add((0, 1, "count"), both)
+                tally.add((0, 1, "gap"), both, gap_a)
+                tally.add((1, 0, "gap"), both, gap_b)
+                tally.add((0, 1, "gap gap"), both, gap_a * gap_b)
+                for level in range(1, a.passes + 1):
+                    state_a = a.state(sa, sb.ranks - 1, level)
+                    state_b = b.state(sb, sa.ranks - 1, level)
+                    tally.add((0, 1, "state", level), sb.ranks, state_a)
+                    tally.add((0, 1, "state gap", level), sb.ranks, state_a * sb.gap)
+                    tally.add((1, 0, "state", level), sa.ranks, state_b)
+                    tally.add((1, 0, "state gap", level), sa.ranks, state_b * sa.gap)
     return tally
 
 
 def _cross(sides: list[_Hinge], tally: _Tally, i: int, k: int) -> _Wide:
     """``sum_i H_j(x_i) H'_j(x'_i)`` at every node over the observations of
-    sides i and k (matched pairs, or k = i)."""
+    sides i and k (matched pairs, or k = i), from the keys ``(i, k, ...)``
+    and ``(k, i, ...)`` of :func:`_tally`; for k = i no state key was ever
+    added (a sample carries no state over from itself), and each reads 0."""
     a, b, h, passes = sides[i], sides[k], sides[i].step, sides[i].passes
-    if i == k:
-        count = tally.bins((i, "count")).cumsum()
-        joint_a = joint_b = tally.bins((i, "gap"))
-        joint_ab = tally.bins((i, "gap gap"))
-    else:
-        count = tally.bins(("joint", "count")).cumsum()
-        joint_a, joint_b = tally.bins(("joint", "gap", i)), tally.bins(("joint", "gap", k))
-        joint_ab = tally.bins(("joint", "gap gap"))
+    count = tally.bins((i, k, "count")).cumsum()
+    joint_a, joint_b = tally.bins((i, k, "gap")), tally.bins((k, i, "gap"))
+    joint_ab = tally.bins((i, k, "gap gap"))
     # sums of each level's state over the observations on in the other
     seen_a = [(a.rise * count.before() + joint_a).cumsum()]
     seen_b = [(b.rise * count.before() + joint_b).cumsum()]
     # per bin of the other sample: the state as the other turns on, alone
-    # and times the other's gap (nothing for the sample itself)
+    # and times the other's gap (0 for the sample itself)
     enter_a, enter_b = [None], [None]
     for level in range(1, passes + 1):
-        if i == k:
-            state_a = state_b = 0.0
-            enter_a.append(0.0)
-            enter_b.append(0.0)
-        else:
-            state_a, state_b = tally.bins((k, "state", level)), tally.bins((i, "state", level))
-            enter_a.append(tally.bins((k, "state gap", level)))
-            enter_b.append(tally.bins((i, "state gap", level)))
+        state_a, state_b = tally.bins((i, k, "state", level)), tally.bins((k, i, "state", level))
+        enter_a.append(tally.bins((i, k, "state gap", level)))
+        enter_b.append(tally.bins((k, i, "state gap", level)))
         seen_a.append((seen_a[-1] * h + state_a).cumsum())
         seen_b.append((seen_b[-1] * h + state_b).cumsum())
     # prod[i, k]: the sum of the level-i state times the other's level-k state
@@ -471,22 +469,23 @@ def _scatter(
     transforms over matched observations (k may be i), at every node, from
     ``T_j = I(slope)_j c + H_j`` up to a constant, with ``c`` the shifted
     x; and the sum of the magnitudes of its terms. A slope that is zero drops
-    its terms."""
+    its terms. The means read each side's own keys ``(i, i, ...)``, the
+    products the pair's ``(i, k, ...)`` and ``(k, i, ...)`` of :func:`_tally`."""
     a, b = sides[i], sides[k]
-    mean_a = a.weighted(tally.bins((i, "count")), tally.bins((i, "gap")))
-    mean_b = b.weighted(tally.bins((k, "count")), tally.bins((k, "gap")))
+    mean_a = a.weighted(tally.bins((i, i, "count")), tally.bins((i, i, "gap")))
+    mean_b = b.weighted(tally.bins((k, k, "count")), tally.bins((k, k, "gap")))
     if a.slope is not None:
-        mean_a = mean_a + a.slope * tally.total((i, "centered", i))
+        mean_a = mean_a + a.slope * tally.total((i, i, "centered"))
     if b.slope is not None:
-        mean_b = mean_b + b.slope * tally.total((k, "centered", k))
+        mean_b = mean_b + b.slope * tally.total((k, k, "centered"))
     terms = []
     if a.slope is not None and b.slope is not None:
-        terms.append(a.slope * b.slope * tally.total(("cc", min(i, k), max(i, k))))
+        terms.append(a.slope * b.slope * tally.total((i, k, "cc")))
     if a.slope is not None:
-        centered = tally.bins((k, "centered", i)), tally.bins((k, "gap centered", i))
+        centered = tally.bins((k, i, "centered")), tally.bins((k, i, "gap centered"))
         terms.append(a.slope * b.weighted(*centered))
     if b.slope is not None:
-        centered = tally.bins((i, "centered", k)), tally.bins((i, "gap centered", k))
+        centered = tally.bins((i, k, "centered")), tally.bins((i, k, "gap centered"))
         terms.append(b.slope * a.weighted(*centered))
     terms += [_cross(sides, tally, i, k), -(mean_a * mean_b) / n]
     total, size = _Wide(0.0), 0.0
@@ -504,11 +503,8 @@ def _rank_variance(family, d1, d2, pairs, spec) -> np.ndarray:
     ddof = 0 if family.kind is Family.SD else 1
     # the weight of the scatter of samples (i, k) in the variance
     weights = {(0, 0): (1.0 - share1) / (d1.n - ddof), (1, 1): share1 / (d2.n - ddof)}
-    matched = pairs is not None
-    columns = [d1.sorted_values, d2.sorted_values]
-    if matched:
+    if pairs is not None:
         weights[0, 1] = -2.0 * np.sqrt(share1 * (1.0 - share1)) / (pairs.n - ddof)
-        columns = [pairs.x1, pairs.x2]
     lorenz = family.kind is Family.LORENZ
     # the Lorenz transform is scale-free: each sample is scaled by a power of
     # two, exactly, to a mean of order 1, so that no product of values overflows
@@ -533,14 +529,11 @@ def _rank_variance(family, d1, d2, pairs, spec) -> np.ndarray:
             )
             for dist, e in zip((d1, d2), exponents)
         ]
-    tally = _tally(sides, columns) if matched else None
+    tally = _tally(sides, d1, d2, pairs)
     var, size = _Wide(0.0), 0.0
     for (i, k), weight in weights.items():
-        if matched:
-            scatter, magnitude = _scatter(sides, tally, i, k, pairs.n)
-        else:
-            side, x = sides[i], columns[i]
-            scatter, magnitude = _scatter([side], _tally([side], [x]), 0, 0, x.size)
+        # k > i only under matched pairs, where both samples have n = d1.n
+        scatter, magnitude = _scatter(sides, tally, i, k, (d1.n, d2.n)[i])
         weight = _Wide(weight) / (_Wide(scales[i]) * scales[k])
         var = var + scatter * weight
         size = size + magnitude * np.abs(weight.hi)
@@ -549,22 +542,18 @@ def _rank_variance(family, d1, d2, pairs, spec) -> np.ndarray:
     return var[::-1] if mirror else var
 
 
-def _variance(family, d1, d2, pairs, spec) -> np.ndarray:
-    """The :func:`_sd_variance` or :func:`_rank_variance` of ``family``, of
-    data whose scheme is checked (matched pairs when ``pairs`` is given)."""
+def _std_curve(family, d1, d2, pairs, spec) -> GridFunction:
+    """:func:`std_curve_for` of data whose scheme is checked (matched pairs
+    when ``pairs`` is given): the square root of :func:`_sd_variance` or
+    :func:`_rank_variance`."""
     if d1.n < 2 or d2.n < 2:
         raise InvalidConfigError("covariance estimation needs at least 2 observations")
-    if family.kind is Family.SD and family.degree == 1:
-        return _sd_variance(d1, d2, pairs, spec)
-    return _rank_variance(family, d1, d2, pairs, spec)
-
-
-def _std_curve(family, d1, d2, pairs, spec) -> GridFunction:
-    """:func:`std_curve_for` of data whose scheme is checked (see :func:`_variance`)."""
     # a variance that overflows is not finite, and _std raises; so is one
     # whose Lorenz weight divides by sample means that multiply to zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _std(spec, _variance(family, d1, d2, pairs, spec))
+        if family.kind is Family.SD and family.degree == 1:
+            return _std(spec, _sd_variance(d1, d2, pairs, spec))
+        return _std(spec, _rank_variance(family, d1, d2, pairs, spec))
 
 
 def std_curve_for(

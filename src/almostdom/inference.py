@@ -126,9 +126,10 @@ class InferenceConfig:
     from the estimated contact set; it must grow with the sample (slower
     than sqrt(effective_n)) for the asymptotics, and is a finite-sample
     tuning choice here (see :func:`select_tuning`). ``xi0`` bounds the
-    studentization away from zero. A bootstrap replicate that gives no
-    draw (a Lorenz resample without a positive mean, or a draw that is not
-    finite) is dropped, so ``n_boot_effective`` may fall below ``n_boot``.
+    studentization away from zero. Both must be positive and finite. A
+    bootstrap replicate that gives no draw (a Lorenz resample without a
+    positive mean, or a draw that is not finite) is dropped, so
+    ``n_boot_effective`` may fall below ``n_boot``.
     """
 
     t_n: float
@@ -139,10 +140,10 @@ class InferenceConfig:
     clamp_to_unit: bool = True
 
     def __post_init__(self):
-        if not _real("t_n", self.t_n) > 0:
-            raise InvalidConfigError(f"t_n must be positive, got {self.t_n}")
-        if not _real("xi0", self.xi0) > 0:
-            raise InvalidConfigError(f"xi0 must be positive, got {self.xi0}")
+        if not 0 < _real("t_n", self.t_n) < np.inf:
+            raise InvalidConfigError(f"t_n must be positive and finite, got {self.t_n}")
+        if not 0 < _real("xi0", self.xi0) < np.inf:
+            raise InvalidConfigError(f"xi0 must be positive and finite, got {self.xi0}")
         _count("n_boot", self.n_boot)
         if not 0.0 < _real("alpha", self.alpha) < 0.5:
             raise InvalidConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")

@@ -2,7 +2,8 @@
 
 The population coefficient oracle evaluates analytic quantile/CDF
 functions on its own high-resolution midpoint grid and runs plain prefix
-or suffix rectangle sums, independently of the estimator path in
+or suffix rectangle sums (the base curves less half a cell, so that each
+reads at its node), independently of the estimator path in
 :mod:`almostdom.coefficients`. Population Lorenz curves are normalized by
 the analytic mean (not the grid integral of the quantile): with heavy
 tails the grid integral under-counts the mass hiding beyond the last
@@ -188,6 +189,12 @@ def _iterate(values: np.ndarray, step: float, passes: int, downward: bool) -> np
     return values
 
 
+def _cum_at_nodes(q: np.ndarray, step: float) -> np.ndarray:
+    """Integrals of ``q`` from 0 to each midpoint node: the prefix sums reach
+    the right edge of each cell, so half of the node's own cell comes off."""
+    return (np.cumsum(q) - q / 2) * step
+
+
 def _pooled_support(dgp1, dgp2) -> tuple[float, float]:
     if not (isinstance(dgp1, DiscreteLaw) and isinstance(dgp2, DiscreteLaw)):
         raise InvalidConfigError(
@@ -235,14 +242,13 @@ def population_curves(
         spec = GridSpec(n_points, (0.0, 1.0))
         q1 = np.asarray(dgp1.quantile(spec.nodes()), dtype=float)
         q2 = np.asarray(dgp2.quantile(spec.nodes()), dtype=float)
-        base1 = np.cumsum(q1) * spec.step
-        base2 = np.cumsum(q2) * spec.step
+        base1, base2 = _cum_at_nodes(q1, spec.step), _cum_at_nodes(q2, spec.step)
         if family.kind is Family.LORENZ:
             base1 = base1 / dgp1.mean()
             base2 = base2 / dgp2.mean()
             base = family.orient(base1, base2)
         else:
-            base = np.cumsum(q2 - q1) * spec.step
+            base = _cum_at_nodes(q2 - q1, spec.step)
     bases = (family.compared(base1), family.compared(base2), base)
     curve1, curve2, diff = (_iterate(values, spec.step, passes, down) for values in bases)
     return spec, curve1, curve2, diff
@@ -254,11 +260,12 @@ def population_coefficient(
     """Population almost-dominance coefficient from analytic quantiles/CDFs.
 
     Rank-based families evaluate both quantile functions on a
-    ``resolution``-point midpoint grid over [0, 1]; the default keeps the
-    discretization error below 5e-4 for the heavy-tailed laws used in the
-    bundled presets. First-degree stochastic dominance of two discrete
-    laws is computed exactly from the step CDFs; higher SD degrees fall
-    back to the grid on the pooled support.
+    ``resolution``-point midpoint grid over [0, 1]. At the default, the
+    bundled presets' coefficients lie within 1.4e-5 of their values at
+    4e6 nodes (uisdc-d; the ldc presets within 6e-7). First-degree
+    stochastic dominance of two discrete laws is computed exactly from the
+    step CDFs; higher SD degrees fall back to the grid on the pooled
+    support.
     """
     if family.kind is Family.SD and family.degree == 1:
         return _exact_step_sdc(dgp1, dgp2)

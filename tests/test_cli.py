@@ -668,10 +668,15 @@ class TestBadInput:
             (["tune", "--candidates", "a,b"], "1", "--candidates must be comma-separated"),
             (["tune", "--candidates", ","], "1", "--candidates is empty"),
             (["estimate", "--domain", "1,2,3"], "1", "--domain needs exactly two numbers"),
+            (["ci", "--tn", "inf", "--boot", "5"], "1", "t_n must be positive and finite"),
+            (["ci", "--tn", "1", "--xi0", "inf", "--boot", "5"], "1",
+             "xi0 must be positive and finite"),
+            (["tune", "--candidates", "1,inf"], "1", "t_n must be positive and finite"),
         ],
         ids=[
             "threads-env-not-int", "candidates-not-numbers", "candidates-empty",
-            "domain-three-numbers",
+            "domain-three-numbers", "ci-infinite-tn", "ci-infinite-xi0",
+            "tune-infinite-candidate",
         ],
     )
     def test_one_error_line_per_bad_setting(self, argv, threads, named, matched_file,
@@ -1245,28 +1250,28 @@ class TestSimulateCommand:
         assert reports[0] == reports[1]
         assert 0 < reports[0]["failed"] < 20
 
-    # population curves at --grid 6, recorded before the CLI read them from
-    # the oracle; the oracle forms the uisdc difference as cumsum(q2 - q1)
+    # population curves at --grid 6, each read at its node; checked against
+    # right-edge prefix sums less half a cell (carried through the ISD pass)
     @pytest.mark.parametrize(
         "preset, curve1, curve2, diff",
         [
             (
                 "ldc-a",
-                [0.046296296296296294, 0.14259647328944, 0.27796766487336894,
-                 0.44737996626332133, 0.65120263594817485, 0.9451657937200636],
-                [0.052820810036018018, 0.14430913671534529, 0.26242005858248474,
-                 0.40358022178214831, 0.58361417317810327, 0.88739125862045021],
-                [0.006524513739721724, 0.0017126634259052864, -0.015547606290884197,
-                 -0.04379974448117302, -0.067588462770071578, -0.057774535099613389],
+                [0.023148148148148147, 0.09444638479286814, 0.21028206908140448,
+                 0.36267381556834516, 0.5492913011057481, 0.7981842148341192],
+                [0.02641040501800901, 0.09856497337568165, 0.203364597648915,
+                 0.3330001401823165, 0.4935971974801257, 0.7355027158992767],
+                [0.003262256869860862, 0.004118588582813512, -0.006917471432489469,
+                 -0.029673675386028664, -0.05569410362562238, -0.06268149893484243],
             ),
             (
                 "uisdc-a",
-                [0.0075909967570332903, 0.030971903069210986, 0.076549018549670361,
-                 0.14990391180790752, 0.25868624423153092, 0.42724643594724843],
-                [0.009022360697083516, 0.03291069929931309, 0.075550443322327882,
-                 0.14004039950064984, 0.2290247542622304, 0.34484280511628118],
-                [0.0014313639400502253, 0.0019387962301020988, -0.00099857522734248666,
-                 -0.009863512307257679, -0.029661489969300514, -0.082403630830967162],
+                [0.003795498378516645, 0.019281449913122136, 0.05376046080944068,
+                 0.11322646517878894, 0.20429507801971925, 0.34296634008938964],
+                [0.004511180348541758, 0.0209665299981983, 0.054230571310820486,
+                 0.10779542141148886, 0.18453257688144012, 0.2869337796892558],
+                [0.000715681970025113, 0.0016850800850761612, 0.0004701105013798053,
+                 -0.005431043767300081, -0.0197625011382791, -0.05603256040013384],
             ),
             (
                 "sdc-b",

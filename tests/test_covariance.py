@@ -686,20 +686,23 @@ BLOCK_FAMILIES = (
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
 def test_block_size_does_not_matter(block, monkeypatch):
-    # tied data off the origin, read one observation, seven or all at a time
+    # tied data off the origin, read one observation, seven or all at a time;
+    # independent samples of equal and of unequal sizes (the second longer)
     x1, x2 = TIED[:45], np.round(0.5 * TIED[:45] + TIED[45:], 1)
     d1, d2, pairs = EmpiricalDistribution(x1), EmpiricalDistribution(x2), PairedSample(x1, x2)
+    short = EmpiricalDistribution(x1[:38])
+    inputs = ((d1, d2, None, IND), (d1, d2, pairs, MP), (short, d2, None, IND))
     cases = []
     for family in BLOCK_FAMILIES:
         domain = (50.0, float(max(x1.max(), x2.max()))) if family.kind is Family.SD else (0.0, 1.0)
-        for scheme, pair_arg in ((IND, None), (MP, pairs)):
-            data = (d1, d2, pair_arg, scheme, GridSpec(23, domain))
+        for data in inputs:
+            data = (*data, GridSpec(23, domain))
             cases.append((family, data, std_curve_for(family, *data).values))
     monkeypatch.setattr(covariance, "_BLOCK", block)
     for family, data, expected in cases:
         np.testing.assert_allclose(
             std_curve_for(family, *data).values, expected, rtol=0,
-            atol=1e-13 * np.max(expected), err_msg=f"{family} {data[3]}",
+            atol=1e-13 * np.max(expected), err_msg=f"{family} {data[3]} n1={data[0].n}",
         )
 
 

@@ -102,6 +102,12 @@ CASES = {
     "monte_carlo_no_truth": (InvalidConfigError, lambda: study(None)),
     "inference_text_threshold": (InvalidConfigError, lambda: InferenceConfig(t_n="1", seed=0)),
     "inference_no_trim": (InvalidConfigError, lambda: InferenceConfig(t_n=1.0, seed=0, xi0=None)),
+    "inference_infinite_threshold": (
+        InvalidConfigError, lambda: InferenceConfig(t_n=np.inf, seed=0)
+    ),
+    "inference_infinite_trim": (
+        InvalidConfigError, lambda: InferenceConfig(t_n=1.0, seed=0, xi0=np.inf)
+    ),
     "inference_text_alpha": (
         InvalidConfigError, lambda: InferenceConfig(t_n=1.0, seed=0, alpha="0.1")
     ),
