@@ -255,8 +255,9 @@ class _Tally:
         self.sums[key] = self.sums[key] + part if key in self.sums else part
 
     def bins(self, key) -> _Wide | float:
-        """The sums of ranks 0..n_points - 1; 0 for a key never added."""
-        return self.sums[key][:-1] if key in self.sums else 0.0
+        """The sums of ranks 0..n_points - 1; a sample's own state keys read 0."""
+        own_state = key not in self.sums and key[0] == key[1] and key[2].startswith("state")
+        return 0.0 if own_state else self.sums[key][:-1]
 
     def total(self, key) -> _Wide:
         return self.sums[key].total()

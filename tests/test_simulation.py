@@ -271,8 +271,9 @@ class TestPopulationCoefficient:
 # Fit and oracle curves on the same laws and grid: seed 30, 2e5 draws per
 # law, G = 1000, and a tolerance of 0.05 of the oracle curves' largest
 # magnitude, all fixed before the first run. Sampling error and the
-# oracle's midpoint sums leave at most 0.006 of it (Lorenz 3 up); comparing the downward Lorenz complements 1 - L with L
-# itself misses by 0.33 of 0.67.
+# oracle's midpoint sums leave at most 0.006 of it (Lorenz 3 up);
+# comparing the downward Lorenz complements 1 - L with L itself misses by
+# 0.33 of 0.67.
 CURVE_LAWS = {
     "lorenz": (DoublePareto(3.0, 1.5), DoublePareto(2.1, 2.0)),
     "isd": (DoublePareto(2.1, 1.5), DoublePareto(200.0, 2.2)),
@@ -411,6 +412,7 @@ class TestMonteCarlo:
         report = monte_carlo(self.study(12, n=30, boot=20))
         assert 0.0 < report.cr < 1.0
         assert report.cr_se == np.sqrt(report.cr * (1.0 - report.cr) / 12)
+        assert report.n_failed == 0
 
     def test_failed_replicates_are_counted(self):
         # the first sample is often all zeros: a Lorenz curve of mean 0
